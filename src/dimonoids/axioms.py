@@ -108,6 +108,19 @@ def _d4_witness(le, re, n):
 _AXIOM_WITNESS = {"d1": _d1_witness, "d2": _d2_witness, "d3": _d3_witness, "d4": _d4_witness}
 
 
+def _pair_axioms_hold(le, re, n, kind) -> bool:
+    """Whether flat tables le, re satisfy kind's pair axioms.
+
+    Tests D2 first (both kinds need it), then D1 and D3 or D4, stopping at
+    the first failure.  Associativity of le and re is not checked.
+    """
+    if _d2_witness(le, re, n) is not None:
+        return False
+    if kind == DIMONOID:
+        return _d1_witness(le, re, n) is None and _d3_witness(le, re, n) is None
+    return _d4_witness(le, re, n) is None
+
+
 def is_associative(t: OpTable):
     """Return (flag, witness); witness is None when associative."""
     w = assoc_witness(t.entries, t.order)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .axioms import (AxiomError, NotAssociativeError, assoc_witness,
                      check_dimonoid, check_doppelsemigroup, check_structure,
-                     DIMONOID, DOPPELSEMIGROUP)
+                     _pair_axioms_hold, DIMONOID, DOPPELSEMIGROUP)
 from .tables import DiStructure, OpTable, Permutation, apply_permutation
 
 
@@ -489,17 +489,23 @@ def named_structures(n: int, kind: str):
             if key in seen_tables:
                 continue
             seen_tables.add(key)
+            w = assoc_witness(t.entries, n)
+            if w is not None:
+                raise NotAssociativeError(w)
             distinct.append((name, t))
+        perms = tuple(Permutation.all_of_degree(n))
+        relabelings = [(name, tuple(apply_permutation(t, p) for p in perms))
+                       for name, t in distinct]
+        # both components are (relabeled) associative tables checked above,
+        # so only the pair axioms remain to test
         for lname, lt in distinct:
-            for rname, rt in distinct:
+            for rname, rts in relabelings:
                 block = []
-                for p in Permutation.all_of_degree(n):
-                    rtp = apply_permutation(rt, p)
+                for rtp in rts:
                     if rtp == lt:
                         continue  # trivial pair, already named by the bare tier
-                    d = DiStructure(lt, rtp)
-                    if check_structure(d, kind).ok:
-                        block.append(d)
+                    if _pair_axioms_hold(lt.entries, rtp.entries, n, kind):
+                        block.append(DiStructure(lt, rtp))
                 block.sort(key=lambda d: d.right != d.left.transpose())
                 out.extend((f"{lname}|{rname}", d) for d in block)
         return tuple(out)

@@ -6,6 +6,7 @@ import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .catalog import named_class_map, named_semigroups
 from .enumeration import (EnumerationResult, SEMIGROUP, enumerate_dimonoids,
@@ -82,6 +83,26 @@ def _flags(rep: DiStructure):
     return trivial, commutative, abelian
 
 
+def _check_census(result: EnumerationResult, rows) -> None:
+    """Raise RuntimeError unless the class list is consistent with itself.
+
+    The classes must be closed under duality; abelian pairs are table-equal
+    to their dual, hence self-paired (the converse fails: a nonabelian class
+    can be isomorphic to its dual); and by orbit-stabilizer the classes'
+    orbit sizes n!/|Aut(D)| must sum to the labeled count, which the
+    enumeration derives without automorphism groups.
+    """
+    known = {r.key for r in rows}
+    if not all(r.dual_key in known for r in rows):
+        raise RuntimeError(f"order-{result.order} {result.kind} classes not closed under duality")
+    if not all(r.dual_key == r.key for r in rows if r.abelian):
+        raise RuntimeError(f"order-{result.order} {result.kind}: an abelian class is not self-paired")
+    orbits = sum(factorial(result.order) // r.aut.order for r in rows)
+    if orbits != result.labeled_count:
+        raise RuntimeError(f"order-{result.order} {result.kind}: class orbit sizes sum to "
+                           f"{orbits}, but the labeled count is {result.labeled_count}")
+
+
 def classify(result: EnumerationResult) -> ClassificationReport:
     """Name, flag, and group every class of an enumeration result."""
     names = _name_map(result.order, result.kind)
@@ -99,11 +120,7 @@ def classify(result: EnumerationResult) -> ClassificationReport:
                              commutative=commutative, abelian=abelian,
                              aut=aut, dual_key=dual_key))
     rows = tuple(rows)
-    known = {r.key for r in rows}
-    assert all(r.dual_key in known for r in rows), "classes not closed under duality"
-    # abelian pairs are table-equal to their dual, hence always self-paired;
-    # the converse fails: a nonabelian class can be isomorphic to its dual
-    assert all(r.dual_key == r.key for r in rows if r.abelian)
+    _check_census(result, rows)
     nonabelian = sum(1 for r in rows if not r.abelian)
     self_paired_nonabelian = sum(1 for r in rows
                                  if not r.abelian and r.dual_key == r.key)

@@ -2,11 +2,19 @@
 
 Labeled associative tables are generated by backtracking over cells in
 row-major order, pruning with every associativity triple that the filled
-cells already decide.  Pairs are filtered D2 first (the axiom shared by
-both kinds), then D1 and D3 for dimonoids or D4 for doppelsemigroups.
-Classes are deduplicated by canonical key, so results are deterministic
-and independent of the worker count: workers split the left-table index
-range, emit key sets, and the merge is a set union plus one global sort.
+cells already decide.
+
+Every pair is isomorphic to one whose left table is the first table, in
+lexicographic order, of its S_n-orbit, so pairs are scanned only with
+those left representatives against all right tables.  Pairs are
+filtered D2 first (the axiom shared by both kinds), then D1 and D3 for
+dimonoids or D4 for doppelsemigroups.  Relabeling carries the survivors
+with left table L one-to-one onto the survivors with any other left table
+of L's orbit, so the labeled count is the sum over representatives of
+|orbit(L)| times the survivors of L.  Classes are deduplicated by
+canonical key, so results are deterministic and independent of the
+worker count: workers take interleaved shares of the representatives,
+emit key sets, and the merge is a set union plus one global sort.
 
 Orders 1..4 are fully supported; order 5 is attempted only when
 allow_large is set, and larger orders are refused.
@@ -18,9 +26,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .axioms import (DIMONOID, DOPPELSEMIGROUP, _d1_witness, _d2_witness,
-                     _d3_witness, _d4_witness)
-from .iso import _min_key, canonical_form
+from .axioms import DIMONOID, DOPPELSEMIGROUP, _pair_axioms_hold
+from .iso import _min_key, _perm_data, canonical_form
 from .tables import DiStructure, OpTable
 
 SEMIGROUP = "semigroup"
@@ -116,28 +123,45 @@ class EnumerationResult:
                 "classes": self.class_count}
 
 
-def _pair_chunk(tables, n: int, kind: str, lo: int, hi: int):
-    """Scan left-table indices lo..hi-1 against all right tables.
+def _left_reps(tables, n: int):
+    """(first table of each S_n-orbit, orbit size) over the sorted tables.
 
-    Returns (labeled survivor count, set of canonical key bytes).
+    Raises RuntimeError unless the orbit sizes sum to the number of tables,
+    which holds exactly when every relabeling of a table is in the list.
     """
-    d2, d1, d3, d4 = _d2_witness, _d1_witness, _d3_witness, _d4_witness
-    dimonoid = kind == DIMONOID
+    perms = _perm_data(n)
+    seen = set()
+    reps = []
+    for t in tables:
+        if t in seen:
+            continue
+        orbit = {tuple(p[t[i]] for i in gather) for p, gather in perms}
+        seen |= orbit
+        reps.append((t, len(orbit)))
+    covered = sum(size for _, size in reps)
+    if covered != len(tables):
+        raise RuntimeError(f"left-table orbits cover {covered} of {len(tables)} "
+                           f"associative tables of order {n}")
+    return tuple(reps)
+
+
+def _pair_chunk(tables, n: int, kind: str, lefts):
+    """Scan each (left table, orbit size) of lefts against all right tables.
+
+    Returns (labeled survivor count over the left tables' whole orbits,
+    set of canonical key bytes).
+    """
     labeled = 0
     keys = set()
-    for i in range(lo, hi):
-        le = tables[i]
+    for le, orbit_size in lefts:
+        survivors = 0
         for re in tables:
-            if d2(le, re, n) is not None:
+            if not _pair_axioms_hold(le, re, n, kind):
                 continue
-            if dimonoid:
-                if d1(le, re, n) is not None or d3(le, re, n) is not None:
-                    continue
-            elif d4(le, re, n) is not None:
-                continue
-            labeled += 1
+            survivors += 1
             best, _ = _min_key(le, re, n)
             keys.add(bytes(best))
+        labeled += orbit_size * survivors
     return labeled, keys
 
 
@@ -166,12 +190,12 @@ def _reps_from_keys(n: int, keys) -> tuple:
 def _enumerate_pairs(n: int, kind: str, workers: int | None, allow_large: bool):
     tables = _assoc_flat(n, allow_large)
     workers = _resolve_workers(workers)
-    count = len(tables)
-    if workers == 1 or count < 2 * workers:
-        labeled, keys = _pair_chunk(tables, n, kind, 0, count)
+    reps = _left_reps(tables, n)
+    if workers == 1 or len(reps) < 2 * workers:
+        labeled, keys = _pair_chunk(tables, n, kind, reps)
     else:
-        bounds = [count * i // workers for i in range(workers + 1)]
-        jobs = [(tables, n, kind, bounds[i], bounds[i + 1]) for i in range(workers)]
+        # per-representative work is uneven, so deal them out round-robin
+        jobs = [(tables, n, kind, reps[i::workers]) for i in range(workers)]
         labeled = 0
         keys = set()
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -259,3 +259,24 @@ def test_special_pair_tables():
     assert left != right
     assert canonical_form(DiStructure(left, left)).key == \
         canonical_form(DiStructure(right, right)).key
+
+
+@pytest.mark.parametrize("kind", ["dimonoid", "doppelsemigroup"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_direct_pair_tier_matches_full_axiom_check(n, kind):
+    # reference: every relabeling of every distinct named right table,
+    # kept when the full check (associativity included) passes
+    from dimonoids import Permutation, apply_permutation, check_structure
+    distinct = {}
+    for name, t in named_semigroups(n):
+        distinct.setdefault(canonical_form(DiStructure(t, t)).key, (name, t))
+    expected = []
+    for lname, lt in distinct.values():
+        for rname, rt in distinct.values():
+            block = [DiStructure(lt, apply_permutation(rt, p))
+                     for p in Permutation.all_of_degree(n)]
+            block = [d for d in block if d.left != d.right and check_structure(d, kind).ok]
+            block.sort(key=lambda d: d.right != d.left.transpose())
+            expected.extend((f"{lname}|{rname}", d) for d in block)
+    names = named_structures(n, kind)
+    assert names[len(names) - len(expected):] == tuple(expected)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -255,3 +256,15 @@ def test_classify_accepts_enumeration_result():
     report = classify(enumerate_semigroups(2))
     assert {r.name for r in report.rows} == {"C2", "L2", "O2", "LO2", "RO2"}
     assert all(r.trivial for r in report.rows)
+
+
+def test_classify_rejects_inconsistent_census():
+    result = enumerate_dimonoids(2)
+    with pytest.raises(RuntimeError, match="labeled count"):
+        classify(replace(result, labeled_count=result.labeled_count + 1))
+    report = classify(result)
+    nonabelian = next(i for i, r in enumerate(report.rows)
+                      if r.dual_key != r.key)
+    reps = result.class_reps[:nonabelian] + result.class_reps[nonabelian + 1:]
+    with pytest.raises(RuntimeError, match="duality"):
+        classify(replace(result, class_reps=reps))

@@ -10,7 +10,34 @@ from dimonoids import (canonical_form, check_dimonoid, check_doppelsemigroup,
                        enumerate_associative_tables, enumerate_dimonoids,
                        enumerate_doppelsemigroups, enumerate_semigroups,
                        enumerate_structures, is_associative)
-from dimonoids.enumeration import class_lines, write_classes_jsonl
+from dimonoids.axioms import _d1_witness, _d2_witness, _d3_witness, _d4_witness
+from dimonoids.enumeration import (_assoc_flat, _left_reps, class_lines,
+                                   write_classes_jsonl)
+from dimonoids.iso import _min_key
+
+KINDS = ("dimonoid", "doppelsemigroup")
+
+
+def brute_force_pairs(n, kind):
+    """Reference census: every labeled left x right pair of associative tables.
+
+    Returns (labeled survivor count, set of canonical key bytes).
+    """
+    tables = _assoc_flat(n, False)
+    labeled = 0
+    keys = set()
+    for le in tables:
+        for re in tables:
+            if _d2_witness(le, re, n) is not None:
+                continue
+            if kind == "dimonoid":
+                if _d1_witness(le, re, n) is not None or _d3_witness(le, re, n) is not None:
+                    continue
+            elif _d4_witness(le, re, n) is not None:
+                continue
+            labeled += 1
+            keys.add(bytes(_min_key(le, re, n)[0]))
+    return labeled, keys
 
 
 def test_labeled_associative_counts():
@@ -155,3 +182,45 @@ def test_write_classes_jsonl():
     lines = buf.getvalue().splitlines()
     assert len(lines) == 5
     assert all(json.loads(line)["kind"] == "semigroup" for line in lines)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_left_rep_scan_matches_brute_force(n, kind):
+    result = enumerate_structures(n, kind)
+    labeled, keys = brute_force_pairs(n, kind)
+    assert result.labeled_count == labeled
+    assert {key.key for key, _ in result.class_reps} == keys
+
+
+@pytest.mark.parametrize("n, reps, labeled", [(1, 1, 1), (2, 5, 8), (3, 24, 113), (4, 188, 3492)])
+def test_left_reps_are_semigroup_classes(n, reps, labeled):
+    # OEIS A027851 (classes) and A023814 (labeled)
+    tables = _assoc_flat(n, False)
+    lefts = _left_reps(tables, n)
+    assert len(lefts) == reps
+    assert sum(size for _, size in lefts) == labeled
+    assert [t for t, _ in lefts] == sorted(t for t, _ in lefts)
+
+
+def test_left_reps_reject_a_list_not_closed_under_relabeling():
+    tables = _assoc_flat(2, False)
+    first_of_orbit = {t for t, _ in _left_reps(tables, 2)}
+    missing = next(t for t in tables if t not in first_of_orbit)
+    with pytest.raises(RuntimeError):
+        _left_reps(tuple(t for t in tables if t != missing), 2)
+
+
+@pytest.mark.parametrize("kind, labeled, classes",
+                         [("dimonoid", 15277, 734), ("doppelsemigroup", 26028, 1217)])
+def test_order4_census(kind, labeled, classes):
+    result = enumerate_structures(4, kind)
+    assert (result.labeled_count, result.class_count) == (labeled, classes)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_workers_split_left_reps(kind):
+    solo = enumerate_structures(3, kind, workers=1)
+    trio = enumerate_structures(3, kind, workers=3)
+    assert [k.key for k, _ in solo.class_reps] == [k.key for k, _ in trio.class_reps]
+    assert solo.labeled_count == trio.labeled_count
