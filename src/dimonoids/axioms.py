@@ -273,8 +273,9 @@ def semigroup_profile(t: OpTable) -> SemigroupProfile:
     right_zeros = tuple(c for c in range(n) if all(e[x * n + c] == c for x in range(n)))
     zero = next((c for c in left_zeros if c in right_zeros), None)
     monogenic = _monogenic_params(e, n)
-    if monogenic is not None:
-        assert monogenic[0] + monogenic[1] - 1 == n
+    if monogenic is not None and monogenic[0] + monogenic[1] - 1 != n:
+        raise RuntimeError(f"monogenic index {monogenic[0]} and period {monogenic[1]} "
+                           f"do not fit order {n}")
     return SemigroupProfile(
         commutative=commutative, band=band, semilattice=semilattice,
         right_commutative=right_commutative, idempotents=idempotents,
@@ -306,6 +307,7 @@ def dimonoid_profile(d: DiStructure) -> DimonoidProfile:
     abelian = all(le[x * n + y] == re[y * n + x] for x in range(n) for y in range(n))
     dd = d.dual()
     self_dual = dd.left == d.left and dd.right == d.right
-    assert abelian == self_dual
+    if abelian != self_dual:
+        raise RuntimeError(f"abelian is {abelian} but self_dual is {self_dual}")
     return DimonoidProfile(trivial=trivial, commutative=commutative,
                            abelian=abelian, self_dual=self_dual)

@@ -11,7 +11,7 @@ from math import factorial
 from .catalog import named_class_map, named_semigroups
 from .enumeration import (EnumerationResult, SEMIGROUP, enumerate_dimonoids,
                           enumerate_structures)
-from .axioms import DIMONOID, DOPPELSEMIGROUP
+from .axioms import DIMONOID, DOPPELSEMIGROUP, dimonoid_profile
 from .iso import GroupId, automorphisms, canonical_form, identify_group
 from .tables import DiStructure
 
@@ -72,17 +72,6 @@ def match_names(d: DiStructure, kind: str = DIMONOID) -> str | None:
     return _name_map(d.order, kind).get(canonical_form(d).key)
 
 
-def _flags(rep: DiStructure):
-    n = rep.order
-    le, re = rep.left.entries, rep.right.entries
-    trivial = le == re
-    commutative = (
-        all(le[x * n + y] == le[y * n + x] for x in range(n) for y in range(x + 1, n))
-        and all(re[x * n + y] == re[y * n + x] for x in range(n) for y in range(x + 1, n)))
-    abelian = all(le[x * n + y] == re[y * n + x] for x in range(n) for y in range(n))
-    return trivial, commutative, abelian
-
-
 def _check_census(result: EnumerationResult, rows) -> None:
     """Raise RuntimeError unless the class list is consistent with itself.
 
@@ -109,15 +98,15 @@ def classify(result: EnumerationResult) -> ClassificationReport:
     rows = []
     unnamed_seq = 0
     for key, rep in result.class_reps:
-        trivial, commutative, abelian = _flags(rep)
+        flags = dimonoid_profile(rep)
         name = names.get(key.key)
         if name is None:
             unnamed_seq += 1
             name = f"unnamed-{result.order}-{unnamed_seq}"
         aut = identify_group(automorphisms(rep))
         dual_key = canonical_form(rep.dual()).key.hex()
-        rows.append(ClassRow(key=key.hex, name=name, trivial=trivial,
-                             commutative=commutative, abelian=abelian,
+        rows.append(ClassRow(key=key.hex, name=name, trivial=flags.trivial,
+                             commutative=flags.commutative, abelian=flags.abelian,
                              aut=aut, dual_key=dual_key))
     rows = tuple(rows)
     _check_census(result, rows)

@@ -1,20 +1,25 @@
 """Exhaustive enumeration of semigroups, dimonoids, and doppelsemigroups.
 
-Labeled associative tables are generated by backtracking over cells in
-row-major order, pruning with every associativity triple that the filled
-cells already decide.
+One search core, `_search`, fills a right table cell by cell in row-major
+order against a fixed left table.  Every axiom is an identity
+A[B[x][y]][z] = C[x][D[y][z]] with each of A, B, C, D the left table (L)
+or the right table (R): associativity of the right table is RRRR, D1 is
+LLLR, D2 LRRL, D3 RLRR and D4 RLLR.  After each cell only the triples that
+look that cell up are checked, and a branch is cut at the first identity
+a filled cell breaks.  With the right table as its own left table and
+associativity alone, the search yields the labeled associative tables.
 
 Every pair is isomorphic to one whose left table is the first table, in
-lexicographic order, of its S_n-orbit, so pairs are scanned only with
-those left representatives against all right tables.  Pairs are
-filtered D2 first (the axiom shared by both kinds), then D1 and D3 for
-dimonoids or D4 for doppelsemigroups.  Relabeling carries the survivors
-with left table L one-to-one onto the survivors with any other left table
-of L's orbit, so the labeled count is the sum over representatives of
-|orbit(L)| times the survivors of L.  Classes are deduplicated by
-canonical key, so results are deterministic and independent of the
-worker count: workers take interleaved shares of the representatives,
-emit key sets, and the merge is a set union plus one global sort.
+lexicographic order, of its S_n-orbit, so right tables are searched only
+for those left representatives, under associativity with D1, D2 and D3
+for dimonoids or D2 and D4 for doppelsemigroups.  Relabeling carries the
+survivors with left table L one-to-one onto the survivors with any other
+left table of L's orbit, so the labeled count is the sum over
+representatives of |orbit(L)| times the survivors of L.  Classes are
+deduplicated by canonical key, so results are deterministic and
+independent of the worker count: workers take interleaved shares of the
+representatives, emit key sets, and the merge is a set union plus one
+global sort.
 
 Orders 1..4 are fully supported; order 5 is attempted only when
 allow_large is set, and larger orders are refused.
@@ -26,7 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .axioms import DIMONOID, DOPPELSEMIGROUP, _pair_axioms_hold
+from .axioms import DIMONOID, DOPPELSEMIGROUP
 from .iso import _min_key, _perm_data, canonical_form
 from .tables import DiStructure, OpTable
 
@@ -51,56 +56,108 @@ def _check_order(n: int, allow_large: bool):
     raise ValueError(f"order {n} exceeds the supported maximum {BEST_EFFORT_ORDER}")
 
 
-def _generate_assoc_flat(n: int):
-    """All associative flat tables of order n, lexicographically ascending."""
-    nn = n * n
-    t = [-1] * nn
-    rng = range(n)
-    out = []
+# Every axiom is an identity A[B[x][y]][z] = C[x][D[y][z]]; each letter names
+# the fixed left table (L) or the right table being filled (R).
+_AXIOMS = {
+    SEMIGROUP: ("RRRR",),                         # associativity
+    DIMONOID: ("LLLR", "LRRL", "RLRR", "RRRR"),   # D1, D2, D3, associativity
+    DOPPELSEMIGROUP: ("LRRL", "RLLR", "RRRR"),    # D2, D4, associativity
+}
 
-    def consistent() -> bool:
-        # check every triple whose four lookups are already filled
-        for a in rng:
-            an = a * n
-            for b in rng:
-                ab = t[an + b]
-                bn = b * n
-                for c in rng:
-                    bc = t[bn + c]
-                    if ab >= 0:
-                        u = t[ab * n + c]
-                        if u >= 0 and bc >= 0:
-                            w = t[an + bc]
-                            if w >= 0 and u != w:
-                                return False
+
+def _search(le, n: int, kind: str):
+    """Yield every flat right table satisfying kind's axioms with left table le.
+
+    Tables come in lexicographic order.  With le None (kind SEMIGROUP) the
+    left table is the right table itself, so they are the associative tables.
+
+    Cells are filled in row-major order; -1 marks an empty cell.  After cell
+    (a, b) is set, only the triples with that cell among their four lookups
+    are checked; a triple becomes decided exactly when its last lookup is
+    filled, so every triple is checked once all of its lookups are known.
+    """
+    nn = n * n
+    rng = range(n)
+    t = [-1] * nn
+    if le is None:
+        le = t
+    # cells (x, y) of each table by value (the right table's filled ones only),
+    # to find the triples that reach the new cell through A or C
+    t_cells = [[] for _ in rng]
+    le_cells = t_cells if le is t else [[(x, y) for x in rng for y in rng if le[x * n + y] == v]
+                                        for v in rng]
+    plan = []
+    for axiom in _AXIOMS[kind]:
+        A, B, C, D = (t if c == "R" else le for c in axiom)
+        plan.append((A, B, C, D, t_cells if B is t else le_cells, t_cells if D is t else le_cells))
+
+    def holds(a, b, v):
+        """Whether every decided triple that looks up the new cell (a, b) = v holds."""
+        an, bn, vn = a * n, b * n, v * n
+        for A, B, C, D, b_cells, d_cells in plan:
+            if B is t:  # B[a][b]: triples (a, b, z)
+                for z in rng:
+                    yz = D[bn + z]
+                    if yz >= 0:
+                        u = A[vn + z]
+                        w = C[an + yz]
+                        if u != w and u >= 0 and w >= 0:
+                            return False
+            if D is t:  # D[a][b]: triples (x, a, b)
+                for x in rng:
+                    xn = x * n
+                    xy = B[xn + a]
+                    if xy >= 0:
+                        u = A[xy * n + b]
+                        w = C[xn + v]
+                        if u != w and u >= 0 and w >= 0:
+                            return False
+            if A is t:  # A[a][b]: triples (x, y, b) with B[x][y] = a
+                for x, y in b_cells[a]:
+                    yz = D[y * n + b]
+                    if yz >= 0:
+                        w = C[x * n + yz]
+                        if w != v and w >= 0:
+                            return False
+            if C is t:  # C[a][b]: triples (a, y, z) with D[y][z] = b
+                for y, z in d_cells[b]:
+                    xy = B[an + y]
+                    if xy >= 0:
+                        u = A[xy * n + z]
+                        if u != v and u >= 0:
+                            return False
         return True
 
-    def fill(k: int):
-        if k == nn:
-            out.append(tuple(t))
-            return
-        for v in rng:
-            t[k] = v
-            if consistent():
-                fill(k + 1)
-        t[k] = -1
-
-    fill(0)
-    return tuple(out)
+    last = nn - 1
+    k = 0
+    while k >= 0:
+        old = t[k]
+        if old >= 0:
+            t_cells[old].pop()
+        v = old + 1
+        if v == n:
+            t[k] = -1
+            k -= 1
+            continue
+        t[k] = v
+        a, b = divmod(k, n)
+        t_cells[v].append((a, b))
+        if holds(a, b, v):
+            if k == last:
+                yield tuple(t)
+            else:
+                k += 1
 
 
 def enumerate_associative_tables(n: int, allow_large: bool = False):
     """All labeled associative tables of order n, in lexicographic order."""
-    _check_order(n, allow_large)
-    if n not in _ASSOC_CACHE:
-        _ASSOC_CACHE[n] = _generate_assoc_flat(n)
-    return tuple(OpTable(n, e) for e in _ASSOC_CACHE[n])
+    return tuple(OpTable(n, e) for e in _assoc_flat(n, allow_large))
 
 
 def _assoc_flat(n: int, allow_large: bool):
     _check_order(n, allow_large)
     if n not in _ASSOC_CACHE:
-        _ASSOC_CACHE[n] = _generate_assoc_flat(n)
+        _ASSOC_CACHE[n] = tuple(_search(None, n, SEMIGROUP))
     return _ASSOC_CACHE[n]
 
 
@@ -145,8 +202,8 @@ def _left_reps(tables, n: int):
     return tuple(reps)
 
 
-def _pair_chunk(tables, n: int, kind: str, lefts):
-    """Scan each (left table, orbit size) of lefts against all right tables.
+def _pair_chunk(n: int, kind: str, lefts):
+    """Search the right tables of each (left table, orbit size) of lefts.
 
     Returns (labeled survivor count over the left tables' whole orbits,
     set of canonical key bytes).
@@ -155,9 +212,7 @@ def _pair_chunk(tables, n: int, kind: str, lefts):
     keys = set()
     for le, orbit_size in lefts:
         survivors = 0
-        for re in tables:
-            if not _pair_axioms_hold(le, re, n, kind):
-                continue
+        for re in _search(le, n, kind):
             survivors += 1
             best, _ = _min_key(le, re, n)
             keys.add(bytes(best))
@@ -188,14 +243,13 @@ def _reps_from_keys(n: int, keys) -> tuple:
 
 
 def _enumerate_pairs(n: int, kind: str, workers: int | None, allow_large: bool):
-    tables = _assoc_flat(n, allow_large)
     workers = _resolve_workers(workers)
-    reps = _left_reps(tables, n)
+    reps = _left_reps(_assoc_flat(n, allow_large), n)
     if workers == 1 or len(reps) < 2 * workers:
-        labeled, keys = _pair_chunk(tables, n, kind, reps)
+        labeled, keys = _pair_chunk(n, kind, reps)
     else:
         # per-representative work is uneven, so deal them out round-robin
-        jobs = [(tables, n, kind, reps[i::workers]) for i in range(workers)]
+        jobs = [(n, kind, reps[i::workers]) for i in range(workers)]
         labeled = 0
         keys = set()
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from dimonoids import catalog
 from dimonoids import (AxiomError, DiStructure, NotAssociativeError, OpTable,
                        ParameterError, adjoin_identity, adjoin_tilde1,
                        adjoin_zero, adjoin_zero_dimonoid, build_semigroup,
@@ -120,6 +121,15 @@ def test_adjoin_zero_dimonoid():
     assert d.left.rows() == ((0, 0, 2), (1, 1, 2), (2, 2, 2))
     assert d.right.rows() == ((0, 1, 2), (0, 1, 2), (2, 2, 2))
     assert check_dimonoid(d).ok
+
+
+def test_constructions_raise_when_they_break_an_axiom(monkeypatch):
+    broken = OpTable(3, (1, 0, 0) + (0,) * 6)  # (0*0)*1 = 0 but 0*(0*1) = 1
+    with pytest.raises(RuntimeError, match="associativity"):
+        catalog._assert_assoc_preserved(cyclic(2), broken)
+    monkeypatch.setattr(catalog, "adjoin_zero", lambda t: broken)
+    with pytest.raises(RuntimeError, match="dimonoid"):
+        adjoin_zero_dimonoid(DiStructure(left_zero(2), right_zero(2)))
 
 
 def test_build_semigroup_round_trips_every_name():

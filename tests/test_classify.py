@@ -268,3 +268,12 @@ def test_classify_rejects_inconsistent_census():
     reps = result.class_reps[:nonabelian] + result.class_reps[nonabelian + 1:]
     with pytest.raises(RuntimeError, match="duality"):
         classify(replace(result, class_reps=reps))
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("dimonoid", {"trivial": 188, "commutative": 101, "abelian": 103}),
+    ("doppelsemigroup", {"commutative": 345, "abelian": 62}),
+])
+def test_order4_flag_counts(kind, flags):
+    summary = classify_order(4, kind).summary
+    assert {k: summary[k] for k in flags} == flags

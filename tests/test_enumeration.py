@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import product
 
 import pytest
 
@@ -10,8 +11,9 @@ from dimonoids import (canonical_form, check_dimonoid, check_doppelsemigroup,
                        enumerate_associative_tables, enumerate_dimonoids,
                        enumerate_doppelsemigroups, enumerate_semigroups,
                        enumerate_structures, is_associative)
-from dimonoids.axioms import _d1_witness, _d2_witness, _d3_witness, _d4_witness
-from dimonoids.enumeration import (_assoc_flat, _left_reps, class_lines,
+from dimonoids.axioms import (_d1_witness, _d2_witness, _d3_witness, _d4_witness,
+                              _pair_axioms_hold, assoc_witness)
+from dimonoids.enumeration import (_assoc_flat, _left_reps, _search, class_lines,
                                    write_classes_jsonl)
 from dimonoids.iso import _min_key
 
@@ -224,3 +226,25 @@ def test_workers_split_left_reps(kind):
     trio = enumerate_structures(3, kind, workers=3)
     assert [k.key for k, _ in solo.class_reps] == [k.key for k, _ in trio.class_reps]
     assert solo.labeled_count == trio.labeled_count
+
+
+def test_order3_tables_match_filtering_every_table():
+    # all 3^9 tables, in lexicographic order, filtered by the triple checker
+    expected = [e for e in product(range(3), repeat=9) if assoc_witness(e, 3) is None]
+    assert [t.entries for t in enumerate_associative_tables(3)] == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_order4_search_matches_filtering_every_right_table(kind):
+    tables = _assoc_flat(4, False)
+    for le, _ in _left_reps(tables, 4)[::10]:
+        expected = [re for re in tables if _pair_axioms_hold(le, re, 4, kind)]
+        assert list(_search(le, 4, kind)) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_order4_workers_agree(kind):
+    solo = enumerate_structures(4, kind, workers=1)
+    duo = enumerate_structures(4, kind, workers=2)
+    assert [k.key for k, _ in solo.class_reps] == [k.key for k, _ in duo.class_reps]
+    assert solo.labeled_count == duo.labeled_count
