@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from .axioms import (AxiomError, NotAssociativeError, assoc_witness, check_structure,
-                     _pair_axioms_hold, DIMONOID, DOPPELSEMIGROUP)
+                     DIMONOID, DOPPELSEMIGROUP)
 from .tables import DiStructure, OpTable, Permutation, apply_permutation
 
 
@@ -461,12 +463,16 @@ def named_structures(n: int, kind: str):
     Priority: trivial pairs, then +0 images of named smaller nontrivial
     classes, then curated same-component specials, then direct pairs of
     named semigroup classes over all relabelings of the right component.
+    Direct pairs come from one `enumeration._search` per named left table,
+    whose right tables are looked up among the relabeled named tables.
     Within one `left|right` name, abelian candidates (right table equal to
-    the transpose of the left) come first, then relabeling order.  Only
-    candidates satisfying the kind's axioms appear.  One name can reach
-    several isomorphism classes; `named_class_map` resolves that.
+    the transpose of the left) come first, then relabeling order; a right
+    table that several relabelings produce appears once per relabeling.
+    Only candidates satisfying the kind's axioms appear.  One name can
+    reach several isomorphism classes; `named_class_map` resolves that.
     """
-    from .iso import canonical_form  # local import keeps module layering acyclic
+    from .enumeration import _search  # local imports keep module layering acyclic
+    from .iso import canonical_form
 
     out = [(name, DiStructure(t, t)) for name, t in named_semigroups(n)]
     if n >= 2:
@@ -493,22 +499,24 @@ def named_structures(n: int, kind: str):
             if w is not None:
                 raise NotAssociativeError(w)
             distinct.append((name, t))
+        # index every relabeling of every distinct table by its entries; a table
+        # with a nontrivial Aut group sits at one position per relabeling giving it
         perms = tuple(Permutation.all_of_degree(n))
-        relabelings = [(name, tuple(apply_permutation(t, p) for p in perms))
-                       for name, t in distinct]
-        # both components are (relabeled) associative tables checked above,
-        # so only the pair axioms remain to test
+        relabelings = [tuple(apply_permutation(t, p) for p in perms) for _, t in distinct]
+        positions: dict = {}
+        for ri, rts in enumerate(relabelings):
+            for pi, rtp in enumerate(rts):
+                positions.setdefault(rtp.entries, []).append((ri, pi))
+        # both components are (relabeled) associative tables checked above, so
+        # the search's right tables are exactly the relabelings that pass the
+        # pair axioms; the trivial pair is already named by the bare tier
         for lname, lt in distinct:
-            for rname, rts in relabelings:
-                block = []
-                for rtp in rts:
-                    if rtp == lt:
-                        continue  # trivial pair, already named by the bare tier
-                    if _pair_axioms_hold(lt.entries, rtp.entries, n, kind):
-                        block.append(DiStructure(lt, rtp))
+            hits = sorted(pos for rt in _search(lt.entries, n, kind) if rt != lt.entries
+                          for pos in positions.get(rt, ()))
+            for ri, group in groupby(hits, key=itemgetter(0)):
+                block = [DiStructure(lt, relabelings[ri][pi]) for _, pi in group]
                 block.sort(key=lambda d: d.right != d.left.transpose())
-                out.extend((f"{lname}|{rname}", d) for d in block)
-        return tuple(out)
+                out.extend((f"{lname}|{distinct[ri][0]}", d) for d in block)
     return tuple(out)
 
 
@@ -534,8 +542,10 @@ def named_class_map(n: int, kind: str):
         by_name[name] = d
 
     for name, d in named_structures(n, kind):
+        if name in by_name:
+            continue
         key = canonical_form(d).key
-        if key in by_key or name in by_name:
+        if key in by_key:
             continue
         claim(key, name, d)
         dd = d.dual()

@@ -290,3 +290,34 @@ def test_direct_pair_tier_matches_full_axiom_check(n, kind):
             expected.extend((f"{lname}|{rname}", d) for d in block)
     names = named_structures(n, kind)
     assert names[len(names) - len(expected):] == tuple(expected)
+
+
+@pytest.mark.parametrize("kind", ["dimonoid", "doppelsemigroup"])
+def test_direct_pair_tier_matches_brute_force_at_order4(kind):
+    # reference: every relabeling of every distinct named right table against
+    # every distinct named left table, kept when the pair axioms hold
+    from dimonoids import Permutation, apply_permutation
+    from dimonoids.axioms import _pair_axioms_hold
+    distinct = {}
+    for name, t in named_semigroups(4):
+        distinct.setdefault(canonical_form(DiStructure(t, t)).key, (name, t))
+    perms = tuple(Permutation.all_of_degree(4))
+    expected = []
+    for lname, lt in distinct.values():
+        for rname, rt in distinct.values():
+            block = [DiStructure(lt, rtp) for rtp in (apply_permutation(rt, p) for p in perms)
+                     if rtp != lt and _pair_axioms_hold(lt.entries, rtp.entries, 4, kind)]
+            block.sort(key=lambda d: d.right != d.left.transpose())
+            expected.extend((f"{lname}|{rname}", d) for d in block)
+    names = named_structures(4, kind)
+    assert names[len(names) - len(expected):] == tuple(expected)
+
+
+@pytest.mark.parametrize("kind, candidates, named", [
+    ("dimonoid", 620, 126),
+    ("doppelsemigroup", 999, 274),
+])
+def test_order4_catalog_counts(kind, candidates, named):
+    # the unnamed order-4 classes are pinned in test_classify.test_order4_flag_counts
+    assert len(named_structures(4, kind)) == candidates
+    assert len(named_class_map(4, kind)[0]) == named

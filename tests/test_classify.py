@@ -271,8 +271,8 @@ def test_classify_rejects_inconsistent_census():
 
 
 @pytest.mark.parametrize("kind, flags", [
-    ("dimonoid", {"trivial": 188, "commutative": 101, "abelian": 103}),
-    ("doppelsemigroup", {"commutative": 345, "abelian": 62}),
+    ("dimonoid", {"trivial": 188, "commutative": 101, "abelian": 103, "unnamed": 608}),
+    ("doppelsemigroup", {"commutative": 345, "abelian": 62, "unnamed": 943}),
 ])
 def test_order4_flag_counts(kind, flags):
     summary = classify_order(4, kind).summary
