@@ -40,7 +40,7 @@ from .enumeration import (EnumerationResult, SEMIGROUP,
                           enumerate_doppelsemigroups, enumerate_semigroups,
                           enumerate_structures)
 from .classify import (ClassRow, ClassificationReport, classify,
-                       classify_dimonoids, classify_order, match_names,
-                       render_report, solve_problem1)
+                       classify_order, match_names, render_report,
+                       solve_problem1)
 
 __version__ = "0.1.0"

@@ -10,7 +10,12 @@ pair axioms are
 
 A dimonoid is a pair of associative tables satisfying D1-D3; a
 doppelsemigroup is a pair of associative tables satisfying D2 and D4.
-Witnesses are always the lexicographically first failing triple (x, y, z).
+
+Each axiom, and associativity too, is an identity
+A[B[x][y]][z] = C[x][D[y][z]] with each of A, B, C, D the left table (L)
+or the right table (R); `IDENTITIES` spells D1-D4 in these letters and
+one checker, `identity_witness`, tests any of them.  Witnesses are always
+the lexicographically first failing triple (x, y, z).
 """
 from __future__ import annotations
 
@@ -40,85 +45,33 @@ class AxiomError(ValueError):
         self.verdict = verdict
 
 
+IDENTITIES = {"d1": "LLLR", "d2": "LRRL", "d3": "RLRR", "d4": "RLLR"}
+ASSOCIATIVITY = "RRRR"
+KIND_AXIOMS = {DIMONOID: ("d1", "d2", "d3"), DOPPELSEMIGROUP: ("d2", "d4")}
+
+
+def identity_witness(letters: str, le, re, n: int):
+    """First (x, y, z) breaking the identity letters on flat tables le, re, else None."""
+    A, B, C, D = (le if c == "L" else re for c in letters)
+    for x in range(n):
+        xn = x * n
+        for y in range(n):
+            xy = B[xn + y]
+            yn = y * n
+            for z in range(n):
+                if A[xy * n + z] != C[xn + D[yn + z]]:
+                    return (x, y, z)
+    return None
+
+
 def assoc_witness(e, n: int):
     """First (x, y, z) with (x*y)*z != x*(y*z) in the flat table e, else None."""
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            xy = e[xn + y]
-            yn = y * n
-            for z in range(n):
-                if e[xy * n + z] != e[xn + e[yn + z]]:
-                    return (x, y, z)
-    return None
-
-
-def _d1_witness(le, re, n):
-    # (x -| y) -| z = x -| (y |- z)
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            xy = le[xn + y]
-            yn = y * n
-            for z in range(n):
-                if le[xy * n + z] != le[xn + re[yn + z]]:
-                    return (x, y, z)
-    return None
-
-
-def _d2_witness(le, re, n):
-    # (x |- y) -| z = x |- (y -| z)
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            xy = re[xn + y]
-            yn = y * n
-            for z in range(n):
-                if le[xy * n + z] != re[xn + le[yn + z]]:
-                    return (x, y, z)
-    return None
-
-
-def _d3_witness(le, re, n):
-    # (x -| y) |- z = x |- (y |- z)
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            xy = le[xn + y]
-            yn = y * n
-            for z in range(n):
-                if re[xy * n + z] != re[xn + re[yn + z]]:
-                    return (x, y, z)
-    return None
-
-
-def _d4_witness(le, re, n):
-    # (x -| y) |- z = x -| (y |- z)
-    for x in range(n):
-        xn = x * n
-        for y in range(n):
-            xy = le[xn + y]
-            yn = y * n
-            for z in range(n):
-                if re[xy * n + z] != le[xn + re[yn + z]]:
-                    return (x, y, z)
-    return None
-
-
-_AXIOM_WITNESS = {"d1": _d1_witness, "d2": _d2_witness, "d3": _d3_witness, "d4": _d4_witness}
+    return identity_witness(ASSOCIATIVITY, e, e, n)
 
 
 def _pair_axioms_hold(le, re, n, kind) -> bool:
-    """Whether flat tables le, re satisfy kind's pair axioms.
-
-    Tests D2 first (both kinds need it), then D1 and D3 or D4, stopping at
-    the first failure.  Associativity of le and re is not checked.
-    """
-    if _d2_witness(le, re, n) is not None:
-        return False
-    if kind == DIMONOID:
-        return _d1_witness(le, re, n) is None and _d3_witness(le, re, n) is None
-    return _d4_witness(le, re, n) is None
+    """Whether flat tables le, re satisfy kind's pair axioms (not associativity)."""
+    return all(identity_witness(IDENTITIES[a], le, re, n) is None for a in KIND_AXIOMS[kind])
 
 
 def is_associative(t: OpTable):
@@ -167,7 +120,10 @@ class AxiomVerdict:
         }
 
 
-def _check_pair(d: DiStructure, mode: str, axiom_names) -> AxiomVerdict:
+def check_structure(d: DiStructure, kind: str) -> AxiomVerdict:
+    """Both tables associative plus kind's pair axioms (KIND_AXIOMS)."""
+    if kind not in KIND_AXIOMS:
+        raise ValueError(f"unknown kind {kind!r}")
     n = d.order
     le, re = d.left.entries, d.right.entries
     witnesses = {}
@@ -177,32 +133,24 @@ def _check_pair(d: DiStructure, mode: str, axiom_names) -> AxiomVerdict:
     wr = assoc_witness(re, n)
     if wr is not None:
         witnesses["right_associative"] = wr
-    flags = {"d1": None, "d2": None, "d3": None, "d4": None}
-    for name in axiom_names:
-        w = _AXIOM_WITNESS[name](le, re, n)
+    flags = dict.fromkeys(IDENTITIES)
+    for name in KIND_AXIOMS[kind]:
+        w = identity_witness(IDENTITIES[name], le, re, n)
         flags[name] = w is None
         if w is not None:
             witnesses[name] = w
-    return AxiomVerdict(mode=mode, left_associative=wl is None,
+    return AxiomVerdict(mode=kind, left_associative=wl is None,
                         right_associative=wr is None, witnesses=witnesses, **flags)
 
 
 def check_dimonoid(d: DiStructure) -> AxiomVerdict:
     """Both tables associative plus D1, D2, D3."""
-    return _check_pair(d, DIMONOID, ("d1", "d2", "d3"))
+    return check_structure(d, DIMONOID)
 
 
 def check_doppelsemigroup(d: DiStructure) -> AxiomVerdict:
     """Both tables associative plus D2, D4."""
-    return _check_pair(d, DOPPELSEMIGROUP, ("d2", "d4"))
-
-
-def check_structure(d: DiStructure, kind: str) -> AxiomVerdict:
-    if kind == DIMONOID:
-        return check_dimonoid(d)
-    if kind == DOPPELSEMIGROUP:
-        return check_doppelsemigroup(d)
-    raise ValueError(f"unknown kind {kind!r}")
+    return check_structure(d, DOPPELSEMIGROUP)
 
 
 # ---------------------------------------------------------------------------

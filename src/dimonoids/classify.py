@@ -11,7 +11,7 @@ from math import factorial
 from .catalog import named_class_map, named_semigroups
 from .enumeration import (EnumerationResult, SEMIGROUP, enumerate_dimonoids,
                           enumerate_structures)
-from .axioms import DIMONOID, DOPPELSEMIGROUP, dimonoid_profile
+from .axioms import DIMONOID, dimonoid_profile
 from .iso import GroupId, automorphisms, canonical_form, identify_group
 from .tables import DiStructure
 
@@ -126,12 +126,6 @@ def classify(result: EnumerationResult) -> ClassificationReport:
     }
     return ClassificationReport(order=result.order, kind=result.kind,
                                 rows=rows, summary=summary)
-
-
-def classify_dimonoids(result: EnumerationResult) -> ClassificationReport:
-    if result.kind != DIMONOID:
-        raise ValueError(f"expected a dimonoid enumeration, got kind {result.kind!r}")
-    return classify(result)
 
 
 def classify_order(n: int, kind: str = DIMONOID, workers: int | None = None,

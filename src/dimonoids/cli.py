@@ -9,7 +9,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
 
 from . import catalog
 from .classify import classify_order, render_report, solve_problem1
@@ -22,26 +21,6 @@ from .tables import (DiStructure, OpTable, format_distructure, format_table,
                      parse_structure)
 
 log = logging.getLogger("dimonoids")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options shared by the enumeration-backed subcommands."""
-
-    order: int
-    kind: str
-    workers: int | None
-    allow_large: bool
-    fmt: str
-    out: str | None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.kind not in ENUM_KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def _read_structure(path: str):
@@ -177,11 +156,9 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cfg = RunConfig(order=args.order, kind=args.kind, workers=args.workers,
-                    allow_large=args.allow_large, fmt="json", out=args.out)
-    log.info("enumerating %s classes of order %d", cfg.kind, cfg.order)
-    result = enumerate_structures(cfg.order, cfg.kind, cfg.workers, cfg.allow_large)
-    stream = _open_out(cfg.out)
+    log.info("enumerating %s classes of order %d", args.kind, args.order)
+    result = enumerate_structures(args.order, args.kind, args.workers, args.allow_large)
+    stream = _open_out(args.out)
     try:
         for line in class_lines(result):
             stream.write(line + "\n")
@@ -194,10 +171,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cfg = RunConfig(order=args.order, kind=args.kind, workers=args.workers,
-                    allow_large=args.allow_large, fmt=args.format, out=args.out)
-    report = classify_order(cfg.order, cfg.kind, cfg.workers, cfg.allow_large)
-    _emit(render_report(report, cfg.fmt), cfg.out)
+    report = classify_order(args.order, args.kind, args.workers, args.allow_large)
+    _emit(render_report(report, args.format), args.out)
     return 0
 
 

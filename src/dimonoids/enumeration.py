@@ -1,13 +1,13 @@
 """Exhaustive enumeration of semigroups, dimonoids, and doppelsemigroups.
 
 One search core, `_search`, fills a right table cell by cell in row-major
-order against a fixed left table.  Every axiom is an identity
-A[B[x][y]][z] = C[x][D[y][z]] with each of A, B, C, D the left table (L)
-or the right table (R): associativity of the right table is RRRR, D1 is
-LLLR, D2 LRRL, D3 RLRR and D4 RLLR.  After each cell only the triples that
-look that cell up are checked, and a branch is cut at the first identity
-a filled cell breaks.  With the right table as its own left table and
-associativity alone, the search yields the labeled associative tables.
+order against a fixed left table.  It checks the identities of
+`axioms.IDENTITIES` and associativity, each of the form
+A[B[x][y]][z] = C[x][D[y][z]] over the left (L) and right (R) tables.
+After each cell only the triples that look that cell up are checked,
+and a branch is cut at the first identity a filled cell breaks.  With the
+right table as its own left table and associativity alone, the search
+yields the labeled associative tables.
 
 Every pair is isomorphic to one whose left table is the first table, in
 lexicographic order, of its S_n-orbit, so right tables are searched only
@@ -31,9 +31,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .axioms import DIMONOID, DOPPELSEMIGROUP
-from .iso import _min_key, _perm_data, canonical_form
-from .tables import DiStructure, OpTable
+from .axioms import ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS
+from .iso import CanonicalKey, _min_key, _perm_data, distructure_from_key
+from .tables import OpTable, Permutation
 
 SEMIGROUP = "semigroup"
 ENUM_KINDS = (SEMIGROUP, DIMONOID, DOPPELSEMIGROUP)
@@ -56,13 +56,10 @@ def _check_order(n: int, allow_large: bool):
     raise ValueError(f"order {n} exceeds the supported maximum {BEST_EFFORT_ORDER}")
 
 
-# Every axiom is an identity A[B[x][y]][z] = C[x][D[y][z]]; each letter names
-# the fixed left table (L) or the right table being filled (R).
-_AXIOMS = {
-    SEMIGROUP: ("RRRR",),                         # associativity
-    DIMONOID: ("LLLR", "LRRL", "RLRR", "RRRR"),   # D1, D2, D3, associativity
-    DOPPELSEMIGROUP: ("LRRL", "RLLR", "RRRR"),    # D2, D4, associativity
-}
+# Per kind, the letters of each identity A[B[x][y]][z] = C[x][D[y][z]] to keep;
+# L is the fixed left table and R the right table being filled.
+_AXIOMS = {kind: tuple(IDENTITIES[a] for a in KIND_AXIOMS.get(kind, ())) + (ASSOCIATIVITY,)
+           for kind in ENUM_KINDS}
 
 
 def _search(le, n: int, kind: str):
@@ -233,12 +230,16 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _reps_from_keys(n: int, keys) -> tuple:
+    """(CanonicalKey, rep) per canonical key, sorted by key.
+
+    The identity is the lex-least permutation and already reaches a
+    canonical serialization, so it is every key's witness.
+    """
+    identity = Permutation(tuple(range(n)))
     out = []
-    nn = n * n
     for kb in sorted(keys):
-        vals = list(kb)
-        rep = DiStructure(OpTable(n, tuple(vals[:nn])), OpTable(n, tuple(vals[nn:])))
-        out.append((canonical_form(rep), rep))
+        key = CanonicalKey(order=n, key=kb, witness=identity)
+        out.append((key, distructure_from_key(key)))
     return tuple(out)
 
 
@@ -263,6 +264,7 @@ def _enumerate_pairs(n: int, kind: str, workers: int | None, allow_large: bool):
 def enumerate_semigroups(n: int, workers: int | None = None,
                          allow_large: bool = False) -> EnumerationResult:
     """Associative tables up to isomorphism, represented as trivial pairs."""
+    _resolve_workers(workers)
     tables = _assoc_flat(n, allow_large)
     keys = set()
     for e in tables:

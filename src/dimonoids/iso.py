@@ -97,10 +97,8 @@ def distructure_from_key(key: CanonicalKey) -> DiStructure:
     return DiStructure(OpTable(n, tuple(vals[:n * n])), OpTable(n, tuple(vals[n * n:])))
 
 
-def are_isomorphic(d1: DiStructure, d2: DiStructure):
-    """Lex-least permutation carrying d1 onto d2, or None."""
-    if d1.order != d2.order:
-        return None
+def _matches(d1: DiStructure, d2: DiStructure):
+    """Permutations carrying d1 onto d2, of the same order, in lexicographic order."""
     n = d1.order
     l1, r1 = d1.left.entries, d1.right.entries
     l2, r2 = d2.left.entries, d2.right.entries
@@ -116,29 +114,19 @@ def are_isomorphic(d1: DiStructure, d2: DiStructure):
             if not ok:
                 break
         if ok:
-            return Permutation(p)
-    return None
+            yield Permutation(p)
+
+
+def are_isomorphic(d1: DiStructure, d2: DiStructure):
+    """Lex-least permutation carrying d1 onto d2, or None."""
+    if d1.order != d2.order:
+        return None
+    return next(_matches(d1, d2), None)
 
 
 def automorphisms(d: DiStructure):
     """All permutations fixing both tables, in lexicographic order."""
-    n = d.order
-    le, re = d.left.entries, d.right.entries
-    out = []
-    for p in permutations(range(n)):
-        ok = True
-        for x in range(n):
-            xn = x * n
-            px = p[x] * n
-            for y in range(n):
-                if p[le[xn + y]] != le[px + p[y]] or p[re[xn + y]] != re[px + p[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(Permutation(p))
-    return tuple(out)
+    return tuple(_matches(d, d))
 
 
 @dataclass(frozen=True)

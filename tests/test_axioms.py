@@ -1,15 +1,17 @@
 """Tests for axiom checks, witnesses, and structural profiles."""
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from dimonoids import (DiStructure, NotAssociativeError, OpTable,
                        check_dimonoid, check_doppelsemigroup, check_structure,
-                       cyclic, dimonoid_profile, is_associative, left_zero,
-                       linear_semilattice, monogenic, null_semigroup,
-                       right_zero, semigroup_profile, shifted_cyclic)
+                       cyclic, dimonoid_profile, enumerate_associative_tables,
+                       is_associative, left_zero, linear_semilattice,
+                       monogenic, null_semigroup, right_zero,
+                       semigroup_profile, shifted_cyclic)
+from dimonoids.axioms import IDENTITIES, assoc_witness, identity_witness
 from dimonoids.catalog import left_zero_collapse
 
 
@@ -185,3 +187,50 @@ def test_abelian_equals_self_dual_exhaustively():
         for right in _all_tables(2):
             p = dimonoid_profile(DiStructure(left, right))
             assert p.abelian == p.self_dual
+
+
+# The pair axioms as the module docstring writes them, with L(x, y) = x -| y
+# and R(x, y) = x |- y: (left side, right side) of each identity.
+_FORMULAS = {
+    "d1": lambda L, R, x, y, z: (L(L(x, y), z), L(x, R(y, z))),
+    "d2": lambda L, R, x, y, z: (L(R(x, y), z), R(x, L(y, z))),
+    "d3": lambda L, R, x, y, z: (R(L(x, y), z), R(x, R(y, z))),
+    "d4": lambda L, R, x, y, z: (R(L(x, y), z), L(x, R(y, z))),
+}
+
+
+def _first_failure(formula, left, right):
+    for x, y, z in product(range(left.order), repeat=3):
+        lhs, rhs = formula(left.at, right.at, x, y, z)
+        if lhs != rhs:
+            return (x, y, z)
+    return None
+
+
+def _letter_table_samples():
+    """All 16 order-2 tables, then a fixed slice of order-3 tables."""
+    order3 = [OpTable(3, e) for e in islice(product(range(3), repeat=9), 0, None, 997)]
+    order3 += list(enumerate_associative_tables(3)[::6])
+    return [list(_all_tables(2)), order3]
+
+
+def test_identity_letters_match_the_written_axioms():
+    holds = dict.fromkeys(_FORMULAS, 0)
+    for tables in _letter_table_samples():
+        for left in tables:
+            for right in tables:
+                for name, formula in _FORMULAS.items():
+                    expected = _first_failure(formula, left, right)
+                    assert identity_witness(IDENTITIES[name], left.entries, right.entries,
+                                            left.order) == expected, (name, left, right)
+                    holds[name] += expected is None
+    assert all(holds.values())  # every identity both holds and fails somewhere
+
+
+def test_assoc_witness_matches_the_written_law():
+    def formula(L, R, x, y, z):
+        return (L(L(x, y), z), L(x, L(y, z)))
+
+    for tables in _letter_table_samples():
+        for t in tables:
+            assert assoc_witness(t.entries, t.order) == _first_failure(formula, t, t), t

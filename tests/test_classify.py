@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 
 from dimonoids import (DiStructure, Permutation, canonical_table_key, classify,
-                       classify_dimonoids, classify_order, cyclic,
+                       classify_order, cyclic,
                        enumerate_dimonoids, enumerate_semigroups, left_zero,
                        left_zero_collapse, match_names, render_report,
                        right_zero, solve_problem1, structure_dual_name)
@@ -201,13 +201,6 @@ def test_match_names():
     relabeled = d.relabel(Permutation((2, 0, 1)))
     assert match_names(relabeled) == "LO3|RO3"
     assert match_names(DiStructure(cyclic(3), cyclic(3))) == "C3"
-
-
-def test_classify_dimonoids_guards_kind():
-    with pytest.raises(ValueError):
-        classify_dimonoids(enumerate_semigroups(2))
-    report = classify_dimonoids(enumerate_dimonoids(2))
-    assert report.summary["total"] == 8
 
 
 def test_row_by_name_raises_on_unknown():

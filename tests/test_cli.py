@@ -154,6 +154,14 @@ def test_enumerate_order_gates(capsys):
     assert "maximum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "classify"])
+def test_bad_workers_exit_2(capsys, command):
+    assert main([command, "--order", "3", "--kind", "semigroup", "--workers", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "workers" in captured.err
+    assert captured.out == ""
+
+
 def test_classify_markdown(capsys):
     assert main(["classify", "--order", "2"]) == 0
     out = capsys.readouterr().out

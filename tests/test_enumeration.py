@@ -11,10 +11,9 @@ from dimonoids import (canonical_form, check_dimonoid, check_doppelsemigroup,
                        enumerate_associative_tables, enumerate_dimonoids,
                        enumerate_doppelsemigroups, enumerate_semigroups,
                        enumerate_structures, is_associative)
-from dimonoids.axioms import (_d1_witness, _d2_witness, _d3_witness, _d4_witness,
-                              _pair_axioms_hold, assoc_witness)
-from dimonoids.enumeration import (_assoc_flat, _left_reps, _search, class_lines,
-                                   write_classes_jsonl)
+from dimonoids.axioms import _pair_axioms_hold, assoc_witness
+from dimonoids.enumeration import (ENUM_KINDS, _assoc_flat, _left_reps, _search,
+                                   class_lines, write_classes_jsonl)
 from dimonoids.iso import _min_key
 
 KINDS = ("dimonoid", "doppelsemigroup")
@@ -30,12 +29,7 @@ def brute_force_pairs(n, kind):
     keys = set()
     for le in tables:
         for re in tables:
-            if _d2_witness(le, re, n) is not None:
-                continue
-            if kind == "dimonoid":
-                if _d1_witness(le, re, n) is not None or _d3_witness(le, re, n) is not None:
-                    continue
-            elif _d4_witness(le, re, n) is not None:
+            if not _pair_axioms_hold(le, re, n, kind):
                 continue
             labeled += 1
             keys.add(bytes(_min_key(le, re, n)[0]))
@@ -83,14 +77,14 @@ def test_doppelsemigroup_class_counts():
 
 
 def test_class_reps_are_canonical_and_sorted():
-    result = enumerate_dimonoids(3)
-    keys = [key.key for key, _ in result.class_reps]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
-    for key, rep in result.class_reps:
-        form = canonical_form(rep)
-        assert form.key == key.key
-        assert form.witness.images == (0, 1, 2)  # reps are already canonical
+    for kind in ENUM_KINDS:
+        result = enumerate_structures(3, kind)
+        keys = [key.key for key, _ in result.class_reps]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        for key, rep in result.class_reps:
+            assert key.witness.images == (0, 1, 2)  # reps are already canonical
+            assert canonical_form(rep) == key
 
 
 def test_class_reps_satisfy_their_axioms():
@@ -133,8 +127,10 @@ def test_workers_from_environment(monkeypatch):
 
 
 def test_invalid_workers():
-    with pytest.raises(ValueError):
-        enumerate_dimonoids(2, workers=0)
+    for kind in ENUM_KINDS:
+        for workers in (0, -5):
+            with pytest.raises(ValueError, match="workers"):
+                enumerate_structures(3, kind, workers=workers)
 
 
 def test_order_gates():
