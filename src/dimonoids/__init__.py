@@ -12,8 +12,8 @@ and a doppelsemigroup replaces the first and third axiom with
 
 The package builds the standard small families by name, checks axioms,
 decides isomorphism through canonical forms, enumerates all classes of
-orders 1..4 (5 best-effort), and renders classification reports with
-display names and automorphism groups.
+orders 1..5, and renders classification reports with display names and
+automorphism groups.
 """
 from .tables import (DiStructure, OpTable, OrderMismatchError, Permutation,
                      TableFormatError, apply_permutation, format_distructure,

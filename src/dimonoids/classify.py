@@ -4,6 +4,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -14,6 +16,8 @@ from .enumeration import (EnumerationResult, SEMIGROUP, enumerate_dimonoids,
 from .axioms import DIMONOID, dimonoid_profile
 from .iso import GroupId, automorphisms, canonical_form, identify_group
 from .tables import DiStructure
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,7 @@ def _check_census(result: EnumerationResult, rows) -> None:
 
 def classify(result: EnumerationResult) -> ClassificationReport:
     """Name, flag, and group every class of an enumeration result."""
+    start = time.perf_counter()
     names = _name_map(result.order, result.kind)
     rows = []
     unnamed_seq = 0
@@ -124,13 +129,15 @@ def classify(result: EnumerationResult) -> ClassificationReport:
         "nonabelian_self_paired": self_paired_nonabelian,
         "unnamed": sum(1 for r in rows if r.name.startswith("unnamed-")),
     }
+    log.info("order %d: %d %s classes classified in %.2f s",
+             result.order, len(rows), result.kind, time.perf_counter() - start)
     return ClassificationReport(order=result.order, kind=result.kind,
                                 rows=rows, summary=summary)
 
 
-def classify_order(n: int, kind: str = DIMONOID, workers: int | None = None,
-                   allow_large: bool = False) -> ClassificationReport:
-    return classify(enumerate_structures(n, kind, workers, allow_large))
+def classify_order(n: int, kind: str = DIMONOID,
+                   workers: int | None = None) -> ClassificationReport:
+    return classify(enumerate_structures(n, kind, workers))
 
 
 def solve_problem1(workers: int | None = None) -> ClassificationReport:

@@ -15,7 +15,7 @@ from .classify import classify_order, render_report, solve_problem1
 from .axioms import (DIMONOID, DOPPELSEMIGROUP, check_structure,
                      dimonoid_profile, is_associative, semigroup_profile)
 from .enumeration import (ENUM_KINDS, SEMIGROUP, enumerate_structures,
-                          class_lines)
+                          write_classes_jsonl)
 from .iso import are_isomorphic, automorphisms, canonical_form, identify_group
 from .tables import (DiStructure, OpTable, format_distructure, format_table,
                      parse_structure)
@@ -157,21 +157,19 @@ def _cmd_dual(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     log.info("enumerating %s classes of order %d", args.kind, args.order)
-    result = enumerate_structures(args.order, args.kind, args.workers, args.allow_large)
+    result = enumerate_structures(args.order, args.kind, args.workers)
     stream = _open_out(args.out)
     try:
-        for line in class_lines(result):
-            stream.write(line + "\n")
+        write_classes_jsonl(result, stream)
         stream.write(json.dumps(result.summary(), sort_keys=True) + "\n")
     finally:
         if stream is not sys.stdout:
             stream.close()
-    log.info("found %d classes (%d labeled)", result.class_count, result.labeled_count)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    report = classify_order(args.order, args.kind, args.workers, args.allow_large)
+    report = classify_order(args.order, args.kind, args.workers)
     _emit(render_report(report, args.format), args.out)
     return 0
 
@@ -245,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=ENUM_KINDS, default=DIMONOID)
     p.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default: DIMONOIDS_WORKERS or 1)")
-    p.add_argument("--allow-large", action="store_true",
-                   help="attempt the best-effort order 5")
     _add_out(p)
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -255,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=ENUM_KINDS, default=DIMONOID)
     p.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--allow-large", action="store_true")
     _add_out(p)
     p.set_defaults(fn=_cmd_classify)
 

@@ -7,29 +7,32 @@ A[B[x][y]][z] = C[x][D[y][z]] over the left (L) and right (R) tables.
 After each cell only the triples that look that cell up are checked,
 and a branch is cut at the first identity a filled cell breaks.  With the
 right table as its own left table and associativity alone, the search
-yields the labeled associative tables.
+yields the labeled associative tables; cutting also every branch that some
+relabeling makes lexicographically smaller (lex-leader symmetry breaking)
+leaves one table L per semigroup class, the first of its n!/|Aut(L)|-table
+orbit.  Every pair is isomorphic to one whose left table is such an L, so
+right tables are searched only for those, under associativity with D1, D2
+and D3 for dimonoids or D2 and D4 for doppelsemigroups, and the labeled
+count is the sum of |orbit(L)| times the survivors of L.  A canonical key
+serializes the left block first, so it is L followed by the least
+relabeling of R over Aut(L); classes of different L never share a key.
+Keys are deduplicated per L, so results are independent of the worker
+count: workers take interleaved shares of the representatives, and the
+merge is a concatenation plus one global sort.
 
-Every pair is isomorphic to one whose left table is the first table, in
-lexicographic order, of its S_n-orbit, so right tables are searched only
-for those left representatives, under associativity with D1, D2 and D3
-for dimonoids or D2 and D4 for doppelsemigroups.  Relabeling carries the
-survivors with left table L one-to-one onto the survivors with any other
-left table of L's orbit, so the labeled count is the sum over
-representatives of |orbit(L)| times the survivors of L.  Classes are
-deduplicated by canonical key, so results are deterministic and
-independent of the worker count: workers take interleaved shares of the
-representatives, emit key sets, and the merge is a set union plus one
-global sort.
-
-Orders 1..4 are fully supported; order 5 is attempted only when
-allow_large is set, and larger orders are refused.
+Orders 1..5 are supported; larger orders are refused.
 """
 from __future__ import annotations
 
 import json
+import logging
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from math import factorial
 
 from .axioms import ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS
 from .iso import CanonicalKey, _min_key, _perm_data, distructure_from_key
@@ -37,23 +40,18 @@ from .tables import OpTable, Permutation
 
 SEMIGROUP = "semigroup"
 ENUM_KINDS = (SEMIGROUP, DIMONOID, DOPPELSEMIGROUP)
-HARD_MAX_ORDER = 4
-BEST_EFFORT_ORDER = 5
+# Per order: semigroup classes (OEIS A027851) and labeled associative tables (A023814)
+_SEMIGROUP_COUNTS = {1: (1, 1), 2: (5, 8), 3: (24, 113), 4: (188, 3492), 5: (1915, 183732)}
+MAX_ORDER = max(_SEMIGROUP_COUNTS)
 
-_ASSOC_CACHE: dict = {}
+log = logging.getLogger(__name__)
 
 
-def _check_order(n: int, allow_large: bool):
+def _check_order(n: int):
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")
-    if n <= HARD_MAX_ORDER:
-        return
-    if n == BEST_EFFORT_ORDER and allow_large:
-        return
-    if n == BEST_EFFORT_ORDER:
-        raise ValueError(
-            f"order {n} is best-effort only; pass allow_large=True (--allow-large) to attempt it")
-    raise ValueError(f"order {n} exceeds the supported maximum {BEST_EFFORT_ORDER}")
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the supported maximum {MAX_ORDER}")
 
 
 # Per kind, the letters of each identity A[B[x][y]][z] = C[x][D[y][z]] to keep;
@@ -62,11 +60,12 @@ _AXIOMS = {kind: tuple(IDENTITIES[a] for a in KIND_AXIOMS.get(kind, ())) + (ASSO
            for kind in ENUM_KINDS}
 
 
-def _search(le, n: int, kind: str):
+def _search(le, n: int, kind: str, perms=()):
     """Yield every flat right table satisfying kind's axioms with left table le.
 
     Tables come in lexicographic order.  With le None (kind SEMIGROUP) the
-    left table is the right table itself, so they are the associative tables.
+    left table is the right table itself, so they are the associative tables;
+    a branch that some relabeling (images, gather) in perms makes smaller is cut.
 
     Cells are filled in row-major order; -1 marks an empty cell.  After cell
     (a, b) is set, only the triples with that cell among their four lookups
@@ -125,6 +124,20 @@ def _search(le, n: int, kind: str):
                             return False
         return True
 
+    def leads(k):
+        """Whether no relabeling p[t[gather[i]]] makes the filled prefix t[:k + 1] smaller."""
+        for p, gather in perms:
+            for i in range(k + 1):
+                u = t[gather[i]]
+                if u < 0:
+                    break
+                w = p[u]
+                if w != t[i]:
+                    if w < t[i]:
+                        return False
+                    break
+        return True
+
     last = nn - 1
     k = 0
     while k >= 0:
@@ -139,23 +152,36 @@ def _search(le, n: int, kind: str):
         t[k] = v
         a, b = divmod(k, n)
         t_cells[v].append((a, b))
-        if holds(a, b, v):
+        if holds(a, b, v) and (not perms or leads(k)):
             if k == last:
                 yield tuple(t)
             else:
                 k += 1
 
 
-def enumerate_associative_tables(n: int, allow_large: bool = False):
+def enumerate_associative_tables(n: int):
     """All labeled associative tables of order n, in lexicographic order."""
-    return tuple(OpTable(n, e) for e in _assoc_flat(n, allow_large))
+    _check_order(n)
+    return tuple(OpTable(n, e) for e in _search(None, n, SEMIGROUP))
 
 
-def _assoc_flat(n: int, allow_large: bool):
-    _check_order(n, allow_large)
-    if n not in _ASSOC_CACHE:
-        _ASSOC_CACHE[n] = tuple(_search(None, n, SEMIGROUP))
-    return _ASSOC_CACHE[n]
+@lru_cache(maxsize=None)
+def _reps(n: int):
+    """(first table of each semigroup class's S_n-orbit, its Aut as `_perm_data` items).
+
+    Raises RuntimeError unless the classes and orbit sizes match the OEIS counts.
+    """
+    start = time.perf_counter()
+    perms = _perm_data(n)
+    reps = tuple((t, tuple((p, g) for p, g in perms if tuple(p[t[j]] for j in g) == t))
+                 for t in _search(None, n, SEMIGROUP, perms[1:]))
+    counts = (len(reps), sum(factorial(n) // len(aut) for _, aut in reps))
+    if counts != _SEMIGROUP_COUNTS[n]:
+        raise RuntimeError(f"order-{n} semigroup search found {counts[0]} classes of "
+                           f"{counts[1]} tables, expected {_SEMIGROUP_COUNTS[n]}")
+    log.info("order %d: %d semigroup classes (%d tables) in %.2f s",
+             n, *counts, time.perf_counter() - start)
+    return reps
 
 
 @dataclass(frozen=True)
@@ -177,122 +203,91 @@ class EnumerationResult:
                 "classes": self.class_count}
 
 
-def _left_reps(tables, n: int):
-    """(first table of each S_n-orbit, orbit size) over the sorted tables.
-
-    Raises RuntimeError unless the orbit sizes sum to the number of tables,
-    which holds exactly when every relabeling of a table is in the list.
-    """
-    perms = _perm_data(n)
-    seen = set()
-    reps = []
-    for t in tables:
-        if t in seen:
-            continue
-        orbit = {tuple(p[t[i]] for i in gather) for p, gather in perms}
-        seen |= orbit
-        reps.append((t, len(orbit)))
-    covered = sum(size for _, size in reps)
-    if covered != len(tables):
-        raise RuntimeError(f"left-table orbits cover {covered} of {len(tables)} "
-                           f"associative tables of order {n}")
-    return tuple(reps)
-
-
-def _pair_chunk(n: int, kind: str, lefts):
-    """Search the right tables of each (left table, orbit size) of lefts.
-
-    Returns (labeled survivor count over the left tables' whole orbits,
-    set of canonical key bytes).
-    """
+def _pair_chunk(n: int, kind: str, reps):
+    """(labeled survivors over the whole orbits, canonical key bytes) of reps' right tables."""
     labeled = 0
-    keys = set()
-    for le, orbit_size in lefts:
+    keys = []
+    for le, aut in reps:
         survivors = 0
+        mine = set()
         for re in _search(le, n, kind):
             survivors += 1
-            best, _ = _min_key(le, re, n)
-            keys.add(bytes(best))
-        labeled += orbit_size * survivors
+            mine.add(bytes(_min_key(le, re, n, aut)[0]))
+        labeled += factorial(n) // len(aut) * survivors
+        keys += mine
     return labeled, keys
-
-
-def _pair_chunk_args(args):
-    return _pair_chunk(*args)
 
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get("DIMONOIDS_WORKERS", "1"))
+        raw = os.environ.get("DIMONOIDS_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"DIMONOIDS_WORKERS must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
 
 
-def _reps_from_keys(n: int, keys) -> tuple:
-    """(CanonicalKey, rep) per canonical key, sorted by key.
-
-    The identity is the lex-least permutation and already reaches a
-    canonical serialization, so it is every key's witness.
-    """
-    identity = Permutation(tuple(range(n)))
-    out = []
+def _result(n: int, kind: str, labeled: int, keys) -> EnumerationResult:
+    """One class per key, sorted; the identity reaches a canonical key, so it is the witness."""
+    start = time.perf_counter()
+    identity = Permutation.identity(n)
+    class_reps = []
     for kb in sorted(keys):
         key = CanonicalKey(order=n, key=kb, witness=identity)
-        out.append((key, distructure_from_key(key)))
-    return tuple(out)
+        class_reps.append((key, distructure_from_key(key)))
+    log.info("order %d: %d %s classes keyed in %.2f s",
+             n, len(class_reps), kind, time.perf_counter() - start)
+    return EnumerationResult(order=n, kind=kind, labeled_count=labeled,
+                             class_reps=tuple(class_reps))
 
 
-def _enumerate_pairs(n: int, kind: str, workers: int | None, allow_large: bool):
+def _enumerate_pairs(n: int, kind: str, workers: int | None):
     workers = _resolve_workers(workers)
-    reps = _left_reps(_assoc_flat(n, allow_large), n)
+    _check_order(n)
+    reps = _reps(n)
+    start = time.perf_counter()
     if workers == 1 or len(reps) < 2 * workers:
         labeled, keys = _pair_chunk(n, kind, reps)
     else:
         # per-representative work is uneven, so deal them out round-robin
-        jobs = [(n, kind, reps[i::workers]) for i in range(workers)]
         labeled = 0
-        keys = set()
+        keys = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_labeled, part_keys in pool.map(_pair_chunk_args, jobs):
+            for part_labeled, part_keys in pool.map(_pair_chunk, repeat(n), repeat(kind),
+                                                    [reps[i::workers] for i in range(workers)]):
                 labeled += part_labeled
-                keys |= part_keys
-    return EnumerationResult(order=n, kind=kind, labeled_count=labeled,
-                             class_reps=_reps_from_keys(n, keys))
+                keys += part_keys
+    log.info("order %d: %s pair search found %d labeled in %.2f s",
+             n, kind, labeled, time.perf_counter() - start)
+    return _result(n, kind, labeled, keys)
 
 
-def enumerate_semigroups(n: int, workers: int | None = None,
-                         allow_large: bool = False) -> EnumerationResult:
-    """Associative tables up to isomorphism, represented as trivial pairs."""
+def enumerate_semigroups(n: int, workers: int | None = None) -> EnumerationResult:
+    """Associative tables up to isomorphism, each the trivial pair (L, L) of a representative."""
     _resolve_workers(workers)
-    tables = _assoc_flat(n, allow_large)
-    keys = set()
-    for e in tables:
-        best, _ = _min_key(e, e, n)
-        keys.add(bytes(best))
-    return EnumerationResult(order=n, kind=SEMIGROUP, labeled_count=len(tables),
-                             class_reps=_reps_from_keys(n, keys))
+    _check_order(n)
+    reps = _reps(n)
+    return _result(n, SEMIGROUP, sum(factorial(n) // len(aut) for _, aut in reps),
+                   [bytes(le + le) for le, _ in reps])
 
 
-def enumerate_dimonoids(n: int, workers: int | None = None,
-                        allow_large: bool = False) -> EnumerationResult:
-    return _enumerate_pairs(n, DIMONOID, workers, allow_large)
+def enumerate_dimonoids(n: int, workers: int | None = None) -> EnumerationResult:
+    return _enumerate_pairs(n, DIMONOID, workers)
 
 
-def enumerate_doppelsemigroups(n: int, workers: int | None = None,
-                               allow_large: bool = False) -> EnumerationResult:
-    return _enumerate_pairs(n, DOPPELSEMIGROUP, workers, allow_large)
+def enumerate_doppelsemigroups(n: int, workers: int | None = None) -> EnumerationResult:
+    return _enumerate_pairs(n, DOPPELSEMIGROUP, workers)
 
 
-def enumerate_structures(n: int, kind: str, workers: int | None = None,
-                         allow_large: bool = False) -> EnumerationResult:
+def enumerate_structures(n: int, kind: str, workers: int | None = None) -> EnumerationResult:
     if kind == SEMIGROUP:
-        return enumerate_semigroups(n, workers, allow_large)
-    if kind == DIMONOID:
-        return enumerate_dimonoids(n, workers, allow_large)
-    if kind == DOPPELSEMIGROUP:
-        return enumerate_doppelsemigroups(n, workers, allow_large)
-    raise ValueError(f"unknown kind {kind!r}; expected one of {ENUM_KINDS}")
+        return enumerate_semigroups(n, workers)
+    if kind not in KIND_AXIOMS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {ENUM_KINDS}")
+    return _enumerate_pairs(n, kind, workers)
 
 
 def class_lines(result: EnumerationResult):

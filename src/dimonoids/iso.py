@@ -44,11 +44,12 @@ def _perm_data(n: int):
     return tuple(out)
 
 
-def _min_key(le, re, n):
-    """(best tuple, witness images) minimizing the relabeled serialization."""
+def _min_key(le, re, n, perms=None):
+    """(best tuple, witness images) minimizing the serialization relabeled by
+    perms, in lexicographic order (default: all of `_perm_data(n)`)."""
     best = None
     best_perm = None
-    for p, gather in _perm_data(n):
+    for p, gather in _perm_data(n) if perms is None else perms:
         cand = []
         undecided = best is not None
         k = 0

@@ -148,10 +148,23 @@ def test_enumerate_workers_flag(capsys):
 
 
 def test_enumerate_order_gates(capsys):
-    assert main(["enumerate", "--order", "5"]) == 2
-    assert "allow-large" in capsys.readouterr().err
-    assert main(["enumerate", "--order", "6", "--allow-large"]) == 2
+    assert main(["enumerate", "--order", "6"]) == 2
     assert "maximum" in capsys.readouterr().err
+    assert main(["enumerate", "--order", "0"]) == 2
+    assert "positive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--order", "5", "--allow-large"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--order", "2", "--kind", "semigroup"],
+                                  ["problem1"]])
+def test_bad_workers_variable_exit_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("DIMONOIDS_WORKERS", "abc")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "DIMONOIDS_WORKERS" in captured.err and "'abc'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["enumerate", "classify"])

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import io
 import json
+from functools import lru_cache
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -11,12 +13,35 @@ from dimonoids import (canonical_form, check_dimonoid, check_doppelsemigroup,
                        enumerate_associative_tables, enumerate_dimonoids,
                        enumerate_doppelsemigroups, enumerate_semigroups,
                        enumerate_structures, is_associative)
+from dimonoids import enumeration
 from dimonoids.axioms import _pair_axioms_hold, assoc_witness
-from dimonoids.enumeration import (ENUM_KINDS, _assoc_flat, _left_reps, _search,
-                                   class_lines, write_classes_jsonl)
-from dimonoids.iso import _min_key
+from dimonoids.enumeration import (ENUM_KINDS, _reps, _search, class_lines,
+                                   write_classes_jsonl)
+from dimonoids.iso import _min_key, _perm_data
 
 KINDS = ("dimonoid", "doppelsemigroup")
+
+
+@lru_cache(maxsize=None)
+def all_tables(n):
+    """Flat entries of every labeled associative table, from the unpruned search."""
+    return tuple(t.entries for t in enumerate_associative_tables(n))
+
+
+def orbit_leaders(tables, n):
+    """Reference for the leader search: (first table of each S_n-orbit, orbit size).
+
+    Sweeps the sorted tables and collects each unseen table's whole orbit.
+    """
+    seen = set()
+    leaders = []
+    for t in tables:
+        if t in seen:
+            continue
+        orbit = {tuple(p[t[i]] for i in gather) for p, gather in _perm_data(n)}
+        seen |= orbit
+        leaders.append((t, len(orbit)))
+    return leaders
 
 
 def brute_force_pairs(n, kind):
@@ -24,7 +49,7 @@ def brute_force_pairs(n, kind):
 
     Returns (labeled survivor count, set of canonical key bytes).
     """
-    tables = _assoc_flat(n, False)
+    tables = all_tables(n)
     labeled = 0
     keys = set()
     for le in tables:
@@ -58,6 +83,8 @@ def test_semigroup_class_counts():
     assert (two.class_count, two.labeled_count) == (5, 8)
     three = enumerate_semigroups(3)
     assert (three.class_count, three.labeled_count) == (24, 113)
+    five = enumerate_semigroups(5)
+    assert (five.class_count, five.labeled_count) == (1915, 183732)
 
 
 def test_dimonoid_class_counts():
@@ -77,14 +104,16 @@ def test_doppelsemigroup_class_counts():
 
 
 def test_class_reps_are_canonical_and_sorted():
-    for kind in ENUM_KINDS:
-        result = enumerate_structures(3, kind)
-        keys = [key.key for key, _ in result.class_reps]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
-        for key, rep in result.class_reps:
-            assert key.witness.images == (0, 1, 2)  # reps are already canonical
-            assert canonical_form(rep) == key
+    # keys minimized over Aut(left rep) only equal the minimum over all n!
+    for n in (3, 4):
+        for kind in ENUM_KINDS:
+            result = enumerate_structures(n, kind)
+            keys = [key.key for key, _ in result.class_reps]
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys)
+            for key, rep in result.class_reps:
+                assert key.witness.images == tuple(range(n))  # reps are already canonical
+                assert canonical_form(rep) == key
 
 
 def test_class_reps_satisfy_their_axioms():
@@ -134,14 +163,10 @@ def test_invalid_workers():
 
 
 def test_order_gates():
-    with pytest.raises(ValueError) as exc:
-        enumerate_structures(5, "dimonoid")
-    assert "allow_large" in str(exc.value) or "allow-large" in str(exc.value)
-    with pytest.raises(ValueError) as exc:
-        enumerate_structures(6, "dimonoid", allow_large=True)
-    assert "maximum" in str(exc.value)
-    with pytest.raises(ValueError):
-        enumerate_associative_tables(5)
+    with pytest.raises(ValueError, match="maximum"):
+        enumerate_structures(6, "dimonoid")
+    with pytest.raises(ValueError, match="maximum"):
+        enumerate_associative_tables(6)
     with pytest.raises(ValueError):
         enumerate_structures(0, "dimonoid")
     with pytest.raises(ValueError):
@@ -194,19 +219,16 @@ def test_left_rep_scan_matches_brute_force(n, kind):
 @pytest.mark.parametrize("n, reps, labeled", [(1, 1, 1), (2, 5, 8), (3, 24, 113), (4, 188, 3492)])
 def test_left_reps_are_semigroup_classes(n, reps, labeled):
     # OEIS A027851 (classes) and A023814 (labeled)
-    tables = _assoc_flat(n, False)
-    lefts = _left_reps(tables, n)
+    lefts = [(t, factorial(n) // len(aut)) for t, aut in _reps(n)]
+    assert lefts == orbit_leaders(all_tables(n), n)
     assert len(lefts) == reps
     assert sum(size for _, size in lefts) == labeled
-    assert [t for t, _ in lefts] == sorted(t for t, _ in lefts)
 
 
-def test_left_reps_reject_a_list_not_closed_under_relabeling():
-    tables = _assoc_flat(2, False)
-    first_of_orbit = {t for t, _ in _left_reps(tables, 2)}
-    missing = next(t for t in tables if t not in first_of_orbit)
-    with pytest.raises(RuntimeError):
-        _left_reps(tuple(t for t in tables if t != missing), 2)
+def test_left_reps_raise_on_counts_off_oeis(monkeypatch):
+    monkeypatch.setitem(enumeration._SEMIGROUP_COUNTS, 2, (5, 9))
+    with pytest.raises(RuntimeError, match="expected"):
+        _reps.__wrapped__(2)
 
 
 @pytest.mark.parametrize("kind, labeled, classes",
@@ -232,8 +254,8 @@ def test_order3_tables_match_filtering_every_table():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_order4_search_matches_filtering_every_right_table(kind):
-    tables = _assoc_flat(4, False)
-    for le, _ in _left_reps(tables, 4)[::10]:
+    tables = all_tables(4)
+    for le, _ in _reps(4)[::10]:
         expected = [re for re in tables if _pair_axioms_hold(le, re, 4, kind)]
         assert list(_search(le, 4, kind)) == expected
 
