@@ -33,6 +33,8 @@ from operator import itemgetter
 
 from .axioms import (AxiomError, NotAssociativeError, assoc_witness, check_structure,
                      DIMONOID, DOPPELSEMIGROUP)
+from .enumeration import MAX_ORDER, _check_order, _right_tables
+from .iso import _min_key, _perm_data, canonical_form
 from .tables import DiStructure, OpTable, Permutation, apply_permutation
 
 
@@ -373,15 +375,16 @@ def build_structure(name: str, kind: str | None = None) -> DiStructure:
     split = _split_pair(name)
     if split is None:
         return trivial_dimonoid(build_semigroup(name))
+    kinds = _pair_kinds(name, kind)
     left = build_semigroup(split[0])
     right = build_semigroup(split[1])
     if left.order != right.order:
         raise ParameterError(f"components of {name!r} have different orders")
-    kinds = (DIMONOID, DOPPELSEMIGROUP) if kind is None else (kind,)
-    for k in kinds:
-        resolved = named_class_map(left.order, k)[0].get(name)
-        if resolved is not None:
-            return resolved
+    if left.order <= MAX_ORDER:  # above it there is no catalog to resolve through
+        for k in kinds:
+            resolved = named_class_map(left.order, k)[0].get(name)
+            if resolved is not None:
+                return resolved
     for k in kinds:
         valid = []
         for p in Permutation.all_of_degree(left.order):
@@ -395,8 +398,18 @@ def build_structure(name: str, kind: str | None = None) -> DiStructure:
     raise ParameterError(f"no relabeling makes {name!r} a valid nontrivial pair")
 
 
+def _pair_kinds(name: str, kind: str | None):
+    """The kinds a `left|right` name is resolved under: kind, or both when None."""
+    if kind is None:
+        return DIMONOID, DOPPELSEMIGROUP
+    if kind not in (DIMONOID, DOPPELSEMIGROUP):
+        raise ParameterError(f"{name!r} is a left|right name; it needs kind {DIMONOID}, "
+                             f"{DOPPELSEMIGROUP} or any, got {kind!r}")
+    return (kind,)
+
+
 def _checked_named_pair(d: DiStructure, name: str, kind: str | None) -> DiStructure:
-    kinds = (DIMONOID, DOPPELSEMIGROUP) if kind is None else (kind,)
+    kinds = _pair_kinds(name, kind)
     for k in kinds:
         if check_structure(d, k).ok:
             return d
@@ -456,6 +469,20 @@ def _special_pair_names(n: int):
     return out
 
 
+def _right_tables_of(key, p, n: int, kind: str):
+    """Right tables of the table t whose relabeling by p is key's left block.
+
+    That block is the first table of t's relabeling orbit, the census's
+    representative of t's class, so t's right tables are the representative's
+    (`enumeration._right_tables`, searched on a cold cache) relabeled by p⁻¹.
+    """
+    pinv = [0] * n
+    for i, v in enumerate(p):
+        pinv[v] = i
+    gather = [p[x] * n + p[y] for x in range(n) for y in range(n)]
+    return [tuple(pinv[r[j]] for j in gather) for r in _right_tables(key[:n * n], n, kind)]
+
+
 @lru_cache(maxsize=32)
 def named_structures(n: int, kind: str):
     """(name, pair) candidates at order n for one kind, priority first.
@@ -463,17 +490,21 @@ def named_structures(n: int, kind: str):
     Priority: trivial pairs, then +0 images of named smaller nontrivial
     classes, then curated same-component specials, then direct pairs of
     named semigroup classes over all relabelings of the right component.
-    Direct pairs come from one `enumeration._search` per named left table,
-    whose right tables are looked up among the relabeled named tables.
+    Direct pairs take each distinct named left table's right tables from the
+    census (the right tables of its class representative, relabeled onto
+    it) and look them up among the relabeled named tables.
     Within one `left|right` name, abelian candidates (right table equal to
     the transpose of the left) come first, then relabeling order; a right
     table that several relabelings produce appears once per relabeling.
     Only candidates satisfying the kind's axioms appear.  One name can
     reach several isomorphism classes; `named_class_map` resolves that.
+    Raises ParameterError for a kind other than dimonoid or doppelsemigroup
+    and ValueError for an order the enumeration does not support.
     """
-    from .enumeration import _search  # local imports keep module layering acyclic
-    from .iso import canonical_form
-
+    if kind not in (DIMONOID, DOPPELSEMIGROUP):
+        raise ParameterError(f"unknown pair kind {kind!r}; expected {DIMONOID!r} "
+                             f"or {DOPPELSEMIGROUP!r}")
+    _check_order(n)
     out = [(name, DiStructure(t, t)) for name, t in named_semigroups(n)]
     if n >= 2:
         seen_inner = set()
@@ -491,30 +522,30 @@ def named_structures(n: int, kind: str):
         distinct = []
         seen_tables = set()
         for name, t in named_semigroups(n):
-            key = canonical_form(DiStructure(t, t)).key
+            # key is the canonical key of (t, t); p carries t onto its left block
+            key, p = _min_key(t.entries, t.entries, n)
             if key in seen_tables:
                 continue
             seen_tables.add(key)
             w = assoc_witness(t.entries, n)
             if w is not None:
                 raise NotAssociativeError(w)
-            distinct.append((name, t))
+            distinct.append((name, t, key, p))
         # index every relabeling of every distinct table by its entries; a table
         # with a nontrivial Aut group sits at one position per relabeling giving it
-        perms = tuple(Permutation.all_of_degree(n))
-        relabelings = [tuple(apply_permutation(t, p) for p in perms) for _, t in distinct]
         positions: dict = {}
-        for ri, rts in enumerate(relabelings):
-            for pi, rtp in enumerate(rts):
-                positions.setdefault(rtp.entries, []).append((ri, pi))
+        for ri, (_, t, _, _) in enumerate(distinct):
+            e = t.entries
+            for pi, (p, gather) in enumerate(_perm_data(n)):
+                positions.setdefault(tuple(p[e[j]] for j in gather), []).append((ri, pi))
         # both components are (relabeled) associative tables checked above, so
-        # the search's right tables are exactly the relabelings that pass the
-        # pair axioms; the trivial pair is already named by the bare tier
-        for lname, lt in distinct:
-            hits = sorted(pos for rt in _search(lt.entries, n, kind) if rt != lt.entries
-                          for pos in positions.get(rt, ()))
+        # the right tables are exactly the relabelings that pass the pair
+        # axioms; the trivial pair is already named by the bare tier
+        for lname, lt, key, p in distinct:
+            hits = sorted((ri, pi, rt) for rt in _right_tables_of(key, p, n, kind)
+                          if rt != lt.entries for ri, pi in positions.get(rt, ()))
             for ri, group in groupby(hits, key=itemgetter(0)):
-                block = [DiStructure(lt, relabelings[ri][pi]) for _, pi in group]
+                block = [DiStructure(lt, OpTable(n, rt)) for _, _, rt in group]
                 block.sort(key=lambda d: d.right != d.left.transpose())
                 out.extend((f"{lname}|{distinct[ri][0]}", d) for d in block)
     return tuple(out)
@@ -530,8 +561,6 @@ def named_class_map(n: int, kind: str):
     always carry each other's dual name.  Classes left over (two classes
     sharing every applicable name) stay out of the maps.
     """
-    from .iso import canonical_form  # local import keeps module layering acyclic
-
     by_name: dict = {}
     by_key: dict = {}
 

@@ -18,7 +18,9 @@ serializes the left block first, so it is L followed by the least
 relabeling of R over Aut(L); classes of different L never share a key.
 Keys are deduplicated per L, so results are independent of the worker
 count: workers take interleaved shares of the representatives, and the
-merge is a concatenation plus one global sort.
+merge is a concatenation plus one global sort.  The right tables of each
+L are searched once per process and kept, as bytes; the catalog relabels
+them onto its named left tables instead of searching those again.
 
 Orders 1..5 are supported; larger orders are refused.
 """
@@ -28,7 +30,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -203,18 +204,24 @@ class EnumerationResult:
                 "classes": self.class_count}
 
 
+@lru_cache(maxsize=None)
+def _right_tables(le, n: int, kind: str):
+    """The right tables `_search` yields for left table le, as bytes, searched once per process.
+
+    The census fills this for every representative, and the catalog then
+    relabels these tables instead of searching its named tables again.
+    """
+    return tuple(bytes(re) for re in _search(le, n, kind))
+
+
 def _pair_chunk(n: int, kind: str, reps):
     """(labeled survivors over the whole orbits, canonical key bytes) of reps' right tables."""
     labeled = 0
     keys = []
     for le, aut in reps:
-        survivors = 0
-        mine = set()
-        for re in _search(le, n, kind):
-            survivors += 1
-            mine.add(bytes(_min_key(le, re, n, aut)[0]))
-        labeled += factorial(n) // len(aut) * survivors
-        keys += mine
+        rights = _right_tables(le, n, kind)
+        labeled += factorial(n) // len(aut) * len(rights)
+        keys += {bytes(_min_key(le, re, n, aut)[0]) for re in rights}
     return labeled, keys
 
 
@@ -252,6 +259,9 @@ def _enumerate_pairs(n: int, kind: str, workers: int | None):
     if workers == 1 or len(reps) < 2 * workers:
         labeled, keys = _pair_chunk(n, kind, reps)
     else:
+        # imported here: a cold one-worker command should not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # per-representative work is uneven, so deal them out round-robin
         labeled = 0
         keys = []

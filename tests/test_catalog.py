@@ -321,3 +321,40 @@ def test_order4_catalog_counts(kind, candidates, named):
     # the unnamed order-4 classes are pinned in test_classify.test_order4_flag_counts
     assert len(named_structures(4, kind)) == candidates
     assert len(named_class_map(4, kind)[0]) == named
+
+
+@pytest.mark.parametrize("kind", ["dimonoid", "doppelsemigroup"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_relabeled_census_right_tables_equal_a_search(n, kind):
+    # reference: a search of the named table itself
+    from dimonoids.enumeration import _search
+    from dimonoids.iso import _min_key
+    for name, t in named_semigroups(n):
+        e = t.entries
+        key, p = _min_key(e, e, n)
+        assert set(catalog._right_tables_of(key, p, n, kind)) == set(_search(e, n, kind)), name
+
+
+@pytest.mark.parametrize("kind", ["dimonoid", "doppelsemigroup"])
+def test_catalog_reuses_the_census_right_tables(kind):
+    from dimonoids import enumerate_structures, enumeration
+    right_tables = enumeration._right_tables
+    right_tables.cache_clear()
+    named_structures.cache_clear()
+    cold = named_structures(4, kind)  # searches each named table's class representative
+
+    right_tables.cache_clear()
+    named_structures.cache_clear()
+    named_structures(3, kind)
+    enumerate_structures(4, kind, workers=1)
+    before = right_tables.cache_info()
+    warm = named_structures(4, kind)
+    after = right_tables.cache_info()
+    assert after.misses == before.misses  # no order-4 left table searched again
+    assert after.hits > before.hits
+    assert warm == cold
+
+
+def test_named_structures_rejects_a_non_pair_kind():
+    with pytest.raises(ParameterError, match="unknown pair kind 'semigroup'"):
+        named_structures(3, "semigroup")

@@ -3,9 +3,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dimonoids
+from dimonoids import DiStructure, format_distructure, left_zero, right_zero
 from dimonoids.cli import main
 
 C3 = "0 1 2\n1 2 0\n2 0 1\n"
@@ -16,6 +22,16 @@ LO3_RO3 = "0 0 0\n1 1 1\n2 2 2\n\n0 1 2\n0 1 2\n0 1 2\n"
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _python(code, *argv, timeout=20):
+    """Run code in a fresh interpreter; a hang fails the test instead of stalling the run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dimonoids.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=timeout, env=env)
+
+
+CLI = "import sys; from dimonoids.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def test_check_semigroup(tmp_path, capsys):
@@ -86,6 +102,31 @@ def test_catalog_build_unknown_name(capsys):
 def test_catalog_build_kind_mismatch(capsys):
     assert main(["catalog", "build", "C3|C3^-1", "--kind", "dimonoid"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_catalog_build_pair_name_needs_a_pair_kind(capsys):
+    assert main(["catalog", "build", "LO3|RO3", "--kind", "semigroup"]) == 2
+    err = capsys.readouterr().err
+    assert "needs kind dimonoid, doppelsemigroup or any, got 'semigroup'" in err
+
+
+def test_catalog_above_the_supported_order_answers_at_once():
+    done = _python(CLI, "catalog", "list", "--order", "6", "--kind", "dimonoid")
+    assert done.returncode == 2
+    assert "exceeds the supported maximum" in done.stderr
+    # above the supported orders a pair name is resolved by relabeling alone
+    done = _python(CLI, "catalog", "build", "LO6|RO6")
+    assert done.returncode == 0
+    assert done.stdout == format_distructure(DiStructure(left_zero(6), right_zero(6))) + "\n"
+
+
+def test_import_loads_no_process_pool():
+    # the pool is imported only when a command runs with more than one worker
+    done = _python("import sys, dimonoids.cli; "
+                   "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+                   "if m in sys.modules])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_catalog_list(capsys):
