@@ -42,6 +42,11 @@ class ParameterError(ValueError):
     """A family parameter or catalog name is out of range or unknown."""
 
 
+# `left|right` names outside the catalog are resolved by trying all n!
+# relabelings of the right component; order 7 (5,040 of them) takes about 2 s
+MAX_RELABEL_ORDER = 7
+
+
 # ---------------------------------------------------------------------------
 # base families
 
@@ -357,7 +362,8 @@ def build_structure(name: str, kind: str | None = None) -> DiStructure:
     classifier reports under that name (dimonoid first when kind is None,
     then doppelsemigroup).  Alias names outside the map fall back to
     relabeling the right component until the pair satisfies the kind's
-    axioms, preferring an abelian pair, then relabeling order.
+    axioms, preferring an abelian pair, then relabeling order; above
+    MAX_RELABEL_ORDER they raise ParameterError instead.
     """
     name = name.strip()
     if name.startswith("(") and name.endswith(")+0") and _is_balanced(name[1:-3]):
@@ -385,6 +391,10 @@ def build_structure(name: str, kind: str | None = None) -> DiStructure:
             resolved = named_class_map(left.order, k)[0].get(name)
             if resolved is not None:
                 return resolved
+    if left.order > MAX_RELABEL_ORDER:
+        raise ParameterError(f"{name!r} has order {left.order}; left|right names outside "
+                             f"the catalog are resolved by trying every relabeling, which "
+                             f"is capped at order {MAX_RELABEL_ORDER}")
     for k in kinds:
         valid = []
         for p in Permutation.all_of_degree(left.order):

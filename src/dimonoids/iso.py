@@ -165,10 +165,18 @@ def _perm_order(images) -> int:
 
 
 def identify_group(perms) -> GroupId:
-    """Name the group generated by a closed set of permutations.
+    """Name the group formed by a closed set of permutations.
 
     The input must already be a group (closed, with identity and
-    inverses); anything else raises ValueError.
+    inverses); anything else raises ValueError.  Closure is checked by
+    generating the group: walking the input in sorted order, each element
+    not yet generated becomes a generator, and the generated set is
+    regrown breadth-first from the identity, every product of a generated
+    element and a generator checked against the input.  Each new generator
+    at least doubles the generated set, so there are at most log2|G|
+    generators and the work is O(|G| * log2|G| * degree), never a scan
+    over all pairs of elements.  The group is abelian iff its generators
+    commute pairwise.
     """
     elems = {p.images for p in perms}
     if not elems:
@@ -179,19 +187,35 @@ def identify_group(perms) -> GroupId:
     ident = tuple(range(degree))
     if ident not in elems:
         raise ValueError("identity missing: not a group")
+    inv = [0] * degree
     for a in elems:
-        inv = [0] * degree
         for i, v in enumerate(a):
             inv[v] = i
         if tuple(inv) not in elems:
             raise ValueError("inverse missing: not a group")
-        for b in elems:
-            if tuple(a[v] for v in b) not in elems:
-                raise ValueError("not closed under composition: not a group")
+    gens = []
+    generated = {ident}
+    for g in sorted(elems):
+        if g in generated:
+            continue
+        gens.append(g)
+        generated = {ident}
+        frontier = [ident]
+        while frontier:
+            grown = []
+            for a in frontier:
+                get = a.__getitem__
+                for b in gens:
+                    c = tuple(map(get, b))
+                    if c not in generated:
+                        if c not in elems:
+                            raise ValueError("not closed under composition: not a group")
+                        generated.add(c)
+                        grown.append(c)
+            frontier = grown
+    abelian = all(tuple(a[v] for v in b) == tuple(b[v] for v in a)
+                  for i, a in enumerate(gens) for b in gens[:i])
     order = len(elems)
-    abelian = all(
-        tuple(a[v] for v in b) == tuple(b[v] for v in a)
-        for a in elems for b in elems)
     element_orders = tuple(sorted(_perm_order(im) for im in elems))
     name = None
     if order == 1:

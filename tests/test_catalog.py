@@ -193,6 +193,11 @@ def test_build_structure_pairs():
         build_structure("C3|C3^-1", kind="dimonoid")  # only a doppelsemigroup
 
 
+def test_build_structure_caps_the_relabeling_search():
+    with pytest.raises(ParameterError, match="order 8.*capped at order 7"):
+        build_structure("LO8|O8", "dimonoid")
+
+
 def test_build_structure_dual_of_pair():
     d = build_structure("LO3|O3", kind="dimonoid")
     dd = build_structure("dual(LO3|O3)", kind="dimonoid")

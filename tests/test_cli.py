@@ -120,6 +120,13 @@ def test_catalog_above_the_supported_order_answers_at_once():
     assert done.stdout == format_distructure(DiStructure(left_zero(6), right_zero(6))) + "\n"
 
 
+def test_catalog_build_caps_the_relabeling_search():
+    # above order 7 a left|right name would need n! relabelings, so it is refused at once
+    done = _python(CLI, "catalog", "build", "LO9|O9", "--kind", "dimonoid", timeout=20)
+    assert done.returncode == 2
+    assert "order 9" in done.stderr and "order 7" in done.stderr
+
+
 def test_import_loads_no_process_pool():
     # the pool is imported only when a command runs with more than one worker
     done = _python("import sys, dimonoids.cli; "
@@ -161,6 +168,16 @@ def test_aut(tmp_path, capsys):
     assert "group: S3 (order 6)" in out
     assert sum(1 for line in out if line[0].isdigit()) == 6
     assert any(line.startswith("canonical key: ") for line in out)
+
+
+def test_aut_of_a_pair_with_the_full_symmetric_group_of_degree_7(tmp_path):
+    f = _write(tmp_path / "lo7ro7.txt",
+               format_distructure(DiStructure(left_zero(7), right_zero(7))) + "\n")
+    done = _python(CLI, "aut", f, timeout=30)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert sum(1 for line in lines if line[0].isdigit()) == 5040
+    assert any(line.startswith("group: ") and line.endswith("(order 5040)") for line in lines)
 
 
 def test_dual(tmp_path, capsys):

@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dimonoids import (DiStructure, OpTable, Permutation, are_isomorphic,
+from dimonoids import (DiStructure, GroupId, OpTable, Permutation, are_isomorphic,
                        automorphisms, canonical_form, canonical_representative,
-                       canonical_table_key, cyclic, identify_group, left_zero,
-                       linear_semilattice, null_semigroup, right_zero,
-                       shifted_cyclic)
-from dimonoids.iso import distructure_from_key
+                       canonical_table_key, cyclic, enumerate_structures,
+                       identify_group, left_zero, linear_semilattice,
+                       null_semigroup, right_zero, shifted_cyclic)
+from dimonoids.iso import _perm_order, distructure_from_key
 
 
 def _random_pair(rng, n: int) -> DiStructure:
@@ -182,3 +184,105 @@ def test_shifted_cyclic_is_isomorphic_to_cyclic():
     d1 = DiStructure(cyclic(3), cyclic(3))
     d2 = DiStructure(shifted_cyclic(3, 1), shifted_cyclic(3, 1))
     assert are_isomorphic(d1, d2) is not None
+
+
+def _identify_group_reference(perms) -> GroupId:
+    """The O(|G|^2) closure and commutation scan identify_group replaced."""
+    elems = {p.images for p in perms}
+    if not elems:
+        raise ValueError("empty set is not a group")
+    degree = len(next(iter(elems)))
+    if any(len(im) != degree for im in elems):
+        raise ValueError("permutations of mixed degree")
+    ident = tuple(range(degree))
+    if ident not in elems:
+        raise ValueError("identity missing: not a group")
+    for a in elems:
+        inv = [0] * degree
+        for i, v in enumerate(a):
+            inv[v] = i
+        if tuple(inv) not in elems:
+            raise ValueError("inverse missing: not a group")
+        for b in elems:
+            if tuple(a[v] for v in b) not in elems:
+                raise ValueError("not closed under composition: not a group")
+    order = len(elems)
+    abelian = all(
+        tuple(a[v] for v in b) == tuple(b[v] for v in a)
+        for a in elems for b in elems)
+    element_orders = tuple(sorted(_perm_order(im) for im in elems))
+    name = None
+    if order == 1:
+        name = "C1"
+    elif order == 2:
+        name = "C2"
+    elif order == 3:
+        name = "C3"
+    elif order == 4:
+        name = "C4" if 4 in element_orders else "V4"
+    elif order == 5:
+        name = "C5"
+    elif order == 6:
+        name = "C6" if abelian else "S3"
+    if name is None:
+        kind = "abelian" if abelian else "nonabelian"
+        name = f"other({order},{kind},orders={'+'.join(map(str, element_orders))})"
+    return GroupId(order=order, name=name, abelian=abelian, element_orders=element_orders)
+
+
+def _assert_matches_reference(perms):
+    """identify_group equals the reference, or both raise ValueError."""
+    try:
+        expected = _identify_group_reference(perms)
+    except ValueError:
+        with pytest.raises(ValueError):
+            identify_group(perms)
+    else:
+        assert identify_group(perms) == expected
+
+
+def _generated(gens):
+    """The group the images in gens generate, by repeated multiplication."""
+    ident = tuple(range(len(gens[0])))
+    group = {ident}
+    frontier = [ident]
+    while frontier:
+        new = {tuple(a[v] for v in g) for a in frontier for g in gens} - group
+        group |= new
+        frontier = list(new)
+    return [Permutation(im) for im in sorted(group)]
+
+
+@pytest.mark.parametrize("kind", ["semigroup", "dimonoid", "doppelsemigroup"])
+def test_identify_group_matches_reference_on_class_aut_groups(kind):
+    for n in (1, 2, 3, 4):
+        for _, rep in enumerate_structures(n, kind).class_reps:
+            _assert_matches_reference(automorphisms(rep))
+
+
+def test_identify_group_matches_reference_on_every_subset_of_s3():
+    s3 = [Permutation(p) for p in permutations(range(3))]
+    for size in range(len(s3) + 1):
+        for subset in combinations(s3, size):
+            _assert_matches_reference(subset)
+
+
+def test_identify_group_matches_reference_on_two_generator_subgroups_of_s4():
+    s4 = list(permutations(range(4)))
+    groups = {tuple(p.images for p in _generated([a, b])) for a in s4 for b in s4}
+    assert len(groups) == 30  # every subgroup of S4 is generated by two elements
+    for group in groups:
+        _assert_matches_reference([Permutation(im) for im in group])
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+def test_identify_group_matches_reference_on_random_subgroups(gens):
+    _assert_matches_reference(_generated([tuple(g) for g in gens]))
+
+
+def test_identify_group_names_the_full_symmetric_group_of_degree_7():
+    group = identify_group([Permutation(p) for p in permutations(range(7))])
+    assert group.order == 5040
+    assert not group.abelian
