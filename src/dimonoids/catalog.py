@@ -42,9 +42,13 @@ class ParameterError(ValueError):
     """A family parameter or catalog name is out of range or unknown."""
 
 
-# `left|right` names outside the catalog are resolved by trying all n!
-# relabelings of the right component; order 7 (5,040 of them) takes about 2 s
+# Caps every catalog walk over orders: an alias `left|right` name tries all n!
+# relabelings (order 7 takes about 2 s), and order 7 has 2,254 named semigroups
 MAX_RELABEL_ORDER = 7
+# Caps on names, checked before anything is built: the length bounds the nesting,
+# and +0, +1 and ~1 check associativity in O(n³) (order 64 takes about 0.3 s)
+MAX_NAME_LENGTH = 256
+MAX_NAME_ORDER = 64
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +262,24 @@ def adjoin_zero_dimonoid(d: DiStructure) -> DiStructure:
 # ---------------------------------------------------------------------------
 # name grammar
 
+# (pattern, builder, the order of the table the builder makes from the same parameters)
 _BASE_PATTERNS = (
-    (re.compile(r"^C(\d+)\^-1$"), lambda n: shifted_cyclic(n, n - 1)),
-    (re.compile(r"^C(\d+)$"), cyclic),
-    (re.compile(r"^O(\d+)$"), null_semigroup),
-    (re.compile(r"^L(\d+)$"), linear_semilattice),
-    (re.compile(r"^LO(\d+)$"), left_zero),
-    (re.compile(r"^RO(\d+)$"), lambda n: right_zero(n)),
-    (re.compile(r"^LOB(\d+)$"), left_zero_band),
-    (re.compile(r"^ROB(\d+)$"), lambda n: left_zero_band(n).transpose()),
-    (re.compile(r"^M\((\d+),(\d+)\)$"), monogenic),
-    (re.compile(r"^O\((\d+),(\d+)\)$"), idempotent_diagonal),
-    (re.compile(r"^LO\((\d+)<-(\d+)\)$"), left_zero_collapse),
-    (re.compile(r"^RO\((\d+)<-(\d+)\)$"), lambda m, n: left_zero_collapse(m, n).transpose()),
-    (re.compile(r"^LOt0\((\d+)<-(\d+)\)$"), masked_left_zero),
-    (re.compile(r"^ROt0\((\d+)<-(\d+)\)$"), lambda m, s: masked_left_zero(m, s).transpose()),
+    (re.compile(r"^C(\d+)\^-1$"), lambda n: shifted_cyclic(n, n - 1), lambda n: n),
+    (re.compile(r"^C(\d+)$"), cyclic, lambda n: n),
+    (re.compile(r"^O(\d+)$"), null_semigroup, lambda n: n),
+    (re.compile(r"^L(\d+)$"), linear_semilattice, lambda n: n),
+    (re.compile(r"^LO(\d+)$"), left_zero, lambda n: n),
+    (re.compile(r"^RO(\d+)$"), right_zero, lambda n: n),
+    (re.compile(r"^LOB(\d+)$"), left_zero_band, lambda n: n),
+    (re.compile(r"^ROB(\d+)$"), lambda n: left_zero_band(n).transpose(), lambda n: n),
+    (re.compile(r"^M\((\d+),(\d+)\)$"), monogenic, lambda r, m: r + m - 1),
+    (re.compile(r"^O\((\d+),(\d+)\)$"), idempotent_diagonal, lambda n, m: n),
+    (re.compile(r"^LO\((\d+)<-(\d+)\)$"), left_zero_collapse, lambda m, n: n),
+    (re.compile(r"^RO\((\d+)<-(\d+)\)$"), lambda m, n: left_zero_collapse(m, n).transpose(),
+     lambda m, n: n),
+    (re.compile(r"^LOt0\((\d+)<-(\d+)\)$"), masked_left_zero, lambda m, s: s + 1),
+    (re.compile(r"^ROt0\((\d+)<-(\d+)\)$"), lambda m, s: masked_left_zero(m, s).transpose(),
+     lambda m, s: s + 1),
 )
 
 _SUFFIXES = ("+0", "+1", "~1")
@@ -290,18 +297,41 @@ def _is_balanced(s: str) -> bool:
     return depth == 0
 
 
+def _checked_name(name: str) -> str:
+    name = name.strip()
+    _require(len(name) <= MAX_NAME_LENGTH, f"the name has {len(name)} characters; catalog "
+                                           f"names are capped at {MAX_NAME_LENGTH}")
+    return name
+
+
+def _require_cap(name: str, extra: int, n: int):
+    _require(n <= MAX_NAME_ORDER, f"{name!r} reaches {n} (adjoined elements: {extra}); catalog "
+                                  f"names are capped at parameters and orders of {MAX_NAME_ORDER}")
+
+
 def build_semigroup(name: str) -> OpTable:
-    """Build the standard table for a semigroup name."""
+    """Build the standard table for a semigroup name.
+
+    A name longer than MAX_NAME_LENGTH, or with a parameter or an order
+    above MAX_NAME_ORDER, raises ParameterError before any table is built.
+    """
+    return _build_semigroup(_checked_name(name))
+
+
+def _build_semigroup(name: str, extra: int = 0) -> OpTable:
+    """build_semigroup of a name within the length cap, to be grown by extra adjoined elements."""
     name = name.strip()
     for suffix in _SUFFIXES:
         if name.endswith(suffix) and _is_balanced(name[:-len(suffix)]):
-            return derive_semigroup(build_semigroup(name[:-len(suffix)]), suffix)
+            return derive_semigroup(_build_semigroup(name[:-len(suffix)], extra + 1), suffix)
     if name.startswith("dual(") and name.endswith(")") and _is_balanced(name[5:-1]):
-        return dual_table(build_semigroup(name[5:-1]))
-    for pattern, builder in _BASE_PATTERNS:
+        return dual_table(_build_semigroup(name[5:-1], extra))
+    for pattern, builder, order in _BASE_PATTERNS:
         m = pattern.match(name)
         if m:
-            return builder(*(int(g) for g in m.groups()))
+            args = [int(g) for g in m.groups()]
+            _require_cap(name, extra, max(args + [order(*args) + extra]))
+            return builder(*args)
     raise ParameterError(f"unknown semigroup name {name!r}")
 
 
@@ -318,10 +348,11 @@ def _split_pair(name: str):
     return None
 
 
-def _special_pair(name: str):
+def _special_pair(name: str, extra: int = 0):
     m = re.match(r"^C(\d+)\|C(\d+)\^-1$", name)
     if m and m.group(1) == m.group(2):
         n = int(m.group(1))
+        _require_cap(name, extra, n + extra)
         return DiStructure(cyclic(n), shifted_cyclic(n, n - 1))
     if name == "O(3,1)a|O(3,1)b":
         return DiStructure(idempotent_diagonal_at(3, (0,), 2),
@@ -363,27 +394,33 @@ def build_structure(name: str, kind: str | None = None) -> DiStructure:
     then doppelsemigroup).  Alias names outside the map fall back to
     relabeling the right component until the pair satisfies the kind's
     axioms, preferring an abelian pair, then relabeling order; above
-    MAX_RELABEL_ORDER they raise ParameterError instead.
+    MAX_RELABEL_ORDER they raise ParameterError instead.  Names are capped
+    as in `build_semigroup`, counting the zeros that (…)+0 and plus0 adjoin.
     """
+    return _build_structure(_checked_name(name), kind, 0)
+
+
+def _build_structure(name: str, kind: str | None, extra: int) -> DiStructure:
+    """build_structure of a name within the length cap, to be grown by extra adjoined zeros."""
     name = name.strip()
     if name.startswith("(") and name.endswith(")+0") and _is_balanced(name[1:-3]):
-        return adjoin_zero_dimonoid(build_structure(name[1:-3], kind))
+        return adjoin_zero_dimonoid(_build_structure(name[1:-3], kind, extra + 1))
     if name.startswith("triv(") and name.endswith(")") and _is_balanced(name[5:-1]):
-        return trivial_dimonoid(build_semigroup(name[5:-1]))
+        return trivial_dimonoid(_build_semigroup(name[5:-1], extra))
     if name.startswith("plus0(") and name.endswith(")") and _is_balanced(name[6:-1]):
-        return adjoin_zero_dimonoid(build_structure(name[6:-1], kind))
+        return adjoin_zero_dimonoid(_build_structure(name[6:-1], kind, extra + 1))
     if name.startswith("dual(") and name.endswith(")") and _is_balanced(name[5:-1]):
         # for a bare semigroup name this equals the trivial pair of its dual
-        return dual_dimonoid(build_structure(name[5:-1], kind))
-    special = _special_pair(name)
+        return dual_dimonoid(_build_structure(name[5:-1], kind, extra))
+    special = _special_pair(name, extra)
     if special is not None:
         return _checked_named_pair(special, name, kind)
     split = _split_pair(name)
     if split is None:
-        return trivial_dimonoid(build_semigroup(name))
+        return trivial_dimonoid(_build_semigroup(name, extra))
     kinds = _pair_kinds(name, kind)
-    left = build_semigroup(split[0])
-    right = build_semigroup(split[1])
+    left = _build_semigroup(split[0], extra)
+    right = _build_semigroup(split[1], extra)
     if left.order != right.order:
         raise ParameterError(f"components of {name!r} have different orders")
     if left.order <= MAX_ORDER:  # above it there is no catalog to resolve through
@@ -437,6 +474,8 @@ def named_semigroups(n: int):
     M(2,1) repeats O2); matching keeps the first name.
     """
     _require(n >= 1, f"order must be >= 1, got {n}")
+    _require(n <= MAX_RELABEL_ORDER, f"order {n} exceeds {MAX_RELABEL_ORDER}, the largest "
+                                     f"order the catalog lists")
     if n == 1:
         return (("C1", cyclic(1)),)
     out = [(f"C{n}", cyclic(n)), (f"O{n}", null_semigroup(n)),
@@ -484,7 +523,8 @@ def _right_tables_of(key, p, n: int, kind: str):
 
     That block is the first table of t's relabeling orbit, the census's
     representative of t's class, so t's right tables are the representative's
-    (`enumeration._right_tables`, searched on a cold cache) relabeled by p⁻¹.
+    relabeled by p⁻¹.  `enumeration._right_tables` holds them after a census
+    of this order and kind, and searches them only when none ran.
     """
     pinv = [0] * n
     for i, v in enumerate(p):

@@ -135,19 +135,18 @@ def classify(result: EnumerationResult) -> ClassificationReport:
                                 rows=rows, summary=summary)
 
 
-def classify_order(n: int, kind: str = DIMONOID,
-                   workers: int | None = None) -> ClassificationReport:
-    return classify(enumerate_structures(n, kind, workers))
+def classify_order(n: int, kind: str = DIMONOID) -> ClassificationReport:
+    return classify(enumerate_structures(n, kind))
 
 
-def solve_problem1(workers: int | None = None) -> ClassificationReport:
+def solve_problem1() -> ClassificationReport:
     """Noncommutative nonabelian nontrivial dimonoid classes of order 3.
 
     The full order-3 enumeration is filtered down to the cell whose exact
     size the classification tables leave open; the summary carries the
     answer as summary["total"].
     """
-    full = classify(enumerate_dimonoids(3, workers=workers))
+    full = classify(enumerate_dimonoids(3))
     rows = tuple(r for r in full.rows
                  if not r.commutative and not r.abelian and not r.trivial)
     summary = {

@@ -108,7 +108,7 @@ def _cmd_catalog(args) -> int:
         _emit(format_distructure(d) + "\n", args.out)
         return 0
     # list
-    orders = [args.order] if args.order else [1, 2, 3]
+    orders = [1, 2, 3] if args.order is None else [args.order]
     chunks = []
     for n in orders:
         if args.kind in (SEMIGROUP, "any"):
@@ -157,7 +157,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     log.info("enumerating %s classes of order %d", args.kind, args.order)
-    result = enumerate_structures(args.order, args.kind, args.workers)
+    result = enumerate_structures(args.order, args.kind)
     stream = _open_out(args.out)
     try:
         write_classes_jsonl(result, stream)
@@ -169,13 +169,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = classify_order(args.order, args.kind, args.workers)
+    report = classify_order(args.order, args.kind)
     _emit(render_report(report, args.format), args.out)
     return 0
 
 
 def _cmd_problem1(args) -> int:
-    report = solve_problem1(workers=args.workers)
+    report = solve_problem1()
     text = render_report(report, args.format)
     if args.format == "markdown":
         text = (f"Noncommutative nonabelian nontrivial dimonoid classes of order 3: "
@@ -241,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate classes up to isomorphism")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--kind", choices=ENUM_KINDS, default=DIMONOID)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: DIMONOIDS_WORKERS or 1)")
     _add_out(p)
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -250,14 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--kind", choices=ENUM_KINDS, default=DIMONOID)
     p.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
-    p.add_argument("--workers", type=int, default=None)
     _add_out(p)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("problem1",
                        help="count order-3 noncommutative nonabelian nontrivial dimonoids")
     p.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
-    p.add_argument("--workers", type=int, default=None)
     _add_out(p)
     p.set_defaults(fn=_cmd_problem1)
 

@@ -16,11 +16,13 @@ and D3 for dimonoids or D2 and D4 for doppelsemigroups, and the labeled
 count is the sum of |orbit(L)| times the survivors of L.  A canonical key
 serializes the left block first, so it is L followed by the least
 relabeling of R over Aut(L); classes of different L never share a key.
-Keys are deduplicated per L, so results are independent of the worker
-count: workers take interleaved shares of the representatives, and the
-merge is a concatenation plus one global sort.  The right tables of each
-L are searched once per process and kept, as bytes; the catalog relabels
-them onto its named left tables instead of searching those again.
+The right tables of each L are searched once per process and kept, as
+bytes; the catalog relabels them onto its named left tables instead of
+searching those again.  The search takes one worker process per 128
+representatives, up to the CPUs the process may use, so only order 5 can
+run a pool: its workers search interleaved shares of the representatives
+and hand their right tables back.  Keys are then taken per L and sorted
+once, in this process, so results do not depend on the pool.
 
 Orders 1..5 are supported; larger orders are refused.
 """
@@ -204,14 +206,31 @@ class EnumerationResult:
                 "classes": self.class_count}
 
 
-@lru_cache(maxsize=None)
+# (left table, kind) -> the right tables `_search` yields for it, as bytes
+_RIGHT_TABLES: dict = {}
+
+
 def _right_tables(le, n: int, kind: str):
     """The right tables `_search` yields for left table le, as bytes, searched once per process.
 
     The census fills this for every representative, and the catalog then
     relabels these tables instead of searching its named tables again.
     """
-    return tuple(bytes(re) for re in _search(le, n, kind))
+    rights = _RIGHT_TABLES.get((le, kind))
+    if rights is None:
+        rights = _RIGHT_TABLES[le, kind] = tuple(bytes(re) for re in _search(le, n, kind))
+    return rights
+
+
+def _right_table_share(n: int, kind: str, les):
+    """(le, its right tables) for each left table in a pool worker's share."""
+    return [(le, _right_tables(le, n, kind)) for le in les]
+
+
+def _pool_size(n: int) -> int:
+    """Pool processes at order n: one per 128 semigroup classes, one per usable CPU at most."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, _SEMIGROUP_COUNTS[n][0] // 128))
 
 
 def _pair_chunk(n: int, kind: str, reps):
@@ -223,18 +242,6 @@ def _pair_chunk(n: int, kind: str, reps):
         labeled += factorial(n) // len(aut) * len(rights)
         keys += {bytes(_min_key(le, re, n, aut)[0]) for re in rights}
     return labeled, keys
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("DIMONOIDS_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"DIMONOIDS_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 def _result(n: int, kind: str, labeled: int, keys) -> EnumerationResult:
@@ -251,53 +258,51 @@ def _result(n: int, kind: str, labeled: int, keys) -> EnumerationResult:
                              class_reps=tuple(class_reps))
 
 
-def _enumerate_pairs(n: int, kind: str, workers: int | None):
-    workers = _resolve_workers(workers)
+def _enumerate_pairs(n: int, kind: str):
     _check_order(n)
     reps = _reps(n)
     start = time.perf_counter()
-    if workers == 1 or len(reps) < 2 * workers:
-        labeled, keys = _pair_chunk(n, kind, reps)
-    else:
-        # imported here: a cold one-worker command should not load multiprocessing
+    missing = [le for le, _ in reps if (le, kind) not in _RIGHT_TABLES]
+    workers = min(_pool_size(n), len(missing))
+    if workers > 1:
+        # imported here: a serial command should not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # per-representative work is uneven, so deal them out round-robin
-        labeled = 0
-        keys = []
+        log.info("order %d: %d worker processes search %d representatives",
+                 n, workers, len(missing))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_labeled, part_keys in pool.map(_pair_chunk, repeat(n), repeat(kind),
-                                                    [reps[i::workers] for i in range(workers)]):
-                labeled += part_labeled
-                keys += part_keys
+            for share in pool.map(_right_table_share, repeat(n), repeat(kind),
+                                  [missing[i::workers] for i in range(workers)]):
+                _RIGHT_TABLES.update(((le, kind), rights) for le, rights in share)
+    labeled, keys = _pair_chunk(n, kind, reps)
     log.info("order %d: %s pair search found %d labeled in %.2f s",
              n, kind, labeled, time.perf_counter() - start)
     return _result(n, kind, labeled, keys)
 
 
-def enumerate_semigroups(n: int, workers: int | None = None) -> EnumerationResult:
+def enumerate_semigroups(n: int) -> EnumerationResult:
     """Associative tables up to isomorphism, each the trivial pair (L, L) of a representative."""
-    _resolve_workers(workers)
     _check_order(n)
     reps = _reps(n)
     return _result(n, SEMIGROUP, sum(factorial(n) // len(aut) for _, aut in reps),
                    [bytes(le + le) for le, _ in reps])
 
 
-def enumerate_dimonoids(n: int, workers: int | None = None) -> EnumerationResult:
-    return _enumerate_pairs(n, DIMONOID, workers)
+def enumerate_dimonoids(n: int) -> EnumerationResult:
+    return _enumerate_pairs(n, DIMONOID)
 
 
-def enumerate_doppelsemigroups(n: int, workers: int | None = None) -> EnumerationResult:
-    return _enumerate_pairs(n, DOPPELSEMIGROUP, workers)
+def enumerate_doppelsemigroups(n: int) -> EnumerationResult:
+    return _enumerate_pairs(n, DOPPELSEMIGROUP)
 
 
-def enumerate_structures(n: int, kind: str, workers: int | None = None) -> EnumerationResult:
+def enumerate_structures(n: int, kind: str) -> EnumerationResult:
     if kind == SEMIGROUP:
-        return enumerate_semigroups(n, workers)
+        return enumerate_semigroups(n)
     if kind not in KIND_AXIOMS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {ENUM_KINDS}")
-    return _enumerate_pairs(n, kind, workers)
+    return _enumerate_pairs(n, kind)
 
 
 def class_lines(result: EnumerationResult):

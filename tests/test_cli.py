@@ -127,6 +127,24 @@ def test_catalog_build_caps_the_relabeling_search():
     assert "order 9" in done.stderr and "order 7" in done.stderr
 
 
+@pytest.mark.parametrize("name", ["dual(" * 1200 + "O2" + ")" * 1200, "O2" + "+0" * 1200,
+                                  "O2000+1"], ids=["nested-duals", "suffix-chain", "order-2001"])
+def test_catalog_build_refuses_names_past_the_caps(name):
+    # too deep for the recursion limit, too many suffixes, and an O(n³) check at order 2001
+    done = _python(CLI, "catalog", "build", name)
+    assert done.returncode == 2
+    assert "capped at" in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("order, message", [("0", "must be >= 1"), ("8", "exceeds 7")])
+def test_catalog_list_order_out_of_range(capsys, order, message):
+    for kind in ("semigroup", "any"):
+        assert main(["catalog", "list", "--order", order, "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+
 def test_import_loads_no_process_pool():
     # the pool is imported only when a command runs with more than one worker
     done = _python("import sys, dimonoids.cli; "
@@ -199,12 +217,6 @@ def test_enumerate(capsys):
     assert all(obj["schema"] == "dimonoids.class/1" for obj in classes)
 
 
-def test_enumerate_workers_flag(capsys):
-    assert main(["enumerate", "--order", "2", "--workers", "2"]) == 0
-    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert summary["classes"] == 8
-
-
 def test_enumerate_order_gates(capsys):
     assert main(["enumerate", "--order", "6"]) == 2
     assert "maximum" in capsys.readouterr().err
@@ -213,24 +225,6 @@ def test_enumerate_order_gates(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--order", "5", "--allow-large"])
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("argv", [["enumerate", "--order", "2", "--kind", "semigroup"],
-                                  ["problem1"]])
-def test_bad_workers_variable_exit_2(capsys, monkeypatch, argv):
-    monkeypatch.setenv("DIMONOIDS_WORKERS", "abc")
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert "DIMONOIDS_WORKERS" in captured.err and "'abc'" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("command", ["enumerate", "classify"])
-def test_bad_workers_exit_2(capsys, command):
-    assert main([command, "--order", "3", "--kind", "semigroup", "--workers", "0"]) == 2
-    captured = capsys.readouterr()
-    assert "workers" in captured.err
-    assert captured.out == ""
 
 
 def test_classify_markdown(capsys):

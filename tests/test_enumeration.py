@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -135,33 +136,6 @@ def test_order2_families_overlap_in_trivial_pairs():
     assert len(dim | dop) == 11
 
 
-def test_worker_determinism():
-    for kind in ("dimonoid", "doppelsemigroup"):
-        solo = enumerate_structures(2, kind, workers=1)
-        duo = enumerate_structures(2, kind, workers=2)
-        assert [k.key for k, _ in solo.class_reps] == [k.key for k, _ in duo.class_reps]
-        assert solo.labeled_count == duo.labeled_count
-    solo = enumerate_dimonoids(3, workers=1)
-    trio = enumerate_dimonoids(3, workers=3)
-    assert [k.key for k, _ in solo.class_reps] == [k.key for k, _ in trio.class_reps]
-
-
-def test_workers_from_environment(monkeypatch):
-    monkeypatch.setenv("DIMONOIDS_WORKERS", "2")
-    result = enumerate_dimonoids(2)
-    assert (result.class_count, result.labeled_count) == (8, 13)
-    monkeypatch.setenv("DIMONOIDS_WORKERS", "0")
-    with pytest.raises(ValueError):
-        enumerate_dimonoids(2)
-
-
-def test_invalid_workers():
-    for kind in ENUM_KINDS:
-        for workers in (0, -5):
-            with pytest.raises(ValueError, match="workers"):
-                enumerate_structures(3, kind, workers=workers)
-
-
 def test_order_gates():
     with pytest.raises(ValueError, match="maximum"):
         enumerate_structures(6, "dimonoid")
@@ -238,14 +212,6 @@ def test_order4_census(kind, labeled, classes):
     assert (result.labeled_count, result.class_count) == (labeled, classes)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_workers_split_left_reps(kind):
-    solo = enumerate_structures(3, kind, workers=1)
-    trio = enumerate_structures(3, kind, workers=3)
-    assert [k.key for k, _ in solo.class_reps] == [k.key for k, _ in trio.class_reps]
-    assert solo.labeled_count == trio.labeled_count
-
-
 def test_order3_tables_match_filtering_every_table():
     # all 3^9 tables, in lexicographic order, filtered by the triple checker
     expected = [e for e in product(range(3), repeat=9) if assoc_witness(e, 3) is None]
@@ -261,8 +227,30 @@ def test_order4_search_matches_filtering_every_right_table(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_order4_workers_agree(kind):
-    solo = enumerate_structures(4, kind, workers=1)
-    duo = enumerate_structures(4, kind, workers=2)
-    assert [k.key for k, _ in solo.class_reps] == [k.key for k, _ in duo.class_reps]
-    assert solo.labeled_count == duo.labeled_count
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pool_sizes_agree(n, kind, monkeypatch):
+    # force the pool through the private size rule; it only fills the right-table store
+    search = enumeration._search
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(enumeration, "_pool_size", lambda n: workers)
+        searches = []
+        monkeypatch.setattr(enumeration, "_search",
+                            lambda *args: searches.append(args) or search(*args))
+        enumeration._RIGHT_TABLES.clear()
+        result = enumerate_structures(n, kind)
+        # with a pool every search runs in a worker process
+        assert len(searches) == (len(_reps(n)) if workers == 1 else 0)
+        runs.append(([k.key for k, _ in result.class_reps], result.labeled_count,
+                     dict(enumeration._RIGHT_TABLES)))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8, 64])
+def test_pool_size_rule(cpus, monkeypatch):
+    # one worker per 128 semigroup classes, at most one per usable CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert [enumeration._pool_size(n) for n in range(1, 6)] == [1, 1, 1, 1, min(cpus, 14)]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert enumeration._pool_size(5) == min(cpus, 14)
