@@ -19,9 +19,7 @@ the lexicographically first failing triple (x, y, z).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .tables import DiStructure, OpTable
+from .tables import DiStructure, OpTable, Record
 
 DIMONOID = "dimonoid"
 DOPPELSEMIGROUP = "doppelsemigroup"
@@ -80,8 +78,7 @@ def is_associative(t: OpTable):
     return (w is None, w)
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(Record):
     """Outcome of a dimonoid or doppelsemigroup check.
 
     Axioms outside the checked mode are None.  A flag is False exactly
@@ -156,8 +153,7 @@ def check_doppelsemigroup(d: DiStructure) -> AxiomVerdict:
 # ---------------------------------------------------------------------------
 # profiles
 
-@dataclass(frozen=True)
-class SemigroupProfile:
+class SemigroupProfile(Record):
     commutative: bool
     band: bool
     semilattice: bool
@@ -232,8 +228,7 @@ def semigroup_profile(t: OpTable) -> SemigroupProfile:
         zero=zero, monogenic=monogenic)
 
 
-@dataclass(frozen=True)
-class DimonoidProfile:
+class DimonoidProfile(Record):
     trivial: bool
     commutative: bool
     abelian: bool

@@ -1,12 +1,10 @@
 """Classification reports: names, property flags, automorphism groups, duals."""
 from __future__ import annotations
 
-import csv
 import io
 import json
 import logging
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -15,13 +13,12 @@ from .enumeration import (EnumerationResult, SEMIGROUP, enumerate_dimonoids,
                           enumerate_structures)
 from .axioms import DIMONOID, dimonoid_profile
 from .iso import GroupId, automorphisms, canonical_form, identify_group
-from .tables import DiStructure
+from .tables import DiStructure, Record
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ClassRow:
+class ClassRow(Record):
     key: str  # canonical key, hex
     name: str
     trivial: bool
@@ -41,8 +38,7 @@ class ClassRow:
         }
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     order: int
     kind: str
     rows: tuple  # of ClassRow, sorted by canonical key
@@ -188,6 +184,8 @@ def render_markdown(report: ClassificationReport) -> str:
 
 
 def render_csv(report: ClassificationReport) -> str:
+    import csv  # only here: csv costs every other command its import time
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "name", "trivial", "commutative", "abelian",

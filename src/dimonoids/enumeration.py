@@ -22,7 +22,11 @@ searching those again.  The search takes one worker process per 128
 representatives, up to the CPUs the process may use, so only order 5 can
 run a pool: its workers search interleaved shares of the representatives
 and hand their right tables back.  Keys are then taken per L and sorted
-once, in this process, so results do not depend on the pool.
+once, in this process, so results do not depend on the pool.  Where
+workers are started by spawn or forkserver (macOS, Windows, Linux from
+Python 3.14), each one imports the caller's main module again, so a script
+must run an order-5 census under `if __name__ == "__main__":`; one read
+from standard input (`python -`) fails with BrokenProcessPool.
 
 Orders 1..5 are supported; larger orders are refused.
 """
@@ -32,14 +36,13 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import factorial
 
 from .axioms import ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS
 from .iso import CanonicalKey, _min_key, _perm_data, distructure_from_key
-from .tables import OpTable, Permutation
+from .tables import OpTable, Permutation, Record
 
 SEMIGROUP = "semigroup"
 ENUM_KINDS = (SEMIGROUP, DIMONOID, DOPPELSEMIGROUP)
@@ -187,8 +190,7 @@ def _reps(n: int):
     return reps
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     """Classes of one kind at one order, sorted by canonical key."""
 
     order: int

@@ -7,16 +7,14 @@ key equality is therefore the same relation as isomorphism.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import lcm
 
-from .tables import DiStructure, OpTable, Permutation
+from .tables import DiStructure, OpTable, Permutation, Record
 
 
-@dataclass(frozen=True)
-class CanonicalKey:
+class CanonicalKey(Record):
     """Minimal serialization of a pair plus the permutation that reaches it."""
 
     order: int
@@ -130,8 +128,7 @@ def automorphisms(d: DiStructure):
     return tuple(_matches(d, d))
 
 
-@dataclass(frozen=True)
-class GroupId:
+class GroupId(Record):
     """A finite group identified by order, abelianness, and element orders.
 
     The name distinguishes every group of order at most 7; larger or

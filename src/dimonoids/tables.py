@@ -12,8 +12,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 
 
 class TableFormatError(ValueError):
@@ -32,31 +32,87 @@ class OrderMismatchError(ValueError):
     """Structures of different orders were combined."""
 
 
-@dataclass(frozen=True)
-class OpTable:
+class Record:
+    """Immutable value type whose fields are the subclass's annotations, in order.
+
+    Equality holds between instances of one class with equal fields, the hash
+    is that of the field tuple, and setting or deleting an attribute raises
+    AttributeError.  Subclasses may define their own __init__ that fills
+    self.__dict__.
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if Record not in cls.__bases__:
+            return  # a subclass of a record keeps its parent's fields and adds none
+        cls._fields = fields = tuple(cls.__annotations__)
+        cls._field_set = frozenset(fields)
+        # itemgetter of a single name returns the bare value, not a 1-tuple
+        values = (itemgetter(*fields) if len(fields) > 1
+                  else lambda d, name=fields[0]: (d[name],))
+        cls.__hash__ = lambda self: hash(values(self.__dict__))
+
+    def __init__(self, *args, **kwargs):
+        if args:
+            given = len(args) + len(kwargs)
+            kwargs.update(zip(self._fields, args))
+            # a repeated field or a surplus argument leaves fewer keys than were given
+            if len(kwargs) != given:
+                raise self._field_error()
+        if kwargs.keys() != self._field_set:
+            raise self._field_error()
+        self.__dict__.update(kwargs)
+
+    def _field_error(self):
+        return TypeError(f"{type(self).__name__}() takes each of the fields "
+                         f"{', '.join(self._fields)} exactly once")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OpTable(Record):
     """A binary operation on {0..order-1}, closed by construction."""
 
     order: int
     entries: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        n = self.order
+    def __init__(self, order, entries):
+        entries = tuple(entries)
+        n = order
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"order must be a positive integer, got {n!r}")
-        if len(self.entries) != n * n:
-            raise ValueError(f"expected {n * n} entries for order {n}, got {len(self.entries)}")
-        for v in self.entries:
+        if len(entries) != n * n:
+            raise ValueError(f"expected {n * n} entries for order {n}, got {len(entries)}")
+        for v in entries:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise ValueError(f"entry {v!r} outside 0..{n - 1}")
+        self.__dict__.update(order=order, entries=entries)
 
     @classmethod
     def from_rows(cls, rows) -> "OpTable":
+        """The table with these rows; entries must be ints, and bools are refused."""
         rows = [list(r) for r in rows]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("rows must form a square table")
-        return cls(n, tuple(int(v) for r in rows for v in r))
+        for i, row in enumerate(rows, start=1):
+            for j, v in enumerate(row, start=1):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise TableFormatError(f"not an integer: {v!r}", row=i, column=j)
+        return cls(n, tuple(v for r in rows for v in r))
 
     @classmethod
     def from_function(cls, n: int, fn) -> "OpTable":
@@ -77,17 +133,17 @@ class OpTable:
         return format_table(self)
 
 
-@dataclass(frozen=True)
-class DiStructure:
+class DiStructure(Record):
     """A pair of tables (left, right) on the same carrier."""
 
     left: OpTable
     right: OpTable
 
-    def __post_init__(self):
-        if self.left.order != self.right.order:
+    def __init__(self, left, right):
+        if left.order != right.order:
             raise OrderMismatchError(
-                f"left has order {self.left.order}, right has order {self.right.order}")
+                f"left has order {left.order}, right has order {right.order}")
+        self.__dict__.update(left=left, right=right)
 
     @property
     def order(self) -> int:
@@ -104,16 +160,16 @@ class DiStructure:
         return format_distructure(self)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A bijection on {0..n-1}, stored as its image tuple."""
 
     images: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation of 0..{len(self.images) - 1}: {self.images!r}")
+    def __init__(self, images):
+        images = tuple(images)
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
+        self.__dict__["images"] = images
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -243,7 +299,7 @@ def parse_structure(text: str):
 
 
 # ---------------------------------------------------------------------------
-# JSON codec; mirrors the dataclass fields with tables as nested row arrays
+# JSON codec; mirrors the record fields with tables as nested row arrays
 
 def table_to_json(t: OpTable) -> dict:
     return {"order": t.order, "entries": [list(r) for r in t.rows()]}

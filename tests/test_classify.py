@@ -4,13 +4,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import replace
 from math import factorial
 
 import pytest
 
-from dimonoids import (DiStructure, Permutation, canonical_table_key, classify,
-                       classify_order, cyclic,
+from dimonoids import (DiStructure, EnumerationResult, Permutation,
+                       canonical_table_key, classify, classify_order, cyclic,
                        enumerate_dimonoids, enumerate_semigroups, left_zero,
                        left_zero_collapse, match_names, render_report,
                        right_zero, solve_problem1, structure_dual_name)
@@ -254,13 +253,14 @@ def test_classify_accepts_enumeration_result():
 def test_classify_rejects_inconsistent_census():
     result = enumerate_dimonoids(2)
     with pytest.raises(RuntimeError, match="labeled count"):
-        classify(replace(result, labeled_count=result.labeled_count + 1))
+        classify(EnumerationResult(result.order, result.kind, result.labeled_count + 1,
+                                   result.class_reps))
     report = classify(result)
     nonabelian = next(i for i, r in enumerate(report.rows)
                       if r.dual_key != r.key)
     reps = result.class_reps[:nonabelian] + result.class_reps[nonabelian + 1:]
     with pytest.raises(RuntimeError, match="duality"):
-        classify(replace(result, class_reps=reps))
+        classify(EnumerationResult(result.order, result.kind, result.labeled_count, reps))
 
 
 @pytest.mark.parametrize("kind, flags", [

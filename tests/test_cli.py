@@ -145,11 +145,12 @@ def test_catalog_list_order_out_of_range(capsys, order, message):
         assert message in captured.err and captured.out == ""
 
 
-def test_import_loads_no_process_pool():
-    # the pool is imported only when a command runs with more than one worker
+def test_import_loads_no_pool_dataclasses_or_csv():
+    # the pool is imported only when a command runs with more than one worker, csv only
+    # by the csv renderer; dataclasses (with inspect, ast and dis) is not used at all
     done = _python("import sys, dimonoids.cli; "
-                   "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-                   "if m in sys.modules])")
+                   "print([m for m in ('multiprocessing', 'concurrent.futures.process', "
+                   "'dataclasses', 'inspect', 'ast', 'dis', 'csv') if m in sys.modules])")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
 

@@ -3,13 +3,18 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import dimonoids
 from dimonoids import (canonical_form, check_dimonoid, check_doppelsemigroup,
                        enumerate_associative_tables, enumerate_dimonoids,
                        enumerate_doppelsemigroups, enumerate_semigroups,
@@ -244,6 +249,44 @@ def test_pool_sizes_agree(n, kind, monkeypatch):
         runs.append(([k.key for k, _ in result.class_reps], result.labeled_count,
                      dict(enumeration._RIGHT_TABLES)))
     assert runs[0] == runs[1] == runs[2]
+
+
+# sets the start method, runs a census with the pool forced and one serially, and prints
+# whether they agree and how many searches ran in this process (none when pooled)
+POOLED_VS_SERIAL = """
+import multiprocessing, sys
+from dimonoids import enumerate_structures, enumeration
+
+def census(kind, workers):
+    enumeration._pool_size = lambda n: workers
+    enumeration._RIGHT_TABLES.clear()
+    result = enumerate_structures(3, kind)
+    return [k.key for k, _ in result.class_reps], result.labeled_count
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    enumeration._reps(3)  # the semigroup search for the left tables runs here either way
+    search, searches = enumeration._search, []
+    enumeration._search = lambda *args: searches.append(args) or search(*args)
+    for kind in ("dimonoid", "doppelsemigroup"):
+        pooled = census(kind, 2)
+        in_parent = len(searches)
+        print(kind, in_parent, pooled == census(kind, 1), pooled[1])
+        searches.clear()
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_under_start_method(method):
+    # spawned workers import dimonoids afresh; the default on macOS and Windows (spawn)
+    # and on Linux from Python 3.14 (forkserver)
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not available on this platform")
+    env = {**os.environ, "PYTHONPATH": str(Path(dimonoids.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", POOLED_VS_SERIAL, method], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "dimonoid 0 True 267\ndoppelsemigroup 0 True 413\n"
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8, 64])

@@ -1,15 +1,21 @@
 """Tests for tables: validation, relabeling, duality, text and JSON codecs."""
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
 
-from dimonoids import (DiStructure, OpTable, OrderMismatchError, Permutation,
-                       TableFormatError, apply_permutation, format_distructure,
-                       format_table, parse_distructure, parse_structure,
-                       parse_table)
+from dimonoids import (AxiomVerdict, CanonicalKey, ClassificationReport, ClassRow,
+                       DimonoidProfile, DiStructure, EnumerationResult, GroupId,
+                       OpTable, OrderMismatchError, Permutation, SemigroupProfile,
+                       TableFormatError, apply_permutation, automorphisms,
+                       canonical_form, check_dimonoid, classify_order,
+                       dimonoid_profile, enumerate_dimonoids, format_distructure,
+                       format_table, identify_group, left_zero, parse_distructure,
+                       parse_structure, parse_table, right_zero, semigroup_profile)
 from dimonoids.tables import (distructure_from_json, distructure_to_json,
                               dumps_structure, table_from_json, table_to_json)
 
@@ -200,6 +206,12 @@ def test_parse_structure_detects_shape():
     assert isinstance(pair, DiStructure)
 
 
+# a float, a string and a JSON true, which int() used to coerce, and where they sit
+BAD_ENTRIES = [([[0, 1.9], [1, 0]], "1.9 (row 1, column 2)"),
+               ([[0, 1], [1, "0"]], "'0' (row 2, column 2)"),
+               ([[0, 1], [True, 0]], "True (row 2, column 1)")]
+
+
 def test_json_codec_table():
     t = OpTable.from_rows([(0, 1), (1, 0)])
     obj = table_to_json(t)
@@ -207,6 +219,10 @@ def test_json_codec_table():
     assert table_from_json(obj) == t
     with pytest.raises(TableFormatError):
         table_from_json({"order": 3, "entries": [[0, 1], [1, 0]]})
+    for rows, where in BAD_ENTRIES:
+        with pytest.raises(TableFormatError) as caught:
+            table_from_json({"order": 2, "entries": rows})
+        assert str(caught.value) == "not an integer: " + where
 
 
 def test_json_codec_distructure():
@@ -216,7 +232,81 @@ def test_json_codec_distructure():
     assert distructure_from_json(obj) == d
     with pytest.raises(TableFormatError):
         distructure_from_json({"order": 5, "left": obj["left"], "right": obj["right"]})
+    for rows, where in BAD_ENTRIES:
+        for left, right in ((rows, obj["right"]), (obj["left"], rows)):
+            with pytest.raises(TableFormatError) as caught:
+                distructure_from_json({"order": 2, "left": left, "right": right})
+            assert str(caught.value) == "not an integer: " + where
     parsed = json.loads(dumps_structure(d))
     assert parsed == obj
     parsed = json.loads(dumps_structure(d.left))
     assert parsed == table_to_json(d.left)
+
+
+# every immutable value type of the package, with its fields in order and a sample
+_PAIR = DiStructure(left_zero(2), right_zero(2))
+RECORDS = [
+    (OpTable, ("order", "entries"), lambda: _PAIR.left),
+    (DiStructure, ("left", "right"), lambda: _PAIR),
+    (Permutation, ("images",), lambda: Permutation((1, 0))),
+    (AxiomVerdict, ("mode", "left_associative", "right_associative", "d1", "d2", "d3",
+                    "d4", "witnesses"), lambda: check_dimonoid(_PAIR)),
+    (SemigroupProfile, ("commutative", "band", "semilattice", "right_commutative",
+                        "idempotents", "left_identities", "right_identities", "identity",
+                        "left_zeros", "right_zeros", "zero", "monogenic"),
+     lambda: semigroup_profile(_PAIR.left)),
+    (DimonoidProfile, ("trivial", "commutative", "abelian", "self_dual"),
+     lambda: dimonoid_profile(_PAIR)),
+    (CanonicalKey, ("order", "key", "witness"), lambda: canonical_form(_PAIR)),
+    (GroupId, ("order", "name", "abelian", "element_orders"),
+     lambda: identify_group(automorphisms(_PAIR))),
+    (EnumerationResult, ("order", "kind", "labeled_count", "class_reps"),
+     lambda: enumerate_dimonoids(2)),
+    (ClassRow, ("key", "name", "trivial", "commutative", "abelian", "aut", "dual_key"),
+     lambda: classify_order(2, "dimonoid").rows[-1]),
+    (ClassificationReport, ("order", "kind", "rows", "summary"),
+     lambda: classify_order(2, "dimonoid")),
+]
+
+
+@pytest.mark.parametrize("cls, fields, sample", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, fields, sample):
+    x = sample()
+    values = tuple(getattr(x, name) for name in fields)
+    assert cls(*values) == x == cls(**dict(zip(fields, values)))
+    assert repr(x) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in zip(fields, values))})"
+    # equal fields are not enough: the class must match too
+    twin = type("Twin", (cls,), {})(*values)
+    assert x != twin and twin != x and x != values
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is cls and y == x and repr(y) == repr(x)
+    try:
+        expected = hash(values)
+    except TypeError:  # a dict field, as in AxiomVerdict and ClassificationReport
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(copy.copy(x)) == expected
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert tuple(getattr(x, name) for name in fields) == values
+    kwargs = dict(zip(fields, values))
+    bad_calls = [
+        (values[:-1], {}),  # missing
+        (values + values[:1], {}),  # surplus
+        (values, {fields[0]: values[0]}),  # repeated
+        ((), {**kwargs, "extra": None}),  # unknown
+        ((), {k: v for k, v in kwargs.items() if k != fields[-1]}),  # missing keyword
+    ]
+    for args, kw in bad_calls:
+        with pytest.raises(TypeError):
+            cls(*args, **kw)
+
+
+def test_record_repr_text():
+    key = CanonicalKey(order=2, key=b"\x00", witness=Permutation((1, 0)))
+    assert repr(OpTable(2, (0, 1, 1, 0))) == "OpTable(order=2, entries=(0, 1, 1, 0))"
+    assert repr(key) == "CanonicalKey(order=2, key=b'\\x00', witness=Permutation(images=(1, 0)))"
