@@ -1,24 +1,52 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 25 s with two workers on a two-core machine):
+Run from the repository root (about 20 s with two workers on a two-core machine):
 
     PYTHONPATH=src python .github/order5_census.py
 
-`classify` raises if its own checks fail (the sum of 5!/|Aut(D)| from the
-matcher, duality closure); the unnamed counts check the order-5 catalog built
-on the census's right tables.  On a multi-core machine those right tables come
+`classify` raises if its own checks fail: duality closure, the semigroup
+classes up to duality against OEIS A001423, and the sum of 5!/|Aut(D)|
+against the labeled count, which tests that each Aut(L)-orbit of right tables
+is one class.  Its groups and dual keys come from the census (Aut(D) as the
+stabilizer of R in Aut(L), one dual key per dual pair), so every 97th class
+of both pair kinds is checked against the permutation matcher and a canonical
+form of its own dual.  The unnamed counts check the order-5 catalog built on
+the census's right tables.  On a multi-core machine those right tables come
 from a process pool started the platform's default way, so the dimonoid census
 is repeated with the pool's workers spawned and with the pool forced off, and
 all three must agree.  Spawned workers import this file again, which is why
 the work runs under the `__main__` guard.
 """
+import importlib
 import multiprocessing
+from itertools import islice
 
-from dimonoids import classify_order, enumerate_structures, enumeration
+from dimonoids import (Permutation, automorphisms, canonical_form, classify,
+                       enumerate_structures, enumeration, identify_group)
+
+# the package's `classify` attribute is the function, which hides the module
+census_auts = importlib.import_module("dimonoids.classify")._census_auts
 
 EXPECTED = {"semigroup": (183732, 1915), "dimonoid": (6488383, 55883),
             "doppelsemigroup": (7855432, 68177)}
 UNNAMED = {"dimonoid": 55609, "doppelsemigroup": 67442}
+SAMPLE_STEP = 97
+
+
+def check_sample(result, report):
+    """Compare every SAMPLE_STEP-th class's census group and dual key with the slow routes."""
+    checked = 0
+    for (key, rep), aut, row in islice(zip(result.class_reps, census_auts(result), report.rows),
+                                       0, None, SAMPLE_STEP):
+        matched = automorphisms(rep)
+        if tuple(Permutation(p) for p, _ in aut) != matched or row.aut != identify_group(matched):
+            raise SystemExit(f"order-5 {result.kind} {key.hex}: census group {row.aut.name} "
+                             f"differs from the matcher's")
+        if row.dual_key != canonical_form(rep.dual()).key.hex():
+            raise SystemExit(f"order-5 {result.kind} {key.hex}: paired dual key differs from "
+                             f"the class's own")
+        checked += 1
+    return checked
 
 
 def dimonoid_census(workers=None):
@@ -34,7 +62,9 @@ def main():
     workers = enumeration._pool_size(5)
     print("pool size at order 5:", workers)
     for kind, counts in EXPECTED.items():
-        summary = classify_order(5, kind).summary
+        result = enumerate_structures(5, kind)
+        report = classify(result)
+        summary = report.summary
         got = (summary["labeled"], summary["total"])
         print(kind, got, "trivial", summary["trivial"], "unnamed", summary["unnamed"])
         if got != counts or summary["trivial"] != 1915:
@@ -42,7 +72,9 @@ def main():
         if kind in UNNAMED and summary["unnamed"] != UNNAMED[kind]:
             raise SystemExit(f"order-5 {kind}: {summary['unnamed']} unnamed, "
                              f"expected {UNNAMED[kind]}")
-    pooled = dimonoid_census()  # the right tables classify_order kept
+        if kind != "semigroup":
+            print(kind, check_sample(result, report), "sampled classes agree with the matcher")
+    pooled = dimonoid_census()  # the right tables the first census kept
     multiprocessing.set_start_method("spawn", force=True)
     spawned = dimonoid_census(max(workers, 2))
     if spawned != pooled:

@@ -248,8 +248,9 @@ def dimonoid_profile(d: DiStructure) -> DimonoidProfile:
         all(le[x * n + y] == le[y * n + x] for x in range(n) for y in range(x + 1, n))
         and all(re[x * n + y] == re[y * n + x] for x in range(n) for y in range(x + 1, n)))
     abelian = all(le[x * n + y] == re[y * n + x] for x in range(n) for y in range(n))
-    dd = d.dual()
-    self_dual = dd.left == d.left and dd.right == d.right
+    # the dual pair is (transpose of R, transpose of L); column x of a table is e[x::n]
+    self_dual = (tuple(v for x in range(n) for v in re[x::n]) == le
+                 and tuple(v for x in range(n) for v in le[x::n]) == re)
     if abelian != self_dual:
         raise RuntimeError(f"abelian is {abelian} but self_dual is {self_dual}")
     return DimonoidProfile(trivial=trivial, commutative=commutative,

@@ -9,11 +9,11 @@ from functools import lru_cache
 from math import factorial
 
 from .catalog import named_class_map, named_semigroups
-from .enumeration import (EnumerationResult, SEMIGROUP, enumerate_dimonoids,
-                          enumerate_structures)
+from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES, _reps,
+                          enumerate_dimonoids, enumerate_structures)
 from .axioms import DIMONOID, dimonoid_profile
-from .iso import GroupId, automorphisms, canonical_form, identify_group
-from .tables import DiStructure, Record
+from .iso import GroupId, _stabilizer, canonical_form, identify_group
+from .tables import DiStructure, Permutation, Record
 
 log = logging.getLogger(__name__)
 
@@ -72,43 +72,84 @@ def match_names(d: DiStructure, kind: str = DIMONOID) -> str | None:
     return _name_map(d.order, kind).get(canonical_form(d).key)
 
 
+def _census_auts(result: EnumerationResult):
+    """Per class, in order, Aut(D) as the (images, gather) items of `_perm_data`, in its order.
+
+    A relabeling fixes a pair iff it fixes both tables.  The left block of a
+    canonical key is the representative L of its semigroup class, so Aut(D)
+    is the stabilizer of the right table in the Aut(L) the census already
+    holds.  Raises RuntimeError for a class whose left table is no
+    representative, which no canonical key has.
+    """
+    left_auts = dict(_reps(result.order))
+    for key, rep in result.class_reps:
+        aut = left_auts.get(rep.left.entries)
+        if aut is None:
+            raise RuntimeError(f"order-{result.order} {result.kind} class {key.hex}: "
+                               f"the left table is no semigroup representative")
+        yield _stabilizer(rep.right.entries, aut)
+
+
 def _check_census(result: EnumerationResult, rows) -> None:
     """Raise RuntimeError unless the class list is consistent with itself.
 
     The classes must be closed under duality; abelian pairs are table-equal
     to their dual, hence self-paired (the converse fails: a nonabelian class
-    can be isomorphic to its dual); and by orbit-stabilizer the classes'
-    orbit sizes n!/|Aut(D)| must sum to the labeled count, which the
-    enumeration derives without automorphism groups.
+    can be isomorphic to its dual).  Semigroup classes, counted once per
+    dual pair, must match OEIS A001423, an outside count that checks the
+    dual keys.  By orbit-stabilizer the orbit sizes
+    n!/|Aut(D)| must sum to the labeled count.  Aut(D) is the stabilizer of
+    R in Aut(L) and the labeled count is the sum of |orbit(L)| times the
+    survivors of L, so the sums agree exactly when each Aut(L)-orbit of
+    right tables is one class: the check tests the key deduplication, while
+    the tests compare the groups with the permutation matcher.
     """
+    n = result.order
     known = {r.key for r in rows}
     if not all(r.dual_key in known for r in rows):
-        raise RuntimeError(f"order-{result.order} {result.kind} classes not closed under duality")
+        raise RuntimeError(f"order-{n} {result.kind} classes not closed under duality")
     if not all(r.dual_key == r.key for r in rows if r.abelian):
-        raise RuntimeError(f"order-{result.order} {result.kind}: an abelian class is not self-paired")
-    orbits = sum(factorial(result.order) // r.aut.order for r in rows)
+        raise RuntimeError(f"order-{n} {result.kind}: an abelian class is not self-paired")
+    if result.kind == SEMIGROUP:
+        self_dual = sum(1 for r in rows if r.dual_key == r.key)
+        if len(rows) + self_dual != 2 * _SEMIGROUP_DUAL_CLASSES[n]:
+            raise RuntimeError(f"order-{n} semigroups: {len(rows)} classes with {self_dual} "
+                               f"self-dual make {(len(rows) + self_dual) / 2:g} up to duality, "
+                               f"expected {_SEMIGROUP_DUAL_CLASSES[n]}")
+    orbits = sum(factorial(n) // r.aut.order for r in rows)
     if orbits != result.labeled_count:
-        raise RuntimeError(f"order-{result.order} {result.kind}: class orbit sizes sum to "
+        raise RuntimeError(f"order-{n} {result.kind}: class orbit sizes sum to "
                            f"{orbits}, but the labeled count is {result.labeled_count}")
 
 
 def classify(result: EnumerationResult) -> ClassificationReport:
-    """Name, flag, and group every class of an enumeration result."""
+    """Name, flag, and group every class of an enumeration result.
+
+    Each distinct automorphism group is named once, and each dual key is
+    found once per dual pair and given to both classes.
+    """
     start = time.perf_counter()
     names = _name_map(result.order, result.kind)
     rows = []
     unnamed_seq = 0
-    for key, rep in result.class_reps:
+    groups: dict = {}  # Aut(D) -> its GroupId
+    dual_keys: dict = {}  # key bytes -> dual key bytes, filled from the partner
+    for (key, rep), aut in zip(result.class_reps, _census_auts(result)):
         flags = dimonoid_profile(rep)
         name = names.get(key.key)
         if name is None:
             unnamed_seq += 1
             name = f"unnamed-{result.order}-{unnamed_seq}"
-        aut = identify_group(automorphisms(rep))
-        dual_key = canonical_form(rep.dual()).key.hex()
+        group = groups.get(aut)
+        if group is None:
+            group = groups[aut] = identify_group([Permutation(p) for p, _ in aut])
+        dual_key = dual_keys.get(key.key)
+        if dual_key is None:
+            dual_key = canonical_form(rep.dual()).key
+            dual_keys[dual_key] = key.key
         rows.append(ClassRow(key=key.hex, name=name, trivial=flags.trivial,
                              commutative=flags.commutative, abelian=flags.abelian,
-                             aut=aut, dual_key=dual_key))
+                             aut=group, dual_key=dual_key.hex()))
     rows = tuple(rows)
     _check_census(result, rows)
     nonabelian = sum(1 for r in rows if not r.abelian)

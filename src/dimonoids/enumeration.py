@@ -16,6 +16,8 @@ and D3 for dimonoids or D2 and D4 for doppelsemigroups, and the labeled
 count is the sum of |orbit(L)| times the survivors of L.  A canonical key
 serializes the left block first, so it is L followed by the least
 relabeling of R over Aut(L); classes of different L never share a key.
+`classify` takes each class's automorphism group from the same Aut(L), as
+the stabilizer of its right table.
 The right tables of each L are searched once per process and kept, as
 bytes; the catalog relabels them onto its named left tables instead of
 searching those again.  The search takes one worker process per 128
@@ -41,13 +43,15 @@ from itertools import repeat
 from math import factorial
 
 from .axioms import ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS
-from .iso import CanonicalKey, _min_key, _perm_data, distructure_from_key
+from .iso import CanonicalKey, _min_key, _perm_data, _stabilizer, distructure_from_key
 from .tables import OpTable, Permutation, Record
 
 SEMIGROUP = "semigroup"
 ENUM_KINDS = (SEMIGROUP, DIMONOID, DOPPELSEMIGROUP)
 # Per order: semigroup classes (OEIS A027851) and labeled associative tables (A023814)
 _SEMIGROUP_COUNTS = {1: (1, 1), 2: (5, 8), 3: (24, 113), 4: (188, 3492), 5: (1915, 183732)}
+# Per order: semigroup classes up to isomorphism or anti-isomorphism (OEIS A001423)
+_SEMIGROUP_DUAL_CLASSES = {1: 1, 2: 4, 3: 18, 4: 126, 5: 1160}
 MAX_ORDER = max(_SEMIGROUP_COUNTS)
 
 log = logging.getLogger(__name__)
@@ -179,8 +183,7 @@ def _reps(n: int):
     """
     start = time.perf_counter()
     perms = _perm_data(n)
-    reps = tuple((t, tuple((p, g) for p, g in perms if tuple(p[t[j]] for j in g) == t))
-                 for t in _search(None, n, SEMIGROUP, perms[1:]))
+    reps = tuple((t, _stabilizer(t, perms)) for t in _search(None, n, SEMIGROUP, perms[1:]))
     counts = (len(reps), sum(factorial(n) // len(aut) for _, aut in reps))
     if counts != _SEMIGROUP_COUNTS[n]:
         raise RuntimeError(f"order-{n} semigroup search found {counts[0]} classes of "

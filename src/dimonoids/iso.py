@@ -42,6 +42,11 @@ def _perm_data(n: int):
     return tuple(out)
 
 
+def _stabilizer(e, perms):
+    """The (images, gather) items of perms that fix the flat table e, in perms' order."""
+    return tuple((p, g) for p, g in perms if tuple(p[e[j]] for j in g) == e)
+
+
 def _min_key(le, re, n, perms=None):
     """(best tuple, witness images) minimizing the serialization relabeled by
     perms, in lexicographic order (default: all of `_perm_data(n)`)."""

@@ -97,8 +97,8 @@ class OpTable(Record):
         if len(entries) != n * n:
             raise ValueError(f"expected {n * n} entries for order {n}, got {len(entries)}")
         for v in entries:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise ValueError(f"entry {v!r} outside 0..{n - 1}")
+            if type(v) is not int or not 0 <= v < n:  # type, not isinstance: refuses bool
+                raise ValueError(f"entry {v!r} is not an int in 0..{n - 1}")
         self.__dict__.update(order=order, entries=entries)
 
     @classmethod
@@ -167,7 +167,8 @@ class Permutation(Record):
 
     def __init__(self, images):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        if (sorted(images) != list(range(len(images)))
+                or any(type(v) is not int for v in images)):  # refuses bool
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         self.__dict__["images"] = images
 

@@ -2,17 +2,25 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
+import sys
 from math import factorial
 
 import pytest
 
-from dimonoids import (DiStructure, EnumerationResult, Permutation,
-                       canonical_table_key, classify, classify_order, cyclic,
-                       enumerate_dimonoids, enumerate_semigroups, left_zero,
+from dimonoids import (DiStructure, EnumerationResult, Permutation, automorphisms,
+                       canonical_form, canonical_table_key, classify, classify_order,
+                       cyclic, enumerate_dimonoids, enumerate_semigroups,
+                       enumerate_structures, identify_group, left_zero,
                        left_zero_collapse, match_names, render_report,
                        right_zero, solve_problem1, structure_dual_name)
+from dimonoids import enumeration, iso
+from dimonoids.enumeration import ENUM_KINDS
+
+# the package's `classify` attribute is the function, which hides the module
+classify_module = importlib.import_module("dimonoids.classify")
 
 # automorphism groups of the two-element classes
 TABLE_ORDER2 = {
@@ -270,3 +278,64 @@ def test_classify_rejects_inconsistent_census():
 def test_order4_flag_counts(kind, flags):
     summary = classify_order(4, kind).summary
     assert {k: summary[k] for k in flags} == flags
+
+
+@pytest.mark.parametrize("kind", ENUM_KINDS)
+def test_census_groups_and_dual_keys_match_the_matcher(kind):
+    # reference: the n! permutation matcher and a canonical form of each class's dual
+    for n in range(1, 5):
+        result = enumerate_structures(n, kind)
+        report = classify(result)
+        auts = classify_module._census_auts(result)
+        for (key, rep), aut, row in zip(result.class_reps, auts, report.rows, strict=True):
+            matched = automorphisms(rep)
+            assert tuple(Permutation(p) for p, _ in aut) == matched
+            assert row.aut == identify_group(matched)
+            assert row.dual_key == canonical_form(rep.dual()).key.hex()
+
+
+def test_classify_rejects_a_left_table_outside_the_census():
+    d = DiStructure(cyclic(3), right_zero(3)).relabel(Permutation((1, 2, 0)))
+    assert d.left.entries not in dict(enumeration._reps(3))
+    with pytest.raises(RuntimeError, match="no semigroup representative"):
+        classify(EnumerationResult(3, "dimonoid", 1, ((canonical_form(d), d),)))
+
+
+def test_classify_runs_without_the_matcher(monkeypatch):
+    reports = [classify_order(3, kind) for kind in ENUM_KINDS]
+
+    def refuse(*args):
+        raise AssertionError("classify ran the permutation matcher")
+
+    matcher = iso.automorphisms
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dimonoids" and getattr(module, "automorphisms", None) is matcher:
+            monkeypatch.setattr(module, "automorphisms", refuse)
+    assert [classify_order(3, kind) for kind in ENUM_KINDS] == reports
+
+
+def test_one_dual_canonical_form_per_dual_pair(monkeypatch):
+    results = [enumerate_structures(3, kind) for kind in ENUM_KINDS]
+    for result in results:
+        classify(result)  # fills the cached name maps, which take canonical forms too
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return canonical_form(d)
+
+    monkeypatch.setattr(classify_module, "canonical_form", counted)
+    for result in results:
+        calls.clear()
+        report = classify(result)
+        self_paired = sum(1 for r in report.rows if r.dual_key == r.key)
+        assert len(calls) == (len(report.rows) + self_paired) // 2
+
+
+def test_semigroup_dual_pairs_checked_against_oeis(monkeypatch):
+    # OEIS A001423: 24 classes with 12 self-dual make 18 up to anti-isomorphism
+    report = classify(enumerate_semigroups(3))
+    assert sum(1 for r in report.rows if r.dual_key == r.key) == 12
+    monkeypatch.setitem(enumeration._SEMIGROUP_DUAL_CLASSES, 3, 17)
+    with pytest.raises(RuntimeError, match="18 up to duality, expected 17"):
+        classify(enumerate_semigroups(3))

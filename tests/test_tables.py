@@ -45,6 +45,19 @@ def test_optable_validation():
         OpTable.from_rows([(0, 1), (0,)])  # not square
 
 
+def test_optable_refuses_bool_entries():
+    # True == 1 and False == 0, so without the check these would equal int tables
+    with pytest.raises(ValueError, match="True"):
+        OpTable(2, (True, False, False, True))
+    with pytest.raises(ValueError):
+        OpTable(2, (0, 1, 1, False))
+    with pytest.raises(ValueError):
+        OpTable.from_function(2, lambda x, y: x == y)
+    with pytest.raises(ValueError):
+        OpTable(2, (0.0, 1, 1, 0))
+    assert OpTable.from_function(2, lambda x, y: int(x == y)).entries == (1, 0, 0, 1)
+
+
 def test_transpose():
     t = OpTable.from_rows([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
     tt = t.transpose()
@@ -64,6 +77,13 @@ def test_permutation_basics():
     assert Permutation.identity(4).images == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+def test_permutation_refuses_bool_images():
+    with pytest.raises(ValueError):
+        Permutation((True, False))
+    with pytest.raises(ValueError):
+        Permutation((0, True, 2))
 
 
 def test_permutation_compose_convention():
