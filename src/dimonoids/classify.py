@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 import time
 from functools import lru_cache
 from math import factorial
@@ -13,9 +12,7 @@ from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES,
                           enumerate_dimonoids, enumerate_structures)
 from .axioms import DIMONOID, dimonoid_profile
 from .iso import GroupId, _stabilizer, canonical_form, identify_group
-from .tables import DiStructure, Permutation, Record
-
-log = logging.getLogger(__name__)
+from .tables import DiStructure, Permutation, Record, log_info
 
 
 class ClassRow(Record):
@@ -166,7 +163,7 @@ def classify(result: EnumerationResult) -> ClassificationReport:
         "nonabelian_self_paired": self_paired_nonabelian,
         "unnamed": sum(1 for r in rows if r.name.startswith("unnamed-")),
     }
-    log.info("order %d: %d %s classes classified in %.2f s",
+    log_info(__name__, "order %d: %d %s classes classified in %.2f s",
              result.order, len(rows), result.kind, time.perf_counter() - start)
     return ClassificationReport(order=result.order, kind=result.kind,
                                 rows=rows, summary=summary)

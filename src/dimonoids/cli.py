@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 
 from . import catalog
@@ -17,10 +16,8 @@ from .axioms import (DIMONOID, DOPPELSEMIGROUP, check_structure,
 from .enumeration import (ENUM_KINDS, SEMIGROUP, enumerate_structures,
                           write_classes_jsonl)
 from .iso import are_isomorphic, automorphisms, canonical_form, identify_group
-from .tables import (DiStructure, OpTable, format_distructure, format_table,
+from .tables import (DiStructure, OpTable, format_distructure, format_table, log_info,
                      parse_structure)
-
-log = logging.getLogger("dimonoids")
 
 
 def _read_structure(path: str):
@@ -156,7 +153,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    log.info("enumerating %s classes of order %d", args.kind, args.order)
+    log_info("dimonoids", "enumerating %s classes of order %d", args.kind, args.order)
     result = enumerate_structures(args.order, args.kind)
     stream = _open_out(args.out)
     try:
@@ -263,9 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(message)s")
+    if args.verbose:
+        # imported only here: without -v nothing is logged (see tables.log_info)
+        import logging
+
+        logging.basicConfig(stream=sys.stderr, level=logging.INFO,
+                            format="%(levelname)s %(message)s")
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -5,19 +5,26 @@ order against a fixed left table.  It checks the identities of
 `axioms.IDENTITIES` and associativity, each of the form
 A[B[x][y]][z] = C[x][D[y][z]] over the left (L) and right (R) tables.
 After each cell only the triples that look that cell up are checked,
-and a branch is cut at the first identity a filled cell breaks.  With the
-right table as its own left table and associativity alone, the search
-yields the labeled associative tables; cutting also every branch that some
-relabeling makes lexicographically smaller (lex-leader symmetry breaking)
-leaves one table L per semigroup class, the first of its n!/|Aut(L)|-table
-orbit.  Every pair is isomorphic to one whose left table is such an L, so
-right tables are searched only for those, under associativity with D1, D2
-and D3 for dimonoids or D2 and D4 for doppelsemigroups, and the labeled
-count is the sum of |orbit(L)| times the survivors of L.  A canonical key
-serializes the left block first, so it is L followed by the least
-relabeling of R over Aut(L); classes of different L never share a key.
-`classify` takes each class's automorphism group from the same Aut(L), as
-the stabilizer of its right table.
+and a branch is cut at the first identity a filled cell breaks.  A triple
+whose only empty lookup is an outer R cell (A or C) forces that cell's
+value, so a conflicting second value cuts the branch before the cell is
+reached, and a forced cell is tried with that value alone.  D1 looks R up
+once, so it becomes a domain per cell, computed from L before the search.
+With the right table as its own left table and associativity alone, the
+search yields the labeled associative tables; cutting also every branch
+that some relabeling makes lexicographically smaller (lex-leader symmetry
+breaking) leaves one table L per semigroup class, the first of its
+n!/|Aut(L)|-table orbit.  Each depth keeps the relabelings not yet shown
+to make the table larger, so at a leaf the survivors are Aut(L) and no
+second pass over the n! relabelings finds it.  Every pair is isomorphic
+to one whose left table is such an L, so right tables are searched only
+for those, under associativity with D1, D2 and D3 for dimonoids or D2 and
+D4 for doppelsemigroups, and the labeled count is the sum of |orbit(L)|
+times the survivors of L.  A canonical key serializes the left block
+first, so it is L followed by the least relabeling of R over Aut(L);
+classes of different L never share a key.  `classify` takes each class's
+automorphism group from the same Aut(L), as the stabilizer of its right
+table.
 The right tables of each L are searched once per process and kept, as
 bytes; the catalog relabels them onto its named left tables instead of
 searching those again.  The search takes one worker process per 128
@@ -35,7 +42,6 @@ Orders 1..5 are supported; larger orders are refused.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import time
 from functools import lru_cache
@@ -43,8 +49,8 @@ from itertools import repeat
 from math import factorial
 
 from .axioms import ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS
-from .iso import CanonicalKey, _min_key, _perm_data, _stabilizer, distructure_from_key
-from .tables import OpTable, Permutation, Record
+from .iso import CanonicalKey, _min_key, _perm_data, distructure_from_key
+from .tables import OpTable, Permutation, Record, log_info
 
 SEMIGROUP = "semigroup"
 ENUM_KINDS = (SEMIGROUP, DIMONOID, DOPPELSEMIGROUP)
@@ -53,8 +59,6 @@ _SEMIGROUP_COUNTS = {1: (1, 1), 2: (5, 8), 3: (24, 113), 4: (188, 3492), 5: (191
 # Per order: semigroup classes up to isomorphism or anti-isomorphism (OEIS A001423)
 _SEMIGROUP_DUAL_CLASSES = {1: 1, 2: 4, 3: 18, 4: 126, 5: 1160}
 MAX_ORDER = max(_SEMIGROUP_COUNTS)
-
-log = logging.getLogger(__name__)
 
 
 def _check_order(n: int):
@@ -70,17 +74,28 @@ _AXIOMS = {kind: tuple(IDENTITIES[a] for a in KIND_AXIOMS.get(kind, ())) + (ASSO
            for kind in ENUM_KINDS}
 
 
-def _search(le, n: int, kind: str, perms=()):
+def _search(le, n: int, kind: str, perms=None):
     """Yield every flat right table satisfying kind's axioms with left table le.
 
     Tables come in lexicographic order.  With le None (kind SEMIGROUP) the
-    left table is the right table itself, so they are the associative tables;
-    a branch that some relabeling (images, gather) in perms makes smaller is cut.
+    left table is the right table itself, so they are the associative tables.
+    Given perms, a sequence of relabelings (images, gather), possibly empty as
+    at order 1, the search cuts every branch that one of them makes smaller
+    and yields (table, the list of its automorphisms among perms) instead.
 
     Cells are filled in row-major order; -1 marks an empty cell.  After cell
     (a, b) is set, only the triples with that cell among their four lookups
     are checked; a triple becomes decided exactly when its last lookup is
     filled, so every triple is checked once all of its lookups are known.
+    A triple decided but for an outer lookup of R, A[u][z] or C[x][w], forces
+    that cell to the value of the other side: a second, different value fails
+    at once, and a forced cell is tried with its one value only.  D1 (LLLR)
+    looks R up only at R[y][z], so it confines each cell to a domain fixed by
+    L before the search and is not checked per cell.  Per depth k, alive[k]
+    holds the relabelings of perms not yet shown to make the table larger; a
+    relabeling larger at a decided position with every earlier one equal stays
+    larger below that node, so depth k + 1 scans only the survivors of depth k
+    and the survivors at a leaf are exactly its automorphisms.
     """
     nn = n * n
     rng = range(n)
@@ -92,13 +107,40 @@ def _search(le, n: int, kind: str, perms=()):
     t_cells = [[] for _ in rng]
     le_cells = t_cells if le is t else [[(x, y) for x in rng for y in rng if le[x * n + y] == v]
                                         for v in rng]
+    # per cell, the least value at or after each start value it may take (n: none)
+    nxt = [tuple(range(n + 1))] * nn
     plan = []
     for axiom in _AXIOMS[kind]:
+        if axiom == IDENTITIES["d1"]:  # L[L[x][y]][z] = L[x][R[y][z]] for every x
+            cols = [tuple(le[x * n + w] for x in rng) for w in rng]
+            nxt = []
+            for y in rng:
+                for z in rng:
+                    col = tuple(le[le[x * n + y] * n + z] for x in rng)
+                    row = [n] * (n + 1)
+                    for w in reversed(rng):
+                        row[w] = w if cols[w] == col else row[w + 1]
+                    nxt.append(row)
+            continue
         A, B, C, D = (t if c == "R" else le for c in axiom)
         plan.append((A, B, C, D, t_cells if B is t else le_cells, t_cells if D is t else le_cells))
+    forced = [-1] * nn
+    trails = [[] for _ in range(nn)]  # per depth, the cells it forced
 
-    def holds(a, b, v):
-        """Whether every decided triple that looks up the new cell (a, b) = v holds."""
+    def force(c, w, trail):
+        """Force empty cell c to w; False if it is forced otherwise or w is outside its domain."""
+        f = forced[c]
+        if f < 0:
+            if nxt[c][w] != w:
+                return False
+            forced[c] = w
+            trail.append(c)
+            return True
+        return f == w
+
+    def holds(a, b, v, trail):
+        """Whether every decided triple that looks up the new cell (a, b) = v holds,
+        forcing the cell each triple decided but for an outer lookup needs."""
         an, bn, vn = a * n, b * n, v * n
         for A, B, C, D, b_cells, d_cells in plan:
             if B is t:  # B[a][b]: triples (a, b, z)
@@ -107,7 +149,8 @@ def _search(le, n: int, kind: str, perms=()):
                     if yz >= 0:
                         u = A[vn + z]
                         w = C[an + yz]
-                        if u != w and u >= 0 and w >= 0:
+                        if u != w and not (force(vn + z, w, trail) if u < 0 else
+                                           w < 0 and force(an + yz, u, trail)):
                             return False
             if D is t:  # D[a][b]: triples (x, a, b)
                 for x in rng:
@@ -116,45 +159,60 @@ def _search(le, n: int, kind: str, perms=()):
                     if xy >= 0:
                         u = A[xy * n + b]
                         w = C[xn + v]
-                        if u != w and u >= 0 and w >= 0:
+                        if u != w and not (force(xy * n + b, w, trail) if u < 0 else
+                                           w < 0 and force(xn + v, u, trail)):
                             return False
             if A is t:  # A[a][b]: triples (x, y, b) with B[x][y] = a
                 for x, y in b_cells[a]:
                     yz = D[y * n + b]
                     if yz >= 0:
                         w = C[x * n + yz]
-                        if w != v and w >= 0:
+                        if w != v and not (w < 0 and force(x * n + yz, v, trail)):
                             return False
             if C is t:  # C[a][b]: triples (a, y, z) with D[y][z] = b
                 for y, z in d_cells[b]:
                     xy = B[an + y]
                     if xy >= 0:
                         u = A[xy * n + z]
-                        if u != v and u >= 0:
+                        if u != v and not (u < 0 and force(xy * n + z, v, trail)):
                             return False
         return True
 
+    alive = [perms] + [None] * nn
+
     def leads(k):
-        """Whether no relabeling p[t[gather[i]]] makes the filled prefix t[:k + 1] smaller."""
-        for p, gather in perms:
+        """Whether no relabeling p[t[gather[i]]] in alive[k] makes the filled prefix
+        t[:k + 1] smaller; if so, keep those it does not make larger as alive[k + 1]."""
+        kept = []
+        for item in alive[k]:
+            p, gather = item
             for i in range(k + 1):
                 u = t[gather[i]]
                 if u < 0:
+                    kept.append(item)
                     break
                 w = p[u]
                 if w != t[i]:
                     if w < t[i]:
                         return False
                     break
+            else:
+                kept.append(item)
+        alive[k + 1] = kept
         return True
 
     last = nn - 1
     k = 0
     while k >= 0:
+        trail = trails[k]
+        for c in trail:
+            forced[c] = -1
+        trail.clear()
         old = t[k]
         if old >= 0:
             t_cells[old].pop()
-        v = old + 1
+        f = forced[k]
+        v = nxt[k][old + 1] if f < 0 else n if old >= 0 else f
         if v == n:
             t[k] = -1
             k -= 1
@@ -162,9 +220,9 @@ def _search(le, n: int, kind: str, perms=()):
         t[k] = v
         a, b = divmod(k, n)
         t_cells[v].append((a, b))
-        if holds(a, b, v) and (not perms or leads(k)):
+        if holds(a, b, v, trail) and (perms is None or leads(k)):
             if k == last:
-                yield tuple(t)
+                yield tuple(t) if perms is None else (tuple(t), alive[nn])
             else:
                 k += 1
 
@@ -183,12 +241,12 @@ def _reps(n: int):
     """
     start = time.perf_counter()
     perms = _perm_data(n)
-    reps = tuple((t, _stabilizer(t, perms)) for t in _search(None, n, SEMIGROUP, perms[1:]))
+    reps = tuple((t, (perms[0], *aut)) for t, aut in _search(None, n, SEMIGROUP, perms[1:]))
     counts = (len(reps), sum(factorial(n) // len(aut) for _, aut in reps))
     if counts != _SEMIGROUP_COUNTS[n]:
         raise RuntimeError(f"order-{n} semigroup search found {counts[0]} classes of "
                            f"{counts[1]} tables, expected {_SEMIGROUP_COUNTS[n]}")
-    log.info("order %d: %d semigroup classes (%d tables) in %.2f s",
+    log_info(__name__, "order %d: %d semigroup classes (%d tables) in %.2f s",
              n, *counts, time.perf_counter() - start)
     return reps
 
@@ -257,7 +315,7 @@ def _result(n: int, kind: str, labeled: int, keys) -> EnumerationResult:
     for kb in sorted(keys):
         key = CanonicalKey(order=n, key=kb, witness=identity)
         class_reps.append((key, distructure_from_key(key)))
-    log.info("order %d: %d %s classes keyed in %.2f s",
+    log_info(__name__, "order %d: %d %s classes keyed in %.2f s",
              n, len(class_reps), kind, time.perf_counter() - start)
     return EnumerationResult(order=n, kind=kind, labeled_count=labeled,
                              class_reps=tuple(class_reps))
@@ -274,14 +332,14 @@ def _enumerate_pairs(n: int, kind: str):
         from concurrent.futures import ProcessPoolExecutor
 
         # per-representative work is uneven, so deal them out round-robin
-        log.info("order %d: %d worker processes search %d representatives",
+        log_info(__name__, "order %d: %d worker processes search %d representatives",
                  n, workers, len(missing))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for share in pool.map(_right_table_share, repeat(n), repeat(kind),
                                   [missing[i::workers] for i in range(workers)]):
                 _RIGHT_TABLES.update(((le, kind), rights) for le, rights in share)
     labeled, keys = _pair_chunk(n, kind, reps)
-    log.info("order %d: %s pair search found %d labeled in %.2f s",
+    log_info(__name__, "order %d: %s pair search found %d labeled in %.2f s",
              n, kind, labeled, time.perf_counter() - start)
     return _result(n, kind, labeled, keys)
 

@@ -12,8 +12,21 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import sys
 from itertools import permutations
 from operator import itemgetter
+
+
+def log_info(name: str, msg: str, *args) -> None:
+    """Log msg % args at INFO through logger name, if `logging` is loaded.
+
+    Until something imports `logging` no handler is configured, so an INFO
+    record would go nowhere; skipping it keeps the module out of a cold
+    start.  The CLI imports it under -v.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).info(msg, *args)
 
 
 class TableFormatError(ValueError):

@@ -155,6 +155,26 @@ def test_import_loads_no_pool_dataclasses_or_csv():
     assert done.stdout == "[]\n"
 
 
+def test_classify_without_verbose_leaves_logging_unloaded():
+    # nothing is logged without -v, so the command never needs the logging package
+    done = _python("import io, sys, contextlib; from dimonoids.cli import main\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    main(['classify', '--order', '3'])\n"
+                   "print('logging' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_verbose_logs_each_stage():
+    done = _python(CLI, "-v", "classify", "--order", "3", "--kind", "dimonoid")
+    assert done.returncode == 0, done.stderr
+    assert [line.rsplit(" in ", 1)[0] for line in done.stderr.splitlines()] == [
+        "INFO order 3: 24 semigroup classes (113 tables)",
+        "INFO order 3: dimonoid pair search found 267 labeled",
+        "INFO order 3: 52 dimonoid classes keyed",
+        "INFO order 3: 52 dimonoid classes classified"]
+
+
 def test_catalog_list(capsys):
     assert main(["catalog", "list", "--order", "2"]) == 0
     out = capsys.readouterr().out

@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from functools import lru_cache
@@ -20,10 +21,10 @@ from dimonoids import (canonical_form, check_dimonoid, check_doppelsemigroup,
                        enumerate_doppelsemigroups, enumerate_semigroups,
                        enumerate_structures, is_associative)
 from dimonoids import enumeration
-from dimonoids.axioms import _pair_axioms_hold, assoc_witness
+from dimonoids.axioms import _pair_axioms_hold, assoc_witness, identity_witness
 from dimonoids.enumeration import (ENUM_KINDS, _reps, _search, class_lines,
                                    write_classes_jsonl)
-from dimonoids.iso import _min_key, _perm_data
+from dimonoids.iso import _min_key, _perm_data, _stabilizer
 
 KINDS = ("dimonoid", "doppelsemigroup")
 
@@ -204,6 +205,13 @@ def test_left_reps_are_semigroup_classes(n, reps, labeled):
     assert sum(size for _, size in lefts) == labeled
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_left_rep_groups_are_their_stabilizers(n):
+    # the search's surviving relabelings, identity first, in `_perm_data` order
+    perms = _perm_data(n)
+    assert [aut for _, aut in _reps(n)] == [_stabilizer(t, perms) for t, _ in _reps(n)]
+
+
 def test_left_reps_raise_on_counts_off_oeis(monkeypatch):
     monkeypatch.setitem(enumeration._SEMIGROUP_COUNTS, 2, (5, 9))
     with pytest.raises(RuntimeError, match="expected"):
@@ -229,6 +237,23 @@ def test_order4_search_matches_filtering_every_right_table(kind):
     for le, _ in _reps(4)[::10]:
         expected = [re for re in tables if _pair_axioms_hold(le, re, 4, kind)]
         assert list(_search(le, 4, kind)) == expected
+
+
+# every order-2 left table and 20 seeded order-3 ones, associative or not
+ARBITRARY_LEFTS = ([(2, le) for le in product(range(2), repeat=4)]
+                   + [(3, tuple(random.Random(seed).choices(range(3), k=9)))
+                      for seed in range(20)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_search_matches_filtering_every_right_table_for_arbitrary_left_tables(kind):
+    # forced cells and the D1 domains must agree with the plain identities even where L
+    # breaks them itself, e.g. a value forced outside a cell's D1 domain is refused
+    for n, le in ARBITRARY_LEFTS:
+        expected = [re for re in product(range(n), repeat=n * n)
+                    if all(identity_witness(letters, le, re, n) is None
+                           for letters in enumeration._AXIOMS[kind])]
+        assert list(_search(le, n, kind)) == expected, le
 
 
 @pytest.mark.parametrize("kind", KINDS)
