@@ -1,6 +1,6 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 16 s with two workers on a two-core machine):
+Run from the repository root (about 35 s with two workers on a two-core machine):
 
     PYTHONPATH=src python .github/order5_census.py
 
@@ -9,25 +9,28 @@ automorphism group it returns for each of the 1,915 representatives is the
 stabilizer of the table among all 120 relabelings, in the same order.
 `classify` raises if its own checks fail: duality closure, the semigroup
 classes up to duality against OEIS A001423, and the sum of 5!/|Aut(D)|
-against the labeled count, which tests that each Aut(L)-orbit of right tables
-is one class.  Its groups and dual keys come from the census (Aut(D) as the
-stabilizer of R in Aut(L), one dual key per dual pair), so every 97th class
-of both pair kinds is checked against the permutation matcher and a canonical
-form of its own dual.  The unnamed counts check the order-5 catalog built on
-the census's right tables.  On a multi-core machine those right tables come
-from a process pool started the platform's default way, so the dimonoid census
-is repeated with the pool's workers spawned and with the pool forced off, and
-all three must agree.  Spawned workers import this file again, which is why
-the work runs under the `__main__` guard.
+against the labeled count.  Its keys and groups come from the leader search
+over Aut(L) (each class keyed by the least right table of its Aut(L)-orbit,
+Aut(D) the automorphisms the search kept) and its dual keys from
+`canonical_form`, which minimizes the right table over the left table's
+coset only, once per dual pair.  So every 97th class of both pair kinds is
+checked against the permutation matcher, and its key and its dual's against
+`iso._min_key`, which scans all 120 relabelings of both tables.  The time of
+each census is printed.  The unnamed counts check the order-5 catalog built
+on the census's right tables.  On a multi-core machine those right tables
+come from a process pool started the platform's default way, so the
+dimonoid census is repeated with the pool's workers spawned and with the
+pool forced off, and all three must agree.  Spawned workers import this
+file again, which is why the work runs under the `__main__` guard.
 """
 import importlib
 import multiprocessing
 import time
 from itertools import islice
 
-from dimonoids import (Permutation, automorphisms, canonical_form, classify,
-                       enumerate_structures, enumeration, identify_group)
-from dimonoids.iso import _perm_data, _stabilizer
+from dimonoids import (Permutation, automorphisms, classify, enumerate_structures, enumeration,
+                       identify_group)
+from dimonoids.iso import _min_key, _perm_data, _stabilizer
 
 # the package's `classify` attribute is the function, which hides the module
 census_auts = importlib.import_module("dimonoids.classify")._census_auts
@@ -38,8 +41,13 @@ UNNAMED = {"dimonoid": 55609, "doppelsemigroup": 67442}
 SAMPLE_STEP = 97
 
 
+def exhaustive_key(d):
+    """The canonical key of d over all 120 relabelings of both tables, as hex."""
+    return bytes(_min_key(d.left.entries, d.right.entries, 5)[0]).hex()
+
+
 def check_sample(result, report):
-    """Compare every SAMPLE_STEP-th class's census group and dual key with the slow routes."""
+    """Compare every SAMPLE_STEP-th class's census group, key and dual key with the slow routes."""
     checked = 0
     for (key, rep), aut, row in islice(zip(result.class_reps, census_auts(result), report.rows),
                                        0, None, SAMPLE_STEP):
@@ -47,9 +55,12 @@ def check_sample(result, report):
         if tuple(Permutation(p) for p, _ in aut) != matched or row.aut != identify_group(matched):
             raise SystemExit(f"order-5 {result.kind} {key.hex}: census group {row.aut.name} "
                              f"differs from the matcher's")
-        if row.dual_key != canonical_form(rep.dual()).key.hex():
-            raise SystemExit(f"order-5 {result.kind} {key.hex}: paired dual key differs from "
-                             f"the class's own")
+        if row.key != exhaustive_key(rep):
+            raise SystemExit(f"order-5 {result.kind} {key.hex}: census key differs from the "
+                             f"exhaustive key")
+        if row.dual_key != exhaustive_key(rep.dual()):
+            raise SystemExit(f"order-5 {result.kind} {key.hex}: dual key differs from the "
+                             f"exhaustive key of the dual")
         checked += 1
     return checked
 
@@ -82,7 +93,10 @@ def main():
     workers = enumeration._pool_size(5)
     print("pool size at order 5:", workers)
     for kind, counts in EXPECTED.items():
+        start = time.perf_counter()
         result = enumerate_structures(5, kind)
+        print(f"order-5 {kind} census (pair search and keys) in "
+              f"{time.perf_counter() - start:.2f} s")
         report = classify(result)
         summary = report.summary
         got = (summary["labeled"], summary["total"])

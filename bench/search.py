@@ -1,4 +1,4 @@
-"""Time the two census search stages: the leader search and the right-table search.
+"""Time the census search stages and the dual keys that `classify` takes.
 
 Run from the repository root, optionally naming a JSON file to write:
 
@@ -6,10 +6,16 @@ Run from the repository root, optionally naming a JSON file to write:
 
 For orders 3 and 4 (every semigroup representative) and 5 (every 10th), it
 prints the best of 5 wall times of `enumeration._reps(n)`, with its cache
-cleared, and of `enumeration._search(le, n, kind)` run over the
-representatives' left tables for each pair kind, together with the tables
-found.  OUT.json gets the same rows plus the commit, the Python version and
-the CPU count.  The source measured is the `src/` next to this script.
+cleared, and, for each pair kind over the representatives' left tables, of
+the full right-table search `enumeration._search(le, n, kind)` and of the
+search as the census runs it, over Aut(L) (`_search(le, n, kind, aut[1:])`),
+together with the tables found: every right table, and one leader per
+Aut(L)-orbit.  For one order-4 census of each pair kind it then times the
+canonical forms of one class per dual pair, as `classify` takes them, with
+the left-table coset cache cleared, and the exhaustive `iso._min_key` over
+all n! relabelings of the same pairs.  OUT.json gets the same rows plus the
+commit, the Python version and the CPU count.  The source measured is the
+`src/` next to this script.
 """
 import json
 import os
@@ -22,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dimonoids import enumeration  # noqa: E402
+from dimonoids import classify, enumerate_structures, enumeration, iso  # noqa: E402
 
 REPEATS = 5
 STEPS = {3: 1, 4: 1, 5: 10}  # every step-th representative's right tables are searched
@@ -44,8 +50,27 @@ def reps_fresh(n):
     return enumeration._reps(n)
 
 
-def right_tables(les, n, kind):
-    return sum(1 for le in les for _ in enumeration._search(le, n, kind))
+def right_tables(reps, n, kind, leaders):
+    """Tables the right-table search yields over reps: every one, or one per Aut(L)-orbit."""
+    return sum(1 for le, aut in reps
+               for _ in enumeration._search(le, n, kind, aut[1:] if leaders else None))
+
+
+def dual_pairs(n, kind):
+    """The dual of one class per dual pair of the order-n census, as `classify` keys them."""
+    result = enumerate_structures(n, kind)
+    report = classify(result)
+    return [rep.dual() for (_, rep), row in zip(result.class_reps, report.rows)
+            if row.dual_key >= row.key]
+
+
+def coset_keys(duals):
+    iso._left_coset.cache_clear()
+    return len([iso.canonical_form(d) for d in duals])
+
+
+def exhaustive_keys(duals):
+    return len([iso._min_key(d.left.entries, d.right.entries, d.order) for d in duals])
 
 
 def commit():
@@ -63,13 +88,21 @@ def main(argv):
         seconds, reps = best_of(lambda: reps_fresh(n))
         rows.append({"stage": "reps", "order": n, "best_s": round(seconds, 4),
                      "tables": len(reps)})
-        les = [le for le, _ in reps[::step]]
+        sample = reps[::step]
         for kind in KINDS:
-            seconds, found = best_of(lambda: right_tables(les, n, kind))
-            rows.append({"stage": "pair_search", "order": n, "kind": kind, "lefts": len(les),
-                         "best_s": round(seconds, 4), "tables": found})
+            for stage, leaders in (("pair_search", False), ("leader_search", True)):
+                seconds, found = best_of(lambda: right_tables(sample, n, kind, leaders))
+                rows.append({"stage": stage, "order": n, "kind": kind, "lefts": len(sample),
+                             "best_s": round(seconds, 4), "tables": found})
+    for kind in KINDS:
+        duals = dual_pairs(4, kind)
+        for stage, fn in (("dual_keys_coset", coset_keys),
+                          ("dual_keys_exhaustive", exhaustive_keys)):
+            seconds, found = best_of(lambda: fn(duals))
+            rows.append({"stage": stage, "order": 4, "kind": kind, "best_s": round(seconds, 4),
+                         "tables": found})
     for row in rows:
-        print(f"{row['stage']:<12} order {row['order']} {row.get('kind', ''):<16}"
+        print(f"{row['stage']:<21} order {row['order']} {row.get('kind', ''):<16}"
               f"{row['best_s']:8.4f} s  {row['tables']} tables")
     if argv:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -33,8 +33,8 @@ from operator import itemgetter
 
 from .axioms import (AxiomError, NotAssociativeError, assoc_witness, check_structure,
                      DIMONOID, DOPPELSEMIGROUP)
-from .enumeration import MAX_ORDER, _check_order, _right_tables
-from .iso import _min_key, _perm_data, canonical_form
+from .enumeration import MAX_ORDER, _check_order, _reps, _right_tables
+from .iso import _coset_key, _perm_data, canonical_form
 from .tables import DiStructure, OpTable, Permutation, apply_permutation
 
 
@@ -518,19 +518,26 @@ def _special_pair_names(n: int):
     return out
 
 
-def _right_tables_of(key, p, n: int, kind: str):
-    """Right tables of the table t whose relabeling by p is key's left block.
+def _right_tables_of(key, p, aut, n: int, kind: str, positions):
+    """Right tables in positions of the table t whose relabeling by p is key's left block.
 
     That block is the first table of t's relabeling orbit, the census's
-    representative of t's class, so t's right tables are the representative's
-    relabeled by p⁻¹.  `enumeration._right_tables` holds them after a census
-    of this order and kind, and searches them only when none ran.
+    representative L of t's class, with Aut(L) given as aut, so t's right
+    tables are the Aut(L)-orbits of L's leaders, relabeled by p⁻¹.
+    `enumeration._right_tables` holds the leaders after a census of this
+    order and kind, and searches them only when none ran.  positions holds
+    whole relabeling orbits, so a leader outside it is skipped with its orbit.
     """
     pinv = [0] * n
     for i, v in enumerate(p):
         pinv[v] = i
     gather = [p[x] * n + p[y] for x in range(n) for y in range(n)]
-    return [tuple(pinv[r[j]] for j in gather) for r in _right_tables(key[:n * n], n, kind)]
+    out = []
+    for re, _ in _right_tables(key[:n * n], aut, n, kind):
+        if tuple(re) in positions:
+            orbit = {tuple([q[re[j]] for j in g]) for q, g in aut}
+            out += (tuple([pinv[r[j]] for j in gather]) for r in orbit)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -541,8 +548,9 @@ def named_structures(n: int, kind: str):
     classes, then curated same-component specials, then direct pairs of
     named semigroup classes over all relabelings of the right component.
     Direct pairs take each distinct named left table's right tables from the
-    census (the right tables of its class representative, relabeled onto
-    it) and look them up among the relabeled named tables.
+    census, the Aut(L)-orbits of the leaders its class representative L
+    keeps, relabeled onto it, and look them up among the relabeled named
+    tables; a leader that is no relabeled named table is skipped unexpanded.
     Within one `left|right` name, abelian candidates (right table equal to
     the transpose of the left) come first, then relabeling order; a right
     table that several relabelings produce appears once per relabeling.
@@ -573,7 +581,7 @@ def named_structures(n: int, kind: str):
         seen_tables = set()
         for name, t in named_semigroups(n):
             # key is the canonical key of (t, t); p carries t onto its left block
-            key, p = _min_key(t.entries, t.entries, n)
+            key, p = _coset_key(t.entries, t.entries, n)
             if key in seen_tables:
                 continue
             seen_tables.add(key)
@@ -591,9 +599,11 @@ def named_structures(n: int, kind: str):
         # both components are (relabeled) associative tables checked above, so
         # the right tables are exactly the relabelings that pass the pair
         # axioms; the trivial pair is already named by the bare tier
+        left_auts = dict(_reps(n))
         for lname, lt, key, p in distinct:
-            hits = sorted((ri, pi, rt) for rt in _right_tables_of(key, p, n, kind)
-                          if rt != lt.entries for ri, pi in positions.get(rt, ()))
+            rights = _right_tables_of(key, p, left_auts[key[:n * n]], n, kind, positions)
+            hits = sorted((ri, pi, rt) for rt in rights
+                          if rt != lt.entries for ri, pi in positions[rt])
             for ri, group in groupby(hits, key=itemgetter(0)):
                 block = [DiStructure(lt, OpTable(n, rt)) for _, _, rt in group]
                 block.sort(key=lambda d: d.right != d.left.transpose())

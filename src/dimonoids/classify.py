@@ -9,9 +9,9 @@ from math import factorial
 
 from .catalog import named_class_map, named_semigroups
 from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES, _reps,
-                          enumerate_dimonoids, enumerate_structures)
+                          _right_tables, enumerate_dimonoids, enumerate_structures)
 from .axioms import DIMONOID, dimonoid_profile
-from .iso import GroupId, _stabilizer, canonical_form, identify_group
+from .iso import GroupId, canonical_form, identify_group
 from .tables import DiStructure, Permutation, Record, log_info
 
 
@@ -72,19 +72,31 @@ def match_names(d: DiStructure, kind: str = DIMONOID) -> str | None:
 def _census_auts(result: EnumerationResult):
     """Per class, in order, Aut(D) as the (images, gather) items of `_perm_data`, in its order.
 
-    A relabeling fixes a pair iff it fixes both tables.  The left block of a
-    canonical key is the representative L of its semigroup class, so Aut(D)
-    is the stabilizer of the right table in the Aut(L) the census already
-    holds.  Raises RuntimeError for a class whose left table is no
-    representative, which no canonical key has.
+    The left block of a canonical key is the representative L of its semigroup
+    class and the right block the least table of its Aut(L)-orbit, which the
+    census keeps with the pair's group (`enumeration._right_tables`); a
+    semigroup class (L, L) has Aut(L).  Raises RuntimeError for a class whose
+    left table is no representative or whose right table is no kept leader of
+    it, which no canonical key has.
     """
-    left_auts = dict(_reps(result.order))
+    n, kind = result.order, result.kind
+    left_auts = dict(_reps(n))
+    leaders: dict = {}  # left table -> {right table bytes: Aut(D)}
     for key, rep in result.class_reps:
-        aut = left_auts.get(rep.left.entries)
-        if aut is None:
-            raise RuntimeError(f"order-{result.order} {result.kind} class {key.hex}: "
-                               f"the left table is no semigroup representative")
-        yield _stabilizer(rep.right.entries, aut)
+        le = rep.left.entries
+        groups = leaders.get(le)
+        if groups is None:
+            aut = left_auts.get(le)
+            if aut is None:
+                raise RuntimeError(f"order-{n} {kind} class {key.hex}: "
+                                   f"the left table is no semigroup representative")
+            groups = leaders[le] = ({bytes(le): aut} if kind == SEMIGROUP
+                                    else dict(_right_tables(le, aut, n, kind)))
+        group = groups.get(bytes(rep.right.entries))
+        if group is None:
+            raise RuntimeError(f"order-{n} {kind} class {key.hex}: the right table "
+                               f"leads no Aut(L)-orbit of its left table's right tables")
+        yield group
 
 
 def _check_census(result: EnumerationResult, rows) -> None:
@@ -95,11 +107,11 @@ def _check_census(result: EnumerationResult, rows) -> None:
     can be isomorphic to its dual).  Semigroup classes, counted once per
     dual pair, must match OEIS A001423, an outside count that checks the
     dual keys.  By orbit-stabilizer the orbit sizes
-    n!/|Aut(D)| must sum to the labeled count.  Aut(D) is the stabilizer of
-    R in Aut(L) and the labeled count is the sum of |orbit(L)| times the
-    survivors of L, so the sums agree exactly when each Aut(L)-orbit of
-    right tables is one class: the check tests the key deduplication, while
-    the tests compare the groups with the permutation matcher.
+    n!/|Aut(D)| must sum to the labeled count.  The census counts each class
+    as n!/|Aut(D)| from the group it keeps with the class's leader, so the
+    sums agree when every row carries that group; the tests compare the
+    leaders and groups with an unpruned search and its stabilizers, the
+    groups with the permutation matcher, and the counts with brute force.
     """
     n = result.order
     known = {r.key for r in rows}

@@ -19,19 +19,22 @@ to make the table larger, so at a leaf the survivors are Aut(L) and no
 second pass over the n! relabelings finds it.  Every pair is isomorphic
 to one whose left table is such an L, so right tables are searched only
 for those, under associativity with D1, D2 and D3 for dimonoids or D2 and
-D4 for doppelsemigroups, and the labeled count is the sum of |orbit(L)|
-times the survivors of L.  A canonical key serializes the left block
-first, so it is L followed by the least relabeling of R over Aut(L);
-classes of different L never share a key.  `classify` takes each class's
-automorphism group from the same Aut(L), as the stabilizer of its right
-table.
-The right tables of each L are searched once per process and kept, as
-bytes; the catalog relabels them onto its named left tables instead of
-searching those again.  The search takes one worker process per 128
-representatives, up to the CPUs the process may use, so only order 5 can
-run a pool: its workers search interleaved shares of the representatives
-and hand their right tables back.  Keys are then taken per L and sorted
-once, in this process, so results do not depend on the pool.  Where
+D4 for doppelsemigroups.  Aut(L) fixes L, so it carries the right tables
+of L onto each other, and the same leader search over Aut(L) yields the
+least right table R of each Aut(L)-orbit with its automorphisms among
+Aut(L): the group Aut(D) of the pair D = (L, R).  A canonical key
+serializes the left block first, so it is L followed by that R; classes
+of different L never share a key, each class is found once, and the
+labeled count is the sum of n!/|Aut(D)|.  `classify` takes each class's
+automorphism group from the same search.
+The leaders of each L are searched once per process and kept, as bytes
+with their groups; the catalog expands their Aut(L)-orbits onto its named
+left tables instead of searching those again.  The search takes one
+worker process per 128 representatives, up to the CPUs the process may
+use, so only order 5 can run a pool: its workers search interleaved shares
+of the representatives and hand the leaders back, each group as indices
+into the relabelings.  Keys are then sorted once, in this process, so
+results do not depend on the pool.  Where
 workers are started by spawn or forkserver (macOS, Windows, Linux from
 Python 3.14), each one imports the caller's main module again, so a script
 must run an order-5 census under `if __name__ == "__main__":`; one read
@@ -49,7 +52,7 @@ from itertools import repeat
 from math import factorial
 
 from .axioms import ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS
-from .iso import CanonicalKey, _min_key, _perm_data, distructure_from_key
+from .iso import CanonicalKey, _perm_data, distructure_from_key
 from .tables import OpTable, Permutation, Record, log_info
 
 SEMIGROUP = "semigroup"
@@ -62,7 +65,7 @@ MAX_ORDER = max(_SEMIGROUP_COUNTS)
 
 
 def _check_order(n: int):
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is an int subclass, not an order
         raise ValueError(f"order must be a positive integer, got {n!r}")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the supported maximum {MAX_ORDER}")
@@ -81,7 +84,9 @@ def _search(le, n: int, kind: str, perms=None):
     left table is the right table itself, so they are the associative tables.
     Given perms, a sequence of relabelings (images, gather), possibly empty as
     at order 1, the search cuts every branch that one of them makes smaller
-    and yields (table, the list of its automorphisms among perms) instead.
+    and yields (table, the list of its automorphisms among perms) instead;
+    with le given, the relabelings must fix le, so that they act on the
+    right tables alone.
 
     Cells are filled in row-major order; -1 marks an empty cell.  After cell
     (a, b) is set, only the triples with that cell among their four lookups
@@ -178,7 +183,7 @@ def _search(le, n: int, kind: str, perms=None):
                             return False
         return True
 
-    alive = [perms] + [None] * nn
+    alive = [perms] * (nn + 1)  # leads sets alive[k + 1]; with perms empty it need not run
 
     def leads(k):
         """Whether no relabeling p[t[gather[i]]] in alive[k] makes the filled prefix
@@ -220,7 +225,7 @@ def _search(le, n: int, kind: str, perms=None):
         t[k] = v
         a, b = divmod(k, n)
         t_cells[v].append((a, b))
-        if holds(a, b, v, trail) and (perms is None or leads(k)):
+        if holds(a, b, v, trail) and (not perms or leads(k)):
             if k == last:
                 yield tuple(t) if perms is None else (tuple(t), alive[nn])
             else:
@@ -269,42 +274,41 @@ class EnumerationResult(Record):
                 "classes": self.class_count}
 
 
-# (left table, kind) -> the right tables `_search` yields for it, as bytes
+# (left table, kind) -> its Aut(L)-leaders with their groups, as `_right_tables` returns them
 _RIGHT_TABLES: dict = {}
 
 
-def _right_tables(le, n: int, kind: str):
-    """The right tables `_search` yields for left table le, as bytes, searched once per process.
+def _right_tables(le, aut, n: int, kind: str):
+    """Per Aut(L)-orbit of le's right tables, (its least table as bytes, that pair's Aut).
 
-    The census fills this for every representative, and the catalog then
-    relabels these tables instead of searching its named tables again.
+    aut is Aut(le), identity first, as `_perm_data` items.  It fixes le, so
+    relabeling R by it is an isomorphism of the pair, and the leader search
+    over aut yields each orbit's least table, in lexicographic order, with
+    its automorphisms among aut: Aut of the pair, in `_perm_data` order.
+    Searched once per process: the census fills this for every
+    representative, and the catalog then expands these orbits instead of
+    searching its named tables again.
     """
     rights = _RIGHT_TABLES.get((le, kind))
     if rights is None:
-        rights = _RIGHT_TABLES[le, kind] = tuple(bytes(re) for re in _search(le, n, kind))
+        rights = _RIGHT_TABLES[le, kind] = tuple(
+            (bytes(re), (aut[0], *group)) for re, group in _search(le, n, kind, aut[1:]))
     return rights
 
 
-def _right_table_share(n: int, kind: str, les):
-    """(le, its right tables) for each left table in a pool worker's share."""
-    return [(le, _right_tables(le, n, kind)) for le in les]
+def _right_table_share(n: int, kind: str, share):
+    """`_right_tables` for each (le, Aut(le)) of a pool worker's share, each group
+    sent back as indices into `_perm_data(n)`."""
+    index = {item: i for i, item in enumerate(_perm_data(n))}
+    return [(le, tuple((re, tuple(map(index.__getitem__, group)))
+                       for re, group in _right_tables(le, aut, n, kind)))
+            for le, aut in share]
 
 
 def _pool_size(n: int) -> int:
     """Pool processes at order n: one per 128 semigroup classes, one per usable CPU at most."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, _SEMIGROUP_COUNTS[n][0] // 128))
-
-
-def _pair_chunk(n: int, kind: str, reps):
-    """(labeled survivors over the whole orbits, canonical key bytes) of reps' right tables."""
-    labeled = 0
-    keys = []
-    for le, aut in reps:
-        rights = _right_tables(le, n, kind)
-        labeled += factorial(n) // len(aut) * len(rights)
-        keys += {bytes(_min_key(le, re, n, aut)[0]) for re in rights}
-    return labeled, keys
 
 
 def _result(n: int, kind: str, labeled: int, keys) -> EnumerationResult:
@@ -325,7 +329,7 @@ def _enumerate_pairs(n: int, kind: str):
     _check_order(n)
     reps = _reps(n)
     start = time.perf_counter()
-    missing = [le for le, _ in reps if (le, kind) not in _RIGHT_TABLES]
+    missing = [(le, aut) for le, aut in reps if (le, kind) not in _RIGHT_TABLES]
     workers = min(_pool_size(n), len(missing))
     if workers > 1:
         # imported here: a serial command should not load multiprocessing
@@ -334,11 +338,22 @@ def _enumerate_pairs(n: int, kind: str):
         # per-representative work is uneven, so deal them out round-robin
         log_info(__name__, "order %d: %d worker processes search %d representatives",
                  n, workers, len(missing))
+        perms = _perm_data(n)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for share in pool.map(_right_table_share, repeat(n), repeat(kind),
                                   [missing[i::workers] for i in range(workers)]):
-                _RIGHT_TABLES.update(((le, kind), rights) for le, rights in share)
-    labeled, keys = _pair_chunk(n, kind, reps)
+                _RIGHT_TABLES.update(
+                    ((le, kind), tuple((re, tuple(map(perms.__getitem__, group)))
+                                       for re, group in rights))
+                    for le, rights in share)
+    # each leader R is its class's key after L, and the class has n!/|Aut| labeled pairs
+    labeled = 0
+    keys = []
+    for le, aut in reps:
+        head = bytes(le)
+        for re, group in _right_tables(le, aut, n, kind):
+            labeled += factorial(n) // len(group)
+            keys.append(head + re)
     log_info(__name__, "order %d: %s pair search found %d labeled in %.2f s",
              n, kind, labeled, time.perf_counter() - start)
     return _result(n, kind, labeled, keys)

@@ -3,7 +3,13 @@
 Two pairs are isomorphic iff one relabeling carries both tables at once.
 The canonical form of a pair is the lexicographically least flat
 serialization (left block then right block) over all n! relabelings;
-key equality is therefore the same relation as isomorphism.
+key equality is therefore the same relation as isomorphism.  The left
+block decides first, so the key is found through the left table's coset:
+one scan of the n! relabelings finds the least relabeling of the left
+table and the relabelings that reach it (a coset of its automorphism
+group), kept per distinct left table in a bounded cache, and the right
+table is minimized over that coset only.  `_min_key`, which scans all n!
+relabelings of both tables, is the reference the tests compare it with.
 """
 from __future__ import annotations
 
@@ -43,16 +49,17 @@ def _perm_data(n: int):
 
 
 def _stabilizer(e, perms):
-    """The (images, gather) items of perms that fix the flat table e, in perms' order."""
+    """The (images, gather) items of perms that fix the flat table e, in perms' order:
+    the reference the tests compare the groups of the census searches with."""
     return tuple((p, g) for p, g in perms if tuple(p[e[j]] for j in g) == e)
 
 
-def _min_key(le, re, n, perms=None):
-    """(best tuple, witness images) minimizing the serialization relabeled by
-    perms, in lexicographic order (default: all of `_perm_data(n)`)."""
+def _min_key(le, re, n):
+    """(best tuple, witness images) minimizing the serialization over all of
+    `_perm_data(n)`, in lexicographic order: the exhaustive reference for `_coset_key`."""
     best = None
     best_perm = None
-    for p, gather in _perm_data(n) if perms is None else perms:
+    for p, gather in _perm_data(n):
         cand = []
         undecided = best is not None
         k = 0
@@ -78,10 +85,46 @@ def _min_key(le, re, n, perms=None):
     return best, best_perm
 
 
+def _least(e, perms):
+    """(least relabeling of the flat table e by the (images, gather) items of perms,
+    the items reaching it in perms' order)."""
+    best = None
+    reach = []
+    for item in perms:
+        p, gather = item
+        if best is not None:
+            for i, b in zip(gather, best):
+                v = p[e[i]]
+                if v != b:
+                    break
+            else:
+                reach.append(item)
+                continue
+            if v > b:
+                continue
+        best = tuple([p[e[i]] for i in gather])
+        reach = [item]
+    return best, reach
+
+
+@lru_cache(maxsize=1024)
+def _left_coset(le, n):
+    """`_least(le, _perm_data(n))`: le's least relabeling and the coset reaching it."""
+    best, coset = _least(le, _perm_data(n))
+    return best, tuple(coset)
+
+
+def _coset_key(le, re, n):
+    """`_min_key(le, re, n)`, with re minimized only over the relabelings that minimize le."""
+    left, coset = _left_coset(le, n)
+    right, reach = _least(re, coset)
+    return left + right, reach[0][0]
+
+
 def canonical_form(d: DiStructure) -> CanonicalKey:
     """Canonical key of a pair; witness is the lex-least permutation reaching it."""
     n = d.order
-    best, perm = _min_key(d.left.entries, d.right.entries, n)
+    best, perm = _coset_key(d.left.entries, d.right.entries, n)
     return CanonicalKey(order=n, key=bytes(best), witness=Permutation(perm))
 
 

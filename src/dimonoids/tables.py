@@ -105,7 +105,7 @@ class OpTable(Record):
     def __init__(self, order, entries):
         entries = tuple(entries)
         n = order
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # as for entries: refuses bool
             raise ValueError(f"order must be a positive integer, got {n!r}")
         if len(entries) != n * n:
             raise ValueError(f"expected {n * n} entries for order {n}, got {len(entries)}")

@@ -10,9 +10,9 @@ from math import factorial
 
 import pytest
 
-from dimonoids import (DiStructure, EnumerationResult, Permutation, automorphisms,
-                       canonical_form, canonical_table_key, classify, classify_order,
-                       cyclic, enumerate_dimonoids, enumerate_semigroups,
+from dimonoids import (CanonicalKey, DiStructure, EnumerationResult, OpTable, Permutation,
+                       automorphisms, canonical_form, canonical_table_key, classify,
+                       classify_order, cyclic, enumerate_dimonoids, enumerate_semigroups,
                        enumerate_structures, identify_group, left_zero,
                        left_zero_collapse, match_names, render_report,
                        right_zero, solve_problem1, structure_dual_name)
@@ -299,6 +299,43 @@ def test_classify_rejects_a_left_table_outside_the_census():
     assert d.left.entries not in dict(enumeration._reps(3))
     with pytest.raises(RuntimeError, match="no semigroup representative"):
         classify(EnumerationResult(3, "dimonoid", 1, ((canonical_form(d), d),)))
+
+
+def test_census_auts_reject_a_right_table_that_leads_no_orbit():
+    # a relabeling of a leader by a nontrivial automorphism of L is no leader itself
+    n, kind = 3, "dimonoid"
+    for le, aut in enumeration._reps(n):
+        for re, _ in enumeration._right_tables(le, aut, n, kind):
+            others = {tuple(p[re[j]] for j in g) for p, g in aut} - {tuple(re)}
+            if others:
+                d = DiStructure(OpTable(n, le), OpTable(n, min(others)))
+                key = CanonicalKey(order=n, key=bytes(le) + bytes(min(others)),
+                                   witness=Permutation.identity(n))
+                with pytest.raises(RuntimeError, match="leads no Aut"):
+                    list(classify_module._census_auts(EnumerationResult(n, kind, 1, ((key, d),))))
+                return
+    raise AssertionError("no order-3 Aut(L)-orbit has two right tables")
+
+
+def test_order_must_not_be_a_bool():
+    with pytest.raises(ValueError, match="positive integer, got True"):
+        classify_order(True)
+
+
+def test_classify_runs_without_the_exhaustive_key_or_stabilizer(monkeypatch):
+    # the census keys each leader as it is and keeps its group, so neither runs
+    reports = [classify_order(3, kind) for kind in ENUM_KINDS]
+
+    def refuse(*args):
+        raise AssertionError("the census ran an exhaustive key or a stabilizer")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dimonoids":
+            for fn in ("_min_key", "_stabilizer"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+    monkeypatch.setattr(enumeration, "_RIGHT_TABLES", {})
+    assert [classify_order(3, kind) for kind in ENUM_KINDS] == reports
 
 
 def test_classify_runs_without_the_matcher(monkeypatch):

@@ -172,6 +172,8 @@ def test_verbose_logs_each_stage():
         "INFO order 3: 24 semigroup classes (113 tables)",
         "INFO order 3: dimonoid pair search found 267 labeled",
         "INFO order 3: 52 dimonoid classes keyed",
+        # the catalog's order-2 tier expands the leaders of the order-2 representatives
+        "INFO order 2: 5 semigroup classes (8 tables)",
         "INFO order 3: 52 dimonoid classes classified"]
 
 

@@ -151,6 +151,10 @@ def test_order_gates():
         enumerate_structures(0, "dimonoid")
     with pytest.raises(ValueError):
         enumerate_structures(3, "ring")
+    with pytest.raises(ValueError, match="positive integer, got True"):
+        enumerate_structures(True, "dimonoid")  # bool is an int subclass
+    with pytest.raises(ValueError, match="positive integer, got True"):
+        enumerate_associative_tables(True)
 
 
 def test_summary_schema():
@@ -210,6 +214,19 @@ def test_left_rep_groups_are_their_stabilizers(n):
     # the search's surviving relabelings, identity first, in `_perm_data` order
     perms = _perm_data(n)
     assert [aut for _, aut in _reps(n)] == [_stabilizer(t, perms) for t, _ in _reps(n)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_right_table_leaders_and_their_groups(n, kind, monkeypatch):
+    # reference: the unpruned search, its right tables grouped into Aut(L)-orbits
+    monkeypatch.setattr(enumeration, "_RIGHT_TABLES", {})
+    for le, aut in _reps(n):
+        leaders = sorted({min(tuple(p[re[j]] for j in g) for p, g in aut)
+                          for re in _search(le, n, kind)})
+        kept = enumeration._right_tables(le, aut, n, kind)
+        assert [tuple(re) for re, _ in kept] == leaders
+        assert [group for _, group in kept] == [_stabilizer(re, aut) for re in leaders]
 
 
 def test_left_reps_raise_on_counts_off_oeis(monkeypatch):

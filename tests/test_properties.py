@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from dimonoids import (DiStructure, OpTable, Permutation, canonical_form,
                        format_distructure, format_table, parse_distructure,
                        parse_table)
-from dimonoids.tables import (distructure_from_json, distructure_to_json,
+from dimonoids.enumeration import _reps
+from dimonoids.iso import _coset_key, _min_key
+from dimonoids.tables import (apply_permutation, distructure_from_json, distructure_to_json,
                               table_from_json, table_to_json)
 
 # derandomized: every run draws the same examples, so a failure always reproduces
@@ -59,3 +61,29 @@ def test_table_text_and_json_round_trips(t):
 def test_pair_text_and_json_round_trips(d):
     assert parse_distructure(format_distructure(d)) == d
     assert distructure_from_json(json.loads(json.dumps(distructure_to_json(d)))) == d
+
+
+def _few_valued_table(n: int):
+    """Flat tables of order n with at most two distinct values, so relabelings often tie."""
+    return st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True).flatmap(
+        lambda values: st.lists(st.sampled_from(values), min_size=n * n, max_size=n * n)
+    ).map(tuple)
+
+
+def _associative_table(n: int):
+    """A semigroup class representative of order n, relabeled."""
+    return st.tuples(st.sampled_from(_reps(n)), st.permutations(range(n)).map(Permutation)).map(
+        lambda case: apply_permutation(OpTable(n, case[0][0]), case[1]).entries)
+
+
+def _key_case(n: int):
+    table = st.one_of(_few_valued_table(n), _associative_table(n))
+    return st.tuples(st.just(n), table, table)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(1, 5).flatmap(_key_case))
+def test_coset_key_equals_the_exhaustive_key(case):
+    # the key and the lex-least witness, against the scan of all n! relabelings of both tables
+    n, le, re = case
+    assert _coset_key(le, re, n) == _min_key(le, re, n)

@@ -49,6 +49,8 @@ def test_optable_refuses_bool_entries():
     # True == 1 and False == 0, so without the check these would equal int tables
     with pytest.raises(ValueError, match="True"):
         OpTable(2, (True, False, False, True))
+    with pytest.raises(ValueError, match="order must be a positive integer, got True"):
+        OpTable(True, (0,))
     with pytest.raises(ValueError):
         OpTable(2, (0, 1, 1, False))
     with pytest.raises(ValueError):
