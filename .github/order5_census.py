@@ -1,6 +1,6 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 35 s with two workers on a two-core machine):
+Run from the repository root (about 7 s with two workers on a two-core machine):
 
     PYTHONPATH=src python .github/order5_census.py
 
@@ -12,10 +12,11 @@ classes up to duality against OEIS A001423, and the sum of 5!/|Aut(D)|
 against the labeled count.  Its keys and groups come from the leader search
 over Aut(L) (each class keyed by the least right table of its Aut(L)-orbit,
 Aut(D) the automorphisms the search kept) and its dual keys from
-`canonical_form`, which minimizes the right table over the left table's
-coset only, once per dual pair.  So every 97th class of both pair kinds is
-checked against the permutation matcher, and its key and its dual's against
-`iso._min_key`, which scans all 120 relabelings of both tables.  The time of
+`iso._coset_key` of each key's transposed blocks, which minimizes the
+right table over the left table's coset only, once per dual pair.  So
+every 97th class of both pair kinds is checked against the permutation
+matcher, and its key and its dual's against `iso._min_key`, which scans
+all 120 relabelings of both tables.  The time of
 each census is printed.  The unnamed counts check the order-5 catalog built
 on the census's right tables.  On a multi-core machine those right tables
 come from a process pool started the platform's default way, so the
@@ -28,9 +29,9 @@ import multiprocessing
 import time
 from itertools import islice
 
-from dimonoids import (Permutation, automorphisms, classify, enumerate_structures, enumeration,
-                       identify_group)
-from dimonoids.iso import _min_key, _perm_data, _stabilizer
+from dimonoids import (CanonicalKey, Permutation, automorphisms, classify, enumerate_structures,
+                       enumeration, identify_group)
+from dimonoids.iso import _min_key, _perm_data, _stabilizer, distructure_from_key
 
 # the package's `classify` attribute is the function, which hides the module
 census_auts = importlib.import_module("dimonoids.classify")._census_auts
@@ -49,17 +50,18 @@ def exhaustive_key(d):
 def check_sample(result, report):
     """Compare every SAMPLE_STEP-th class's census group, key and dual key with the slow routes."""
     checked = 0
-    for (key, rep), aut, row in islice(zip(result.class_reps, census_auts(result), report.rows),
-                                       0, None, SAMPLE_STEP):
+    for key, aut, row in islice(zip(result.keys, census_auts(result), report.rows),
+                                0, None, SAMPLE_STEP):
+        rep = distructure_from_key(CanonicalKey(5, key, Permutation.identity(5)))
         matched = automorphisms(rep)
         if tuple(Permutation(p) for p, _ in aut) != matched or row.aut != identify_group(matched):
-            raise SystemExit(f"order-5 {result.kind} {key.hex}: census group {row.aut.name} "
+            raise SystemExit(f"order-5 {result.kind} {key.hex()}: census group {row.aut.name} "
                              f"differs from the matcher's")
         if row.key != exhaustive_key(rep):
-            raise SystemExit(f"order-5 {result.kind} {key.hex}: census key differs from the "
+            raise SystemExit(f"order-5 {result.kind} {key.hex()}: census key differs from the "
                              f"exhaustive key")
         if row.dual_key != exhaustive_key(rep.dual()):
-            raise SystemExit(f"order-5 {result.kind} {key.hex}: dual key differs from the "
+            raise SystemExit(f"order-5 {result.kind} {key.hex()}: dual key differs from the "
                              f"exhaustive key of the dual")
         checked += 1
     return checked
@@ -71,7 +73,7 @@ def dimonoid_census(workers=None):
         enumeration._pool_size = lambda n: workers
         enumeration._RIGHT_TABLES.clear()
     result = enumerate_structures(5, "dimonoid")
-    return [k.key for k, _ in result.class_reps], result.labeled_count
+    return result.keys, result.labeled_count
 
 
 def check_rep_groups():

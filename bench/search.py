@@ -11,11 +11,13 @@ the full right-table search `enumeration._search(le, n, kind)` and of the
 search as the census runs it, over Aut(L) (`_search(le, n, kind, aut[1:])`),
 together with the tables found: every right table, and one leader per
 Aut(L)-orbit.  For one order-4 census of each pair kind it then times the
-canonical forms of one class per dual pair, as `classify` takes them, with
-the left-table coset cache cleared, and the exhaustive `iso._min_key` over
-all n! relabelings of the same pairs.  OUT.json gets the same rows plus the
-commit, the Python version and the CPU count.  The source measured is the
-`src/` next to this script.
+canonical forms of one class per dual pair, as `classify` takes them from
+the key bytes, with the left-table coset cache cleared, and the exhaustive
+`iso._min_key` over all n! relabelings of the same pairs; and the stages
+after the search, `enumeration._result` on the keys in the census's order,
+`classify` and `render_json`, with the name map already built.  OUT.json
+gets the same rows plus the commit, the Python version and the CPU count.
+The source measured is the `src/` next to this script.
 """
 import json
 import os
@@ -28,7 +30,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dimonoids import classify, enumerate_structures, enumeration, iso  # noqa: E402
+from dimonoids import classify, enumerate_structures, enumeration, iso, render_report  # noqa: E402
+from dimonoids.axioms import _pair_flags  # noqa: E402
 
 REPEATS = 5
 STEPS = {3: 1, 4: 1, 5: 10}  # every step-th representative's right tables are searched
@@ -57,20 +60,38 @@ def right_tables(reps, n, kind, leaders):
 
 
 def dual_pairs(n, kind):
-    """The dual of one class per dual pair of the order-n census, as `classify` keys them."""
+    """The dual (transpose of R, transpose of L) of one class per dual pair of the
+    order-n census, as `classify` reads it from the key bytes."""
     result = enumerate_structures(n, kind)
     report = classify(result)
-    return [rep.dual() for (_, rep), row in zip(result.class_reps, report.rows)
-            if row.dual_key >= row.key]
+    nn = n * n
+    duals = []
+    for key, row in zip(result.keys, report.rows):
+        if row.dual_key >= row.key:
+            *_, lt, rt = _pair_flags(key[:nn], key[nn:], n)
+            duals.append((rt, lt))
+    return duals
 
 
-def coset_keys(duals):
+def coset_keys(n, duals):
     iso._left_coset.cache_clear()
-    return len([iso.canonical_form(d) for d in duals])
+    return len([iso._coset_key(rt, lt, n) for rt, lt in duals])
 
 
-def exhaustive_keys(duals):
-    return len([iso._min_key(d.left.entries, d.right.entries, d.order) for d in duals])
+def exhaustive_keys(n, duals):
+    return len([iso._min_key(rt, lt, n) for rt, lt in duals])
+
+
+def post_search(n, kind):
+    """(best time of `_result`, `classify` and `render_json` on the order-n census's keys
+    in the order its search yields them, the classes), with the name map built."""
+    labeled = enumerate_structures(n, kind).labeled_count
+    keys = [bytes(le) + re for le, aut in enumeration._reps(n)
+            for re, _ in enumeration._right_tables(le, aut, n, kind)]
+    classify(enumeration._result(n, kind, labeled, keys))
+    seconds, _ = best_of(lambda: render_report(
+        classify(enumeration._result(n, kind, labeled, keys)), "json"))
+    return seconds, len(keys)
 
 
 def commit():
@@ -98,9 +119,12 @@ def main(argv):
         duals = dual_pairs(4, kind)
         for stage, fn in (("dual_keys_coset", coset_keys),
                           ("dual_keys_exhaustive", exhaustive_keys)):
-            seconds, found = best_of(lambda: fn(duals))
+            seconds, found = best_of(lambda: fn(4, duals))
             rows.append({"stage": stage, "order": 4, "kind": kind, "best_s": round(seconds, 4),
                          "tables": found})
+        seconds, found = post_search(4, kind)
+        rows.append({"stage": "post_search", "order": 4, "kind": kind,
+                     "best_s": round(seconds, 4), "tables": found})
     for row in rows:
         print(f"{row['stage']:<21} order {row['order']} {row.get('kind', ''):<16}"
               f"{row['best_s']:8.4f} s  {row['tables']} tables")

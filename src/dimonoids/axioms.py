@@ -239,19 +239,23 @@ class DimonoidProfile(Record):
                 "abelian": self.abelian, "self_dual": self.self_dual}
 
 
+def _pair_flags(le, re, n: int):
+    """(trivial, commutative, abelian, Lᵀ, Rᵀ) of the flat tables le and re, both bytes or
+    both tuples, with their transposes of the same type; abelian must agree with self-dual,
+    (Rᵀ, Lᵀ) == (le, re)."""
+    cols = range(n)  # column x of a table is e[x::n]
+    if type(le) is bytes:
+        lt, rt = b"".join([le[x::n] for x in cols]), b"".join([re[x::n] for x in cols])
+    else:
+        lt, rt = (tuple(v for x in cols for v in e[x::n]) for e in (le, re))
+    abelian = le == rt
+    if abelian != (rt == le and lt == re):
+        raise RuntimeError(f"abelian is {abelian} but self_dual is {not abelian}")
+    return le == re, le == lt and re == rt, abelian, lt, rt
+
+
 def dimonoid_profile(d: DiStructure) -> DimonoidProfile:
     """Table-level flags for a pair; abelian and self_dual must agree."""
-    n = d.order
-    le, re = d.left.entries, d.right.entries
-    trivial = le == re
-    commutative = (
-        all(le[x * n + y] == le[y * n + x] for x in range(n) for y in range(x + 1, n))
-        and all(re[x * n + y] == re[y * n + x] for x in range(n) for y in range(x + 1, n)))
-    abelian = all(le[x * n + y] == re[y * n + x] for x in range(n) for y in range(n))
-    # the dual pair is (transpose of R, transpose of L); column x of a table is e[x::n]
-    self_dual = (tuple(v for x in range(n) for v in re[x::n]) == le
-                 and tuple(v for x in range(n) for v in le[x::n]) == re)
-    if abelian != self_dual:
-        raise RuntimeError(f"abelian is {abelian} but self_dual is {self_dual}")
+    trivial, commutative, abelian, _, _ = _pair_flags(d.left.entries, d.right.entries, d.order)
     return DimonoidProfile(trivial=trivial, commutative=commutative,
-                           abelian=abelian, self_dual=self_dual)
+                           abelian=abelian, self_dual=abelian)

@@ -1,8 +1,9 @@
-"""Classification reports: names, property flags, automorphism groups, duals."""
+"""Classification reports, read from the census's key bytes: names, flags, Aut groups, duals."""
 from __future__ import annotations
 
 import io
 import json
+import re
 import time
 from functools import lru_cache
 from math import factorial
@@ -10,8 +11,8 @@ from math import factorial
 from .catalog import named_class_map, named_semigroups
 from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES, _reps,
                           _right_tables, enumerate_dimonoids, enumerate_structures)
-from .axioms import DIMONOID, dimonoid_profile
-from .iso import GroupId, canonical_form, identify_group
+from .axioms import DIMONOID, _pair_flags
+from .iso import GroupId, _coset_key, canonical_form, identify_group
 from .tables import DiStructure, Permutation, Record, log_info
 
 
@@ -28,11 +29,13 @@ class ClassRow(Record):
         return {
             "key": self.key, "name": self.name, "trivial": self.trivial,
             "commutative": self.commutative, "abelian": self.abelian,
-            "aut": {"order": self.aut.order, "name": self.aut.name,
-                    "abelian": self.aut.abelian,
-                    "element_orders": list(self.aut.element_orders)},
-            "dual_key": self.dual_key,
+            "aut": _group_json(self.aut), "dual_key": self.dual_key,
         }
+
+
+def _group_json(g: GroupId) -> dict:
+    return {"order": g.order, "name": g.name, "abelian": g.abelian,
+            "element_orders": list(g.element_orders)}
 
 
 class ClassificationReport(Record):
@@ -80,21 +83,23 @@ def _census_auts(result: EnumerationResult):
     it, which no canonical key has.
     """
     n, kind = result.order, result.kind
+    nn = n * n
     left_auts = dict(_reps(n))
-    leaders: dict = {}  # left table -> {right table bytes: Aut(D)}
-    for key, rep in result.class_reps:
-        le = rep.left.entries
-        groups = leaders.get(le)
+    leaders: dict = {}  # left block -> {right block: Aut(D)}
+    for key in result.keys:
+        head = key[:nn]
+        groups = leaders.get(head)
         if groups is None:
+            le = tuple(head)
             aut = left_auts.get(le)
             if aut is None:
-                raise RuntimeError(f"order-{n} {kind} class {key.hex}: "
+                raise RuntimeError(f"order-{n} {kind} class {key.hex()}: "
                                    f"the left table is no semigroup representative")
-            groups = leaders[le] = ({bytes(le): aut} if kind == SEMIGROUP
-                                    else dict(_right_tables(le, aut, n, kind)))
-        group = groups.get(bytes(rep.right.entries))
+            groups = leaders[head] = ({head: aut} if kind == SEMIGROUP
+                                      else dict(_right_tables(le, aut, n, kind)))
+        group = groups.get(key[nn:])
         if group is None:
-            raise RuntimeError(f"order-{n} {kind} class {key.hex}: the right table "
+            raise RuntimeError(f"order-{n} {kind} class {key.hex()}: the right table "
                                f"leads no Aut(L)-orbit of its left table's right tables")
         yield group
 
@@ -132,32 +137,34 @@ def _check_census(result: EnumerationResult, rows) -> None:
 
 
 def classify(result: EnumerationResult) -> ClassificationReport:
-    """Name, flag, and group every class of an enumeration result.
+    """Name, flag, and group every class of an enumeration result, read from its key.
 
     Each distinct automorphism group is named once, and each dual key is
     found once per dual pair and given to both classes.
     """
     start = time.perf_counter()
-    names = _name_map(result.order, result.kind)
+    n = result.order
+    nn = n * n
+    names = _name_map(n, result.kind)
     rows = []
     unnamed_seq = 0
     groups: dict = {}  # Aut(D) -> its GroupId
-    dual_keys: dict = {}  # key bytes -> dual key bytes, filled from the partner
-    for (key, rep), aut in zip(result.class_reps, _census_auts(result)):
-        flags = dimonoid_profile(rep)
-        name = names.get(key.key)
+    dual_keys: dict = {}  # key -> dual key, filled from the partner
+    for key, aut in zip(result.keys, _census_auts(result)):
+        trivial, commutative, abelian, lt, rt = _pair_flags(key[:nn], key[nn:], n)
+        name = names.get(key)
         if name is None:
             unnamed_seq += 1
-            name = f"unnamed-{result.order}-{unnamed_seq}"
+            name = f"unnamed-{n}-{unnamed_seq}"
         group = groups.get(aut)
         if group is None:
             group = groups[aut] = identify_group([Permutation(p) for p, _ in aut])
-        dual_key = dual_keys.get(key.key)
+        dual_key = dual_keys.get(key)
         if dual_key is None:
-            dual_key = canonical_form(rep.dual()).key
-            dual_keys[dual_key] = key.key
-        rows.append(ClassRow(key=key.hex, name=name, trivial=flags.trivial,
-                             commutative=flags.commutative, abelian=flags.abelian,
+            dual_key = bytes(_coset_key(rt, lt, n)[0])
+            dual_keys[dual_key] = key
+        rows.append(ClassRow(key=key.hex(), name=name, trivial=trivial,
+                             commutative=commutative, abelian=abelian,
                              aut=group, dual_key=dual_key.hex()))
     rows = tuple(rows)
     _check_census(result, rows)
@@ -247,7 +254,25 @@ def render_csv(report: ClassificationReport) -> str:
 
 
 def render_json(report: ClassificationReport) -> str:
-    return json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    """`json.dumps(report.to_json(), sort_keys=True, indent=2)` and a newline, without the
+    pure-Python encoder that indent selects: the rows are one C-encoded dump whose separators
+    break the lines, each group's index then replaced by its Aut block, laid out once.  No JSON
+    string holds a line break or an unescaped quote, so '},' and a line break only end a row
+    and '"aut": ' only starts that field."""
+    groups: dict = {}  # GroupId -> its index; a row's JSON fields are its record fields
+    fields = [{**row.__dict__, "aut": groups.setdefault(row.aut, len(groups))}
+              for row in report.rows]
+    blocks = [json.dumps(_group_json(g), sort_keys=True, indent=2).replace("\n", "\n      ")
+              for g in groups]
+    text = json.dumps(ClassificationReport(report.order, report.kind, (), report.summary)
+                      .to_json(), sort_keys=True, indent=2)
+    if fields:
+        rows = json.dumps(fields, sort_keys=True, separators=(",\n      ", ": "))
+        rows = re.sub(r'"aut": (\d+)', lambda m: '"aut": ' + blocks[int(m[1])],
+                      rows[2:-2].replace("},\n      {", "\n    },\n    {\n      "))
+        text = text.replace('\n  "rows": []', '\n  "rows": [\n    {\n      ' + rows
+                            + "\n    }\n  ]", 1)
+    return text + "\n"
 
 
 _RENDERERS = {"markdown": render_markdown, "csv": render_csv, "json": render_json}

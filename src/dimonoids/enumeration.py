@@ -34,11 +34,13 @@ worker process per 128 representatives, up to the CPUs the process may
 use, so only order 5 can run a pool: its workers search interleaved shares
 of the representatives and hand the leaders back, each group as indices
 into the relabelings.  Keys are then sorted once, in this process, so
-results do not depend on the pool.  Where
-workers are started by spawn or forkserver (macOS, Windows, Linux from
-Python 3.14), each one imports the caller's main module again, so a script
-must run an order-5 census under `if __name__ == "__main__":`; one read
-from standard input (`python -`) fails with BrokenProcessPool.
+results do not depend on the pool, and the result keeps them as bytes:
+`classify` and the JSONL lines read each class's tables from its key, and
+only `EnumerationResult.class_reps` builds pair objects.  Where workers are
+started by spawn or forkserver (macOS, Windows, Linux from Python 3.14),
+each one imports the caller's main module again, so a script must run an
+order-5 census under `if __name__ == "__main__":`; one read from standard
+input (`python -`) fails with BrokenProcessPool.
 
 Orders 1..5 are supported; larger orders are refused.
 """
@@ -257,16 +259,25 @@ def _reps(n: int):
 
 
 class EnumerationResult(Record):
-    """Classes of one kind at one order, sorted by canonical key."""
+    """Classes of one kind at one order, as their sorted canonical keys."""
 
     order: int
     kind: str
     labeled_count: int
-    class_reps: tuple  # of (CanonicalKey, DiStructure)
+    keys: tuple  # of bytes: the left table, then the right table, row by row
 
     @property
     def class_count(self) -> int:
-        return len(self.class_reps)
+        return len(self.keys)
+
+    @property
+    def class_reps(self) -> tuple:
+        """(CanonicalKey, DiStructure) per class, decoded from its key; the witness is the
+        identity, which reaches a canonical key.  Each access decodes every class again,
+        so bind the tuple once rather than indexing the property in a loop."""
+        identity = Permutation.identity(self.order)
+        keys = (CanonicalKey(order=self.order, key=k, witness=identity) for k in self.keys)
+        return tuple((key, distructure_from_key(key)) for key in keys)
 
     def summary(self) -> dict:
         return {"schema": "dimonoids.enumeration/1", "order": self.order,
@@ -312,17 +323,12 @@ def _pool_size(n: int) -> int:
 
 
 def _result(n: int, kind: str, labeled: int, keys) -> EnumerationResult:
-    """One class per key, sorted; the identity reaches a canonical key, so it is the witness."""
+    """One class per key, sorted."""
     start = time.perf_counter()
-    identity = Permutation.identity(n)
-    class_reps = []
-    for kb in sorted(keys):
-        key = CanonicalKey(order=n, key=kb, witness=identity)
-        class_reps.append((key, distructure_from_key(key)))
+    keys = tuple(sorted(keys))
     log_info(__name__, "order %d: %d %s classes keyed in %.2f s",
-             n, len(class_reps), kind, time.perf_counter() - start)
-    return EnumerationResult(order=n, kind=kind, labeled_count=labeled,
-                             class_reps=tuple(class_reps))
+             n, len(keys), kind, time.perf_counter() - start)
+    return EnumerationResult(order=n, kind=kind, labeled_count=labeled, keys=keys)
 
 
 def _enumerate_pairs(n: int, kind: str):
@@ -384,15 +390,17 @@ def enumerate_structures(n: int, kind: str) -> EnumerationResult:
 
 
 def class_lines(result: EnumerationResult):
-    """One JSON line per class, sorted by key."""
-    for key, rep in result.class_reps:
+    """One JSON line per class, sorted by key, its rows read from the key's bytes."""
+    n = result.order
+    for key in result.keys:
+        rows = [list(key[i:i + n]) for i in range(0, len(key), n)]  # L's n rows, then R's
         yield json.dumps({
             "schema": "dimonoids.class/1",
-            "order": result.order,
+            "order": n,
             "kind": result.kind,
-            "key": key.hex,
-            "left": [list(r) for r in rep.left.rows()],
-            "right": [list(r) for r in rep.right.rows()],
+            "key": key.hex(),
+            "left": rows[:n],
+            "right": rows[n:],
         }, sort_keys=True)
 
 

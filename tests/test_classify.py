@@ -10,7 +10,7 @@ from math import factorial
 
 import pytest
 
-from dimonoids import (CanonicalKey, DiStructure, EnumerationResult, OpTable, Permutation,
+from dimonoids import (DiStructure, EnumerationResult, Permutation,
                        automorphisms, canonical_form, canonical_table_key, classify,
                        classify_order, cyclic, enumerate_dimonoids, enumerate_semigroups,
                        enumerate_structures, identify_group, left_zero,
@@ -246,6 +246,41 @@ def test_render_json():
     assert report.to_json() == obj
 
 
+def test_render_json_equals_the_indented_dump():
+    reports = [classify_order(n, kind) for n in range(1, 5) for kind in ENUM_KINDS]
+    reports.append(solve_problem1())
+    reports.append(classify_module.ClassificationReport(order=3, kind="dimonoid", rows=(),
+                                                        summary={"total": 0}))
+    # names that JSON escapes, and a group named other(...)
+    other = identify_group(automorphisms(DiStructure(left_zero(4), left_zero(4))))
+    c2 = identify_group(automorphisms(DiStructure(left_zero(2), left_zero(2))))
+    assert other.name.startswith("other(") and c2.name == "C2"
+    names = ['quo"te', "back\\slash", "pi|pe", "n\u00e4me \u2192 \U0001d49f", '"aut": 0, "x},\n{']
+    rows = tuple(classify_module.ClassRow(key="00", name=name, trivial=True, commutative=False,
+                                          abelian=i % 2 == 0, aut=(other, c2)[i % 2],
+                                          dual_key="01")
+                 for i, name in enumerate(names))
+    reports.append(classify_module.ClassificationReport(
+        order=4, kind="dimonoid", rows=rows, summary={"total": 5, 'sub"set': "a\\b|\u00e9"}))
+    for report in reports:
+        assert render_report(report, "json") == \
+            json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+
+
+def test_classify_builds_no_per_class_objects(monkeypatch):
+    results = {(n, kind): enumerate_structures(n, kind) for n in (3, 4) for kind in ENUM_KINDS}
+    reports = {nk: classify(result) for nk, result in results.items()}  # warms the name maps
+
+    def refuse(*args):
+        raise AssertionError("classify built a per-class pair, dual or canonical form")
+
+    monkeypatch.setattr(classify_module, "canonical_form", refuse)
+    monkeypatch.setattr(enumeration, "distructure_from_key", refuse)
+    monkeypatch.setattr(DiStructure, "dual", refuse)
+    for nk, result in results.items():
+        assert classify(result) == reports[nk]
+
+
 def test_render_unknown_format():
     report = classify_order(2)
     with pytest.raises(ValueError):
@@ -262,13 +297,13 @@ def test_classify_rejects_inconsistent_census():
     result = enumerate_dimonoids(2)
     with pytest.raises(RuntimeError, match="labeled count"):
         classify(EnumerationResult(result.order, result.kind, result.labeled_count + 1,
-                                   result.class_reps))
+                                   result.keys))
     report = classify(result)
     nonabelian = next(i for i, r in enumerate(report.rows)
                       if r.dual_key != r.key)
-    reps = result.class_reps[:nonabelian] + result.class_reps[nonabelian + 1:]
+    keys = result.keys[:nonabelian] + result.keys[nonabelian + 1:]
     with pytest.raises(RuntimeError, match="duality"):
-        classify(EnumerationResult(result.order, result.kind, result.labeled_count, reps))
+        classify(EnumerationResult(result.order, result.kind, result.labeled_count, keys))
 
 
 @pytest.mark.parametrize("kind, flags", [
@@ -297,8 +332,9 @@ def test_census_groups_and_dual_keys_match_the_matcher(kind):
 def test_classify_rejects_a_left_table_outside_the_census():
     d = DiStructure(cyclic(3), right_zero(3)).relabel(Permutation((1, 2, 0)))
     assert d.left.entries not in dict(enumeration._reps(3))
+    key = bytes(d.left.entries + d.right.entries)
     with pytest.raises(RuntimeError, match="no semigroup representative"):
-        classify(EnumerationResult(3, "dimonoid", 1, ((canonical_form(d), d),)))
+        classify(EnumerationResult(3, "dimonoid", 1, (key,)))
 
 
 def test_census_auts_reject_a_right_table_that_leads_no_orbit():
@@ -308,11 +344,9 @@ def test_census_auts_reject_a_right_table_that_leads_no_orbit():
         for re, _ in enumeration._right_tables(le, aut, n, kind):
             others = {tuple(p[re[j]] for j in g) for p, g in aut} - {tuple(re)}
             if others:
-                d = DiStructure(OpTable(n, le), OpTable(n, min(others)))
-                key = CanonicalKey(order=n, key=bytes(le) + bytes(min(others)),
-                                   witness=Permutation.identity(n))
+                key = bytes(le) + bytes(min(others))
                 with pytest.raises(RuntimeError, match="leads no Aut"):
-                    list(classify_module._census_auts(EnumerationResult(n, kind, 1, ((key, d),))))
+                    list(classify_module._census_auts(EnumerationResult(n, kind, 1, (key,))))
                 return
     raise AssertionError("no order-3 Aut(L)-orbit has two right tables")
 
@@ -357,11 +391,11 @@ def test_one_dual_canonical_form_per_dual_pair(monkeypatch):
         classify(result)  # fills the cached name maps, which take canonical forms too
     calls = []
 
-    def counted(d):
-        calls.append(d)
-        return canonical_form(d)
+    def counted(le, re, n):
+        calls.append((le, re))
+        return iso._coset_key(le, re, n)
 
-    monkeypatch.setattr(classify_module, "canonical_form", counted)
+    monkeypatch.setattr(classify_module, "_coset_key", counted)
     for result in results:
         calls.clear()
         report = classify(result)

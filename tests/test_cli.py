@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface, run in process."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -271,6 +272,22 @@ def test_classify_json_semigroups(capsys):
     assert obj["summary"]["total"] == 24
     auts = {row["name"]: row["aut"]["name"] for row in obj["rows"]}
     assert auts["LO3"] == "S3"
+
+
+# sha256 of `classify --order 4 --kind K --format json`, pinned when the report was
+# first rendered by `json.dumps(..., indent=2)`, before `render_json` laid it out itself
+ORDER4_JSON_SHA256 = {
+    "dimonoid": "74ae419165191f227c178f317052c188e9ee70f417f68f5ed8a03117730b574e",
+    "doppelsemigroup": "de21d68bdcbddfd8e383acc8ddfafe7875e62b8c5ba88461bf495367e0e35d58",
+    "semigroup": "355f53dd00aa9e1dfdaf858f4d1d60b823b54deb13df02efa6d9f04e19f28701",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORDER4_JSON_SHA256))
+def test_classify_order4_json_bytes_are_pinned(kind, capsys):
+    assert main(["classify", "--order", "4", "--kind", kind, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ORDER4_JSON_SHA256[kind]
 
 
 def test_classify_rejects_bad_order(capsys):
