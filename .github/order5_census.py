@@ -1,6 +1,6 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 7 s with two workers on a two-core machine):
+Run from the repository root (about 20 s with two workers on a two-core machine):
 
     PYTHONPATH=src python .github/order5_census.py
 
@@ -18,19 +18,24 @@ every 97th class of both pair kinds is checked against the permutation
 matcher, and its key and its dual's against `iso._min_key`, which scans
 all 120 relabelings of both tables.  The time of
 each census is printed.  The unnamed counts check the order-5 catalog built
-on the census's right tables.  On a multi-core machine those right tables
-come from a process pool started the platform's default way, so the
-dimonoid census is repeated with the pool's workers spawned and with the
-pool forced off, and all three must agree.  Spawned workers import this
-file again, which is why the work runs under the `__main__` guard.
+on the census's right tables.  A doppelsemigroup representative whose
+transpose is in the class of a smaller representative takes its right
+tables from that one's, transposed and relabeled, instead of a search; the
+script prints how many were searched and how many derived, and compares
+every 97th derived one's leaders and groups with a direct search.  On a
+multi-core machine the searched right tables come from a process pool
+started the platform's default way, so both pair censuses are repeated with
+the pool's workers spawned and with the pool forced off, and all three must
+agree.  Spawned workers import this file again, which is why the work runs
+under the `__main__` guard.
 """
 import importlib
 import multiprocessing
 import time
 from itertools import islice
 
-from dimonoids import (CanonicalKey, Permutation, automorphisms, classify, enumerate_structures,
-                       enumeration, identify_group)
+from dimonoids import (CanonicalKey, Permutation, automorphisms, classify, doppel,
+                       enumerate_structures, enumeration, identify_group)
 from dimonoids.iso import _min_key, _perm_data, _stabilizer, distructure_from_key
 
 # the package's `classify` attribute is the function, which hides the module
@@ -67,12 +72,31 @@ def check_sample(result, report):
     return checked
 
 
-def dimonoid_census(workers=None):
-    """(class keys, labeled count) of the order-5 dimonoids, searched afresh if workers is set."""
+def check_transposed():
+    """Compare every SAMPLE_STEP-th derived doppelsemigroup representative's right tables
+    with a direct search."""
+    kind = "doppelsemigroup"
+    reps = enumeration._reps(5)
+    partners = doppel.transpose_partners(reps, 5)
+    print(f"order-5 {kind} representatives: {len(reps) - len(partners)} searched, "
+          f"{len(partners)} derived by transposition")
+    derived = [(le, aut) for le, aut in reps if le in partners]
+    for le, aut in derived[::SAMPLE_STEP]:
+        searched = tuple((bytes(re), (aut[0], *group))
+                         for re, group in enumeration._search(le, 5, kind, aut[1:]))
+        if enumeration._RIGHT_TABLES[le, kind] != searched:
+            raise SystemExit(f"order-5 {kind} representative {le}: the right tables derived "
+                             f"by transposition differ from a search")
+    print(len(derived[::SAMPLE_STEP]), "sampled derived representatives agree with a search")
+
+
+def census(kind, workers=None):
+    """(class keys, labeled count) of the order-5 census of kind, searched afresh if workers
+    is set."""
     if workers is not None:
         enumeration._pool_size = lambda n: workers
         enumeration._RIGHT_TABLES.clear()
-    result = enumerate_structures(5, "dimonoid")
+    result = enumerate_structures(5, kind)
     return result.keys, result.labeled_count
 
 
@@ -110,14 +134,16 @@ def main():
                              f"expected {UNNAMED[kind]}")
         if kind != "semigroup":
             print(kind, check_sample(result, report), "sampled classes agree with the matcher")
-    pooled = dimonoid_census()  # the right tables the first census kept
+        if kind == "doppelsemigroup":
+            check_transposed()
+    pooled = {kind: census(kind) for kind in UNNAMED}  # the right tables the first censuses kept
     multiprocessing.set_start_method("spawn", force=True)
-    spawned = dimonoid_census(max(workers, 2))
-    if spawned != pooled:
-        raise SystemExit("order-5 dimonoids: the spawned and default pools differ")
-    if dimonoid_census(1) != pooled:
-        raise SystemExit("order-5 dimonoids: the pooled and serial censuses differ")
-    print("order-5 dimonoids: default pool, spawned pool and serial census agree")
+    for kind, keys in pooled.items():
+        if census(kind, max(workers, 2)) != keys:
+            raise SystemExit(f"order-5 {kind}: the spawned and default pools differ")
+        if census(kind, 1) != keys:
+            raise SystemExit(f"order-5 {kind}: the pooled and serial censuses differ")
+        print(f"order-5 {kind}: default pool, spawned pool and serial census agree")
 
 
 if __name__ == "__main__":

@@ -10,19 +10,26 @@ cleared, and, for each pair kind over the representatives' left tables, of
 the full right-table search `enumeration._search(le, n, kind)` and of the
 search as the census runs it, over Aut(L) (`_search(le, n, kind, aut[1:])`),
 together with the tables found: every right table, and one leader per
-Aut(L)-orbit.  For one order-4 census of each pair kind it then times the
+Aut(L)-orbit.  For doppelsemigroups it also times the set-up those searches
+do before their first cell, the prefix masks of the rows and columns D2
+and D4 allow (`doppel.commutant_masks`, uncached), over the same
+left tables, with the number of those maps; and it counts, for each pair
+kind, the representatives the census searches and those it derives from
+their transposes.  For one order-4 census of each pair kind it then times the
 canonical forms of one class per dual pair, as `classify` takes them from
 the key bytes, with the left-table coset cache cleared, and the exhaustive
 `iso._min_key` over all n! relabelings of the same pairs; and the stages
 after the search, `enumeration._result` on the keys in the census's order,
 `classify` and `render_json`, with the name map already built.  OUT.json
-gets the same rows plus the commit, the Python version and the CPU count.
-The source measured is the `src/` next to this script.
+gets the same rows plus a sha256 of the source measured, the Python version
+and the CPU count.  The source measured is the `src/` next to this script;
+its digest covers the path and bytes of each of its `.py` files, so it names
+the tree as measured, committed or not.
 """
+import hashlib
 import json
 import os
 import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -30,7 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dimonoids import classify, enumerate_structures, enumeration, iso, render_report  # noqa: E402
+from dimonoids import (classify, doppel, enumerate_structures, enumeration, iso,  # noqa: E402
+                       render_report)
 from dimonoids.axioms import _pair_flags  # noqa: E402
 
 REPEATS = 5
@@ -73,6 +81,20 @@ def dual_pairs(n, kind):
     return duals
 
 
+def translation_sets(reps, n):
+    """Per left table of reps, the sets of its columns and of its rows, whose commuting
+    maps are the rows and the columns D2 and D4 allow."""
+    return [frozenset(maps) for le, _ in reps
+            for maps in ({le[z::n] for z in range(n)}, {le[x * n:x * n + n] for x in range(n)})]
+
+
+def translations(sets, n):
+    """The prefix masks of the maps commuting with each of sets, built as the
+    doppelsemigroup search builds them, each set afresh (the search keeps them per set
+    and reuses repeated ones)."""
+    return [doppel.commutant_masks.__wrapped__(maps, n) for maps in sets]
+
+
 def coset_keys(n, duals):
     iso._left_coset.cache_clear()
     return len([iso._coset_key(rt, lt, n) for rt, lt in duals])
@@ -94,13 +116,12 @@ def post_search(n, kind):
     return seconds, len(keys)
 
 
-def commit():
-    try:
-        done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
-                              capture_output=True, text=True, timeout=10)
-    except OSError:
-        return None
-    return done.stdout.strip() or None
+def source_sha256():
+    """sha256 over the relative path and bytes of each `.py` file under src/, sorted."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def main(argv):
@@ -115,6 +136,15 @@ def main(argv):
                 seconds, found = best_of(lambda: right_tables(sample, n, kind, leaders))
                 rows.append({"stage": stage, "order": n, "kind": kind, "lefts": len(sample),
                              "best_s": round(seconds, 4), "tables": found})
+        sets = translation_sets(sample, n)
+        seconds, _ = best_of(lambda: translations(sets, n))
+        found = sum(len(doppel.commutant(maps, n)) for maps in sets)
+        rows.append({"stage": "translations", "order": n, "kind": "doppelsemigroup",
+                     "lefts": len(sample), "best_s": round(seconds, 4), "tables": found})
+        partners = doppel.transpose_partners(reps, n)
+        for kind, derived in (("dimonoid", 0), ("doppelsemigroup", len(partners))):
+            rows.append({"stage": "census_reps", "order": n, "kind": kind,
+                         "searched": len(reps) - derived, "derived": derived})
     for kind in KINDS:
         duals = dual_pairs(4, kind)
         for stage, fn in (("dual_keys_coset", coset_keys),
@@ -126,12 +156,15 @@ def main(argv):
         rows.append({"stage": "post_search", "order": 4, "kind": kind,
                      "best_s": round(seconds, 4), "tables": found})
     for row in rows:
-        print(f"{row['stage']:<21} order {row['order']} {row.get('kind', ''):<16}"
-              f"{row['best_s']:8.4f} s  {row['tables']} tables")
+        head = f"{row['stage']:<21} order {row['order']} {row.get('kind', ''):<16}"
+        if "searched" in row:
+            print(f"{head}{row['searched']} searched, {row['derived']} derived")
+        else:
+            print(f"{head}{row['best_s']:8.4f} s  {row['tables']} tables")
     if argv:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count())
-        report = {"schema": "dimonoids.bench-search/1", "commit": commit(),
+        report = {"schema": "dimonoids.bench-search/2", "src_sha256": source_sha256(),
                   "python": platform.python_version(), "cpus": cpus, "repeats": REPEATS,
                   "rows": rows}
         Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

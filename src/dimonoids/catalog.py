@@ -604,10 +604,11 @@ def named_structures(n: int, kind: str):
             rights = _right_tables_of(key, p, left_auts[key[:n * n]], n, kind, positions)
             hits = sorted((ri, pi, rt) for rt in rights
                           if rt != lt.entries for ri, pi in positions[rt])
+            abelian = lt.transpose().entries
             for ri, group in groupby(hits, key=itemgetter(0)):
-                block = [DiStructure(lt, OpTable(n, rt)) for _, _, rt in group]
-                block.sort(key=lambda d: d.right != d.left.transpose())
-                out.extend((f"{lname}|{distinct[ri][0]}", d) for d in block)
+                block = sorted((rt for _, _, rt in group), key=lambda rt: rt != abelian)
+                out.extend((f"{lname}|{distinct[ri][0]}", DiStructure(lt, OpTable(n, rt)))
+                           for rt in block)
     return tuple(out)
 
 

@@ -1,0 +1,157 @@
+"""What a doppelsemigroup census adds to the shared right-table search.
+
+D2, L[R[x][y]][z] = R[x][L[y][z]], holds iff every row y -> R[x][y] of the
+right table commutes with each right translation u -> L[u][z] of (S, L),
+that is, is a left translation of (S, L) in the sense of Clifford and
+Preston (The Algebraic Theory of Semigroups I, 1961).  D4,
+R[L[x][y]][z] = L[x][R[y][z]], holds iff every column x -> R[x][z] commutes
+with each left translation u -> L[x][u]: it is a right translation.
+`commutant_masks` finds either set as a prefix tree, from which
+`enumeration._search` takes each cell's values, so a kind with both
+identities checks neither per cell.  Dimonoids keep D2 as a checked
+identity: there the row sets cut few nodes and cost more than they save.
+
+And (L, R) is a doppelsemigroup iff (Lᵀ, Rᵀ) is one.  So a representative
+L whose transpose lies in the class of a smaller representative P is not
+searched: `transpose_partners` finds those, and `transposed_right_tables`
+carries P's right tables onto L's.  Only one representative per class up
+to anti-isomorphism is searched.
+
+`enumeration` imports this module only when it runs a doppelsemigroup
+search, so other commands neither compile nor load it.
+"""
+from __future__ import annotations
+
+from functools import lru_cache
+
+from .iso import _least, _perm_data
+
+
+def commutant(maps, n: int):
+    """Every map f of range(n), as a tuple, with f[T[u]] = T[f[u]] for each T in maps and
+    each u, in lexicographic order.
+
+    f[u] decides f on every element a walk from u through the maps reaches,
+    so f is searched only at generators, the elements no earlier walk
+    reached: each value of f at a generator is walked on and checked against
+    the values already set, and a conflict cuts the branch.
+    """
+    rng = range(n)
+    maps = set(maps)
+    maps.discard(tuple(rng))  # the identity commutes with every map
+    # per generator u, the steps (x, T, y = T[x]) of a breadth-first walk from u
+    walks = []
+    reached = set()
+    for u in rng:
+        if u in reached:
+            continue
+        reached.add(u)
+        todo = [u]
+        steps = []
+        for x in todo:
+            for T in maps:
+                y = T[x]
+                steps.append((x, T, y))
+                if y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+        walks.append((u, steps))
+    out = []
+    f = [-1] * n
+
+    def grow(i):
+        if i == len(walks):
+            out.append(tuple(f))
+            return
+        u, steps = walks[i]
+        for v in rng:
+            f[u] = v
+            undo = [u]
+            for x, T, y in steps:
+                w = T[f[x]]
+                if f[y] < 0:
+                    f[y] = w
+                    undo.append(y)
+                elif f[y] != w:
+                    break
+            else:
+                grow(i + 1)
+            for y in undo:
+                f[y] = -1
+
+    grow(0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def commutant_masks(maps: frozenset, n: int):
+    """The prefix tree of `commutant(maps, n)` down to the maps' last position:
+    (mask, child), where node 0 is the empty prefix, mask[node] has bit v set iff
+    some map continues that prefix with v, and child[node * n + v] is the node of
+    the prefix so continued.  Kept per set of maps, since left tables share them:
+    the 252 sets of the 126 searched order-4 representatives are 180 distinct ones."""
+    mask = [0]
+    child = [0] * n
+    path = [0] * n  # path[j]: the node of the previous map's first j values
+    prev = (-1,) * n
+    for f in commutant(maps, n):  # sorted and distinct
+        j = 0
+        while f[j] == prev[j]:  # the shared prefix has its nodes already
+            j += 1
+        for j in range(j, n):
+            node = path[j]
+            mask[node] |= 1 << f[j]
+            if j + 1 < n:
+                path[j + 1] = child[node * n + f[j]] = len(mask)
+                mask.append(0)
+                child += [0] * n
+        prev = f
+    return tuple(mask), tuple(child)
+
+
+@lru_cache(maxsize=None)
+def mask_nexts(n: int):
+    """Per bitmask of values, the least value in it at or after each start value (n: none)."""
+    nexts = []
+    for m in range(1 << n):
+        row = [n] * (n + 1)
+        for w in reversed(range(n)):
+            row[w] = w if m >> w & 1 else row[w + 1]
+        nexts.append(tuple(row))
+    return tuple(nexts)
+
+
+def transpose_partners(reps, n: int):
+    """{L: (P, q)} for each representative L of reps, `enumeration._reps` items, whose
+    transpose is in the class of a smaller representative P: P is the least relabeling
+    of Lᵀ and q the first `_perm_data` item that reaches it."""
+    perms = _perm_data(n)
+    rng = range(n)
+    partners = {}
+    for le, _ in reps:
+        partner, reach = _least(tuple(v for z in rng for v in le[z::n]), perms)
+        if partner < le:
+            partners[le] = (partner, reach[0])
+    return partners
+
+
+def transposed_right_tables(rights, q, aut, n: int):
+    """`enumeration._right_tables` of L from those of P = q(Lᵀ), without a search.
+
+    aut is Aut(L), identity first.  For each right table R of P, (Lᵀ, q⁻¹(R))
+    is a pair of the kind, so (L, q⁻¹(Rᵀ)) is one; this carries P's Aut(P)-orbits
+    of right tables onto L's Aut(L)-orbits, one to one.  Each leader R of P so
+    gives the least Aut(L)-relabeling of q⁻¹(Rᵀ) as a leader of L, with the pair's
+    group: the relabelings of aut that reach that least table from itself, which
+    fix it.  Sorting them gives the order the search yields.
+    """
+    p = q[0]
+    pinv = [0] * n
+    for i, v in enumerate(p):
+        pinv[v] = i
+    rng = range(n)
+    out = []
+    for re, _ in rights:
+        leader = _least([pinv[re[p[y] * n + p[x]]] for x in rng for y in rng], aut)[0]
+        out.append((bytes(leader), tuple(_least(leader, aut)[1])))
+    return tuple(sorted(out))

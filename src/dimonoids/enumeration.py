@@ -27,14 +27,20 @@ serializes the left block first, so it is L followed by that R; classes
 of different L never share a key, each class is found once, and the
 labeled count is the sum of n!/|Aut(D)|.  `classify` takes each class's
 automorphism group from the same search.
+Doppelsemigroups use two more facts (see `doppel`): D2 and D4 confine
+the rows and the columns of R to the translations of L, so the search
+takes each cell's values from those and checks neither identity per cell,
+and (L, R) is a doppelsemigroup iff (Lᵀ, Rᵀ) is one, so a representative
+whose transpose lies in the class of a smaller one is not searched.
 The leaders of each L are searched once per process and kept, as bytes
 with their groups; the catalog expands their Aut(L)-orbits onto its named
 left tables instead of searching those again.  The search takes one
 worker process per 128 representatives, up to the CPUs the process may
 use, so only order 5 can run a pool: its workers search interleaved shares
-of the representatives and hand the leaders back, each group as indices
-into the relabelings.  Keys are then sorted once, in this process, so
-results do not depend on the pool, and the result keeps them as bytes:
+of the representatives that need a search and hand the leaders back, each
+group as indices into the relabelings, and this process derives the rest.
+Keys are then sorted once, in this process, so results do not depend on
+the pool, and the result keeps them as bytes:
 `classify` and the JSONL lines read each class's tables from its key, and
 only `EnumerationResult.class_reps` builds pair objects.  Where workers are
 started by spawn or forkserver (macOS, Windows, Linux from Python 3.14),
@@ -98,7 +104,13 @@ def _search(le, n: int, kind: str, perms=None):
     that cell to the value of the other side: a second, different value fails
     at once, and a forced cell is tried with its one value only.  D1 (LLLR)
     looks R up only at R[y][z], so it confines each cell to a domain fixed by
-    L before the search and is not checked per cell.  Per depth k, alive[k]
+    L before the search and is not checked per cell.  With both D2 and D4
+    (doppelsemigroups) each row of R must be a left translation of L and
+    each column a right translation (see `doppel`); both sets are found
+    before the search, and once a cell is set, the domain of the next cell
+    is what the prefix trees of its row and its column allow, so neither
+    identity is checked per cell and a row or column that cannot be
+    completed is never entered.  Per depth k, alive[k]
     holds the relabelings of perms not yet shown to make the table larger; a
     relabeling larger at a decided position with every earlier one equal stays
     larger below that node, so depth k + 1 scans only the survivors of depth k
@@ -116,8 +128,10 @@ def _search(le, n: int, kind: str, perms=None):
                                         for v in rng]
     # per cell, the least value at or after each start value it may take (n: none)
     nxt = [tuple(range(n + 1))] * nn
+    axioms = _AXIOMS[kind]
+    translations = IDENTITIES["d2"] in axioms and IDENTITIES["d4"] in axioms
     plan = []
-    for axiom in _AXIOMS[kind]:
+    for axiom in axioms:
         if axiom == IDENTITIES["d1"]:  # L[L[x][y]][z] = L[x][R[y][z]] for every x
             cols = [tuple(le[x * n + w] for x in rng) for w in rng]
             nxt = []
@@ -128,6 +142,8 @@ def _search(le, n: int, kind: str, perms=None):
                     for w in reversed(rng):
                         row[w] = w if cols[w] == col else row[w + 1]
                     nxt.append(row)
+            continue
+        if translations and axiom in (IDENTITIES["d2"], IDENTITIES["d4"]):
             continue
         A, B, C, D = (t if c == "R" else le for c in axiom)
         plan.append((A, B, C, D, t_cells if B is t else le_cells, t_cells if D is t else le_cells))
@@ -185,6 +201,38 @@ def _search(le, n: int, kind: str, perms=None):
                             return False
         return True
 
+    # the values each cell may take: fixed per cell, or set for the next cell by holds
+    dom = nxt
+    if translations:
+        from .doppel import commutant_masks, mask_nexts
+
+        # rows commute with every right translation u -> L[u][z], the columns of L, and
+        # columns with every left translation u -> L[x][u], the rows of L
+        rmask, rchild = commutant_masks(frozenset(le[z::n] for z in rng), n)
+        cmask, cchild = commutant_masks(frozenset(le[x * n:x * n + n] for x in rng), n)
+        nexts = mask_nexts(n)
+        # D1's domains as bitmasks, where the kind has it
+        cells = ([sum(1 << w for w in rng if d[w] == w) for d in nxt]
+                 if IDENTITIES["d1"] in axioms else [(1 << n) - 1] * nn)
+        rnode = [0] * nn  # per cell, the trie node of its row's and its column's prefix
+        cnode = [0] * nn
+        dom = [nexts[rmask[0] & cmask[0] & cells[0]]] * nn
+        identities = holds
+
+        def holds(a, b, v, trail):
+            """The identities' `holds`, then the domain of the next cell: False if it is
+            empty or leaves out the value forced there."""
+            if not identities(a, b, v, trail):
+                return False
+            k = a * n + b + 1
+            if k == nn:
+                return True
+            rn = rnode[k] = rchild[rnode[k - 1] * n + v] if b + 1 < n else 0
+            cn = cnode[k] = cchild[cnode[k - n] * n + t[k - n]] if k >= n else 0
+            d = dom[k] = nexts[rmask[rn] & cmask[cn] & cells[k]]
+            f = forced[k]
+            return d[0] < n if f < 0 else d[f] == f
+
     alive = [perms] * (nn + 1)  # leads sets alive[k + 1]; with perms empty it need not run
 
     def leads(k):
@@ -219,7 +267,7 @@ def _search(le, n: int, kind: str, perms=None):
         if old >= 0:
             t_cells[old].pop()
         f = forced[k]
-        v = nxt[k][old + 1] if f < 0 else n if old >= 0 else f
+        v = dom[k][old + 1] if f < 0 else n if old >= 0 else f
         if v == n:
             t[k] = -1
             k -= 1
@@ -336,6 +384,14 @@ def _enumerate_pairs(n: int, kind: str):
     reps = _reps(n)
     start = time.perf_counter()
     missing = [(le, aut) for le, aut in reps if (le, kind) not in _RIGHT_TABLES]
+    partners = {}
+    if kind == DOPPELSEMIGROUP:
+        from .doppel import transpose_partners, transposed_right_tables
+
+        # a representative takes its right tables from its transpose's representative
+        # when that is another, smaller one, searched before it
+        partners = transpose_partners(missing, n)
+        missing = [item for item in missing if item[0] not in partners]
     workers = min(_pool_size(n), len(missing))
     if workers > 1:
         # imported here: a serial command should not load multiprocessing
@@ -355,7 +411,12 @@ def _enumerate_pairs(n: int, kind: str):
     # each leader R is its class's key after L, and the class has n!/|Aut| labeled pairs
     labeled = 0
     keys = []
+    auts = dict(reps)
     for le, aut in reps:
+        if le in partners:
+            partner, q = partners[le]
+            _RIGHT_TABLES[le, kind] = transposed_right_tables(
+                _right_tables(partner, auts[partner], n, kind), q, aut, n)
         head = bytes(le)
         for re, group in _right_tables(le, aut, n, kind):
             labeled += factorial(n) // len(group)

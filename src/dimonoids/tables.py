@@ -285,16 +285,14 @@ def _blocks(text: str):
     return blocks
 
 
-def parse_table(text: str) -> OpTable:
-    blocks = _blocks(text)
+def _table_of(blocks) -> OpTable:
     if len(blocks) != 1:
         raise TableFormatError(f"expected one table block, found {len(blocks)}")
     lines, start = blocks[0]
     return _parse_block(lines, start)
 
 
-def parse_distructure(text: str) -> DiStructure:
-    blocks = _blocks(text)
+def _pair_of(blocks) -> DiStructure:
     if len(blocks) != 2:
         raise TableFormatError(
             f"expected two table blocks separated by a blank line, found {len(blocks)}")
@@ -304,12 +302,20 @@ def parse_distructure(text: str) -> DiStructure:
     return DiStructure(left, right)
 
 
+def parse_table(text: str) -> OpTable:
+    return _table_of(_blocks(text))
+
+
+def parse_distructure(text: str) -> DiStructure:
+    return _pair_of(_blocks(text))
+
+
 def parse_structure(text: str):
     """Parse either a single table or a two-block pair, whichever the text holds."""
     blocks = _blocks(text)
     if len(blocks) == 1:
-        return parse_table(text)
-    return parse_distructure(text)
+        return _table_of(blocks)
+    return _pair_of(blocks)
 
 
 # ---------------------------------------------------------------------------

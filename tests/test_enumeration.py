@@ -22,9 +22,10 @@ from dimonoids import (canonical_form, check_dimonoid, check_doppelsemigroup,
                        enumerate_structures, is_associative)
 from dimonoids import enumeration
 from dimonoids.axioms import _pair_axioms_hold, assoc_witness, identity_witness
-from dimonoids.enumeration import (ENUM_KINDS, _reps, _search, class_lines,
-                                   write_classes_jsonl)
-from dimonoids.iso import _min_key, _perm_data, _stabilizer
+from dimonoids.doppel import commutant, commutant_masks, transposed_right_tables
+from dimonoids.enumeration import (ENUM_KINDS, _SEMIGROUP_DUAL_CLASSES, _reps, _search,
+                                   class_lines, write_classes_jsonl)
+from dimonoids.iso import _least, _min_key, _perm_data, _stabilizer
 
 KINDS = ("dimonoid", "doppelsemigroup")
 
@@ -273,10 +274,79 @@ def test_search_matches_filtering_every_right_table_for_arbitrary_left_tables(ki
         assert list(_search(le, n, kind)) == expected, le
 
 
+def transpose(e, n):
+    return tuple(e[y * n + x] for x in range(n) for y in range(n))
+
+
+def brute_force_translations(le, n):
+    """(rows, columns) a right table may have under D2 and D4, from all n^n maps: the maps
+    commuting with every u -> L[u][z], and those commuting with every u -> L[x][u]."""
+    maps = list(product(range(n), repeat=n))
+    return ([f for f in maps
+             if all(f[le[u * n + z]] == le[f[u] * n + z] for u in range(n) for z in range(n))],
+            [f for f in maps
+             if all(f[le[x * n + u]] == le[x * n + f[u]] for x in range(n) for u in range(n))])
+
+
+def check_translations(le, n):
+    """The row and column sets, and their masks, as the doppelsemigroup search takes them
+    (from L's columns and rows), against the brute-force filter; returns the sets."""
+    sets = brute_force_translations(le, n)
+    for maps, expected in zip(({le[z::n] for z in range(n)},
+                               {le[x * n:x * n + n] for x in range(n)}), sets):
+        assert commutant(maps, n) == expected, le
+        mask, child = commutant_masks(frozenset(maps), n)
+        # each prefix's mask holds exactly the values that continue it
+        for f in expected:
+            node = 0
+            for j in range(n):
+                assert mask[node] == sum(1 << v for v in {g[j] for g in expected
+                                                          if g[:j] == f[:j]}), le
+                node = child[node * n + f[j]] if j + 1 < n else None
+    return sets
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_translations_match_filtering_every_map(n):
+    for le, _ in _reps(n):
+        rows, cols = check_translations(le, n)
+        # L is associative, so its own rows and columns are among them
+        assert {le[x * n:x * n + n] for x in range(n)} <= set(rows)
+        assert {le[z::n] for z in range(n)} <= set(cols)
+
+
+def test_translations_of_arbitrary_left_tables():
+    for n, le in ARBITRARY_LEFTS:
+        check_translations(le, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transposed_right_tables_equal_a_search(n, monkeypatch):
+    kind = "doppelsemigroup"
+    monkeypatch.setattr(enumeration, "_RIGHT_TABLES", {})
+    enumerate_structures(n, kind)
+    census = dict(enumeration._RIGHT_TABLES)
+    searched = {le: tuple((bytes(re), (aut[0], *group))
+                          for re, group in _search(le, n, kind, aut[1:]))
+                for le, aut in _reps(n)}
+    perms = _perm_data(n)
+    for le, aut in _reps(n):
+        assert census[le, kind] == searched[le]
+        # every representative, its own transpose's included, and every relabeling
+        # that carries Lᵀ onto its representative P
+        partner, reach = _least(transpose(le, n), perms)
+        for q in reach:
+            assert transposed_right_tables(searched[partner], q, aut, n) == searched[le]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pool_sizes_agree(n, kind, monkeypatch):
-    # force the pool through the private size rule; it only fills the right-table store
+    # force the pool through the private size rule; it only fills the right-table store.
+    # A doppelsemigroup representative is searched only if no smaller one is in the class
+    # of its transpose: one per class up to anti-isomorphism (OEIS A001423), 126 of 188
+    # at order 4
+    searched = len(_reps(n)) if kind == "dimonoid" else _SEMIGROUP_DUAL_CLASSES[n]
     search = enumeration._search
     runs = []
     for workers in (1, 2, 3):
@@ -287,7 +357,7 @@ def test_pool_sizes_agree(n, kind, monkeypatch):
         enumeration._RIGHT_TABLES.clear()
         result = enumerate_structures(n, kind)
         # with a pool every search runs in a worker process
-        assert len(searches) == (len(_reps(n)) if workers == 1 else 0)
+        assert len(searches) == (searched if workers == 1 else 0)
         runs.append(([k.key for k, _ in result.class_reps], result.labeled_count,
                      dict(enumeration._RIGHT_TABLES)))
     assert runs[0] == runs[1] == runs[2]
