@@ -1,10 +1,11 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 20 s with two workers on a two-core machine):
+Run from the repository root (about 15 s with two workers on a two-core machine):
 
     PYTHONPATH=src python .github/order5_census.py
 
-It first times the leader search, `enumeration._reps(5)`, and checks that the
+It first times the leader search, `enumeration._reps(5)`, checks the sha256
+of its repr against the value pinned below, and checks that the
 automorphism group it returns for each of the 1,915 representatives is the
 stabilizer of the table among all 120 relabelings, in the same order.
 `classify` raises if its own checks fail: duality closure, the semigroup
@@ -22,13 +23,18 @@ on the census's right tables.  A doppelsemigroup representative whose
 transpose is in the class of a smaller representative takes its right
 tables from that one's, transposed and relabeled, instead of a search; the
 script prints how many were searched and how many derived, and compares
-every 97th derived one's leaders and groups with a direct search.  On a
+every 97th derived one's leaders and groups with a direct search.  A
+dimonoid representative whose columns are pairwise distinct has R = L as
+its only right table (D1), so it is not searched either; the script prints
+how many were searched and how many D1 decided, and checks that the
+unpruned search over every 50th decided one yields exactly L.  On a
 multi-core machine the searched right tables come from a process pool
 started the platform's default way, so both pair censuses are repeated with
 the pool's workers spawned and with the pool forced off, and all three must
 agree.  Spawned workers import this file again, which is why the work runs
 under the `__main__` guard.
 """
+import hashlib
 import importlib
 import multiprocessing
 import time
@@ -45,6 +51,9 @@ EXPECTED = {"semigroup": (183732, 1915), "dimonoid": (6488383, 55883),
             "doppelsemigroup": (7855432, 68177)}
 UNNAMED = {"dimonoid": 55609, "doppelsemigroup": 67442}
 SAMPLE_STEP = 97
+DECIDED_STEP = 50
+# sha256 of repr(enumeration._reps(5)): the representatives and their groups, in order
+REPS_SHA256 = "a27117805e3c6de9d54a6a6674c8cc157bfd9ddd722ed6eb58d711090e8f7254"
 
 
 def exhaustive_key(d):
@@ -90,6 +99,22 @@ def check_transposed():
     print(len(derived[::SAMPLE_STEP]), "sampled derived representatives agree with a search")
 
 
+def check_decided():
+    """Compare every DECIDED_STEP-th dimonoid representative that D1 decides with the
+    unpruned search and with the census's right tables."""
+    kind = "dimonoid"
+    reps = enumeration._reps(5)
+    decided = [(le, aut) for le, aut in reps if len({le[w::5] for w in range(5)}) == 5]
+    print(f"order-5 {kind} representatives: {len(reps) - len(decided)} searched, "
+          f"{len(decided)} decided by D1")
+    for le, aut in decided[::DECIDED_STEP]:
+        if (list(enumeration._search(le, 5, kind)) != [le]
+                or enumeration._RIGHT_TABLES[le, kind] != ((bytes(le), aut),)):
+            raise SystemExit(f"order-5 {kind} representative {le}: its columns are distinct, "
+                             f"but R = L is not its only right table")
+    print(len(decided[::DECIDED_STEP]), "sampled D1-decided representatives agree with a search")
+
+
 def census(kind, workers=None):
     """(class keys, labeled count) of the order-5 census of kind, searched afresh if workers
     is set."""
@@ -106,6 +131,9 @@ def check_rep_groups():
     reps = enumeration._reps(5)
     print(f"order-5 semigroup representatives and their groups in "
           f"{time.perf_counter() - start:.2f} s")
+    if hashlib.sha256(repr(reps).encode()).hexdigest() != REPS_SHA256:
+        raise SystemExit("the order-5 representatives or their groups differ from the pinned "
+                         "sha256")
     perms = _perm_data(5)
     for t, aut in reps:
         if aut != _stabilizer(t, perms):
@@ -134,6 +162,8 @@ def main():
                              f"expected {UNNAMED[kind]}")
         if kind != "semigroup":
             print(kind, check_sample(result, report), "sampled classes agree with the matcher")
+        if kind == "dimonoid":
+            check_decided()
         if kind == "doppelsemigroup":
             check_transposed()
     pooled = {kind: census(kind) for kind in UNNAMED}  # the right tables the first censuses kept

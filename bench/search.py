@@ -11,23 +11,32 @@ the full right-table search `enumeration._search(le, n, kind)` and of the
 search as the census runs it, over Aut(L) (`_search(le, n, kind, aut[1:])`),
 together with the tables found: every right table, and one leader per
 Aut(L)-orbit.  For doppelsemigroups it also times the set-up those searches
-do before their first cell, the prefix masks of the rows and columns D2
-and D4 allow (`doppel.commutant_masks`, uncached), over the same
-left tables, with the number of those maps; and it counts, for each pair
-kind, the representatives the census searches and those it derives from
-their transposes.  For one order-4 census of each pair kind it then times the
-canonical forms of one class per dual pair, as `classify` takes them from
-the key bytes, with the left-table coset cache cleared, and the exhaustive
-`iso._min_key` over all n! relabelings of the same pairs; and the stages
-after the search, `enumeration._result` on the keys in the census's order,
-`classify` and `render_json`, with the name map already built.  OUT.json
-gets the same rows plus a sha256 of the source measured, the Python version
-and the CPU count.  The source measured is the `src/` next to this script;
-its digest covers the path and bytes of each of its `.py` files, so it names
-the tree as measured, committed or not.
+do before their first cell, the prefix masks of the rows and columns D2 and
+D4 allow (`doppel.commutant_masks`, uncached), over the same left tables,
+with the number of those maps; and it counts, for each pair kind, the
+representatives the census searches and those it does not: for dimonoids
+those whose columns are pairwise distinct, where D1 leaves R = L alone, and
+for doppelsemigroups those it derives from their transposes.  For one
+order-4 census of each pair kind it then times the canonical forms of one
+class per dual pair, as `classify` takes them from the key bytes, with the
+left-table coset cache cleared, and the exhaustive `iso._min_key` over all
+n! relabelings of the same pairs; and the stages after the search,
+`enumeration._result` on the keys in the census's order, `classify` and
+`render_json`, with the name map already built.
+
+The host's speed drifts, so the speed reference of the benchmark harness,
+the basket of `perfbench/reference.py`, is sampled just before and just
+after each timed row.  A row records the mean of the two samples as its
+`speed` (1.0 is the basket's nominal speed, 0.8 is 20% slower) and its best
+time at nominal speed, `nominal_s` = `best_s` * `speed`, the figure to
+compare between runs.  OUT.json gets the same rows plus a sha256 of the
+source measured, the Python version and the CPU count.  The source measured
+is the `src/` next to this script; its digest covers the path and bytes of
+each of its `.py` files, so it names the tree as measured, committed or not.
 """
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -36,7 +45,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+import reference  # noqa: E402
 from dimonoids import (classify, doppel, enumerate_structures, enumeration, iso,  # noqa: E402
                        render_report)
 from dimonoids.axioms import _pair_flags  # noqa: E402
@@ -44,6 +55,18 @@ from dimonoids.axioms import _pair_flags  # noqa: E402
 REPEATS = 5
 STEPS = {3: 1, 4: 1, 5: 10}  # every step-th representative's right tables are searched
 KINDS = ("dimonoid", "doppelsemigroup")
+
+
+BASKET = {"memory": reference.Memory().step, "arithmetic": reference.arithmetic,
+          "associativity": reference.associativity, "arguments": reference.arguments}
+
+
+def speed():
+    """The host's speed now, as `perfbench/reference.py` answers a sample: the geometric
+    mean over its basket of each loop's rate over its nominal rate."""
+    logs = [math.log(reference.rate(step) / reference.NOMINAL[name])
+            for name, step in BASKET.items()]
+    return math.exp(sum(logs) / len(logs))
 
 
 def best_of(fn):
@@ -54,6 +77,17 @@ def best_of(fn):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def timed(row, fn):
+    """Fill row's best time of fn, the host's speed around it and that time at nominal
+    speed; return fn's result."""
+    before = speed()
+    seconds, result = best_of(fn)
+    factor = (before + speed()) / 2
+    row.update(best_s=round(seconds, 4), speed=round(factor, 3),
+               nominal_s=round(seconds * factor, 4))
+    return result
 
 
 def reps_fresh(n):
@@ -104,16 +138,16 @@ def exhaustive_keys(n, duals):
     return len([iso._min_key(rt, lt, n) for rt, lt in duals])
 
 
-def post_search(n, kind):
-    """(best time of `_result`, `classify` and `render_json` on the order-n census's keys
-    in the order its search yields them, the classes), with the name map built."""
+def post_search(row, n, kind):
+    """Time `_result`, `classify` and `render_json` into row, on the order-n census's keys
+    in the order its search yields them, with the name map built; return the classes."""
     labeled = enumerate_structures(n, kind).labeled_count
     keys = [bytes(le) + re for le, aut in enumeration._reps(n)
             for re, _ in enumeration._right_tables(le, aut, n, kind)]
     classify(enumeration._result(n, kind, labeled, keys))
-    seconds, _ = best_of(lambda: render_report(
+    timed(row, lambda: render_report(
         classify(enumeration._result(n, kind, labeled, keys)), "json"))
-    return seconds, len(keys)
+    return len(keys)
 
 
 def source_sha256():
@@ -127,44 +161,49 @@ def source_sha256():
 def main(argv):
     rows = []
     for n, step in STEPS.items():
-        seconds, reps = best_of(lambda: reps_fresh(n))
-        rows.append({"stage": "reps", "order": n, "best_s": round(seconds, 4),
-                     "tables": len(reps)})
+        row = {"stage": "reps", "order": n}
+        reps = timed(row, lambda: reps_fresh(n))
+        rows.append({**row, "tables": len(reps)})
         sample = reps[::step]
         for kind in KINDS:
             for stage, leaders in (("pair_search", False), ("leader_search", True)):
-                seconds, found = best_of(lambda: right_tables(sample, n, kind, leaders))
-                rows.append({"stage": stage, "order": n, "kind": kind, "lefts": len(sample),
-                             "best_s": round(seconds, 4), "tables": found})
+                row = {"stage": stage, "order": n, "kind": kind, "lefts": len(sample)}
+                found = timed(row, lambda: right_tables(sample, n, kind, leaders))
+                rows.append({**row, "tables": found})
         sets = translation_sets(sample, n)
-        seconds, _ = best_of(lambda: translations(sets, n))
-        found = sum(len(doppel.commutant(maps, n)) for maps in sets)
-        rows.append({"stage": "translations", "order": n, "kind": "doppelsemigroup",
-                     "lefts": len(sample), "best_s": round(seconds, 4), "tables": found})
-        partners = doppel.transpose_partners(reps, n)
-        for kind, derived in (("dimonoid", 0), ("doppelsemigroup", len(partners))):
+        row = {"stage": "translations", "order": n, "kind": "doppelsemigroup",
+               "lefts": len(sample)}
+        timed(row, lambda: translations(sets, n))
+        rows.append({**row, "tables": sum(len(doppel.commutant(maps, n)) for maps in sets)})
+        # representatives the census does not search: for dimonoids, those D1 decides
+        decided = sum(enumeration._decided_by_d1(le, n, "dimonoid") for le, _ in reps)
+        derived = len(doppel.transpose_partners(reps, n))
+        for kind, how, skipped in (("dimonoid", "decided", decided),
+                                   ("doppelsemigroup", "derived", derived)):
             rows.append({"stage": "census_reps", "order": n, "kind": kind,
-                         "searched": len(reps) - derived, "derived": derived})
+                         "searched": len(reps) - skipped, how: skipped})
     for kind in KINDS:
         duals = dual_pairs(4, kind)
         for stage, fn in (("dual_keys_coset", coset_keys),
                           ("dual_keys_exhaustive", exhaustive_keys)):
-            seconds, found = best_of(lambda: fn(4, duals))
-            rows.append({"stage": stage, "order": 4, "kind": kind, "best_s": round(seconds, 4),
-                         "tables": found})
-        seconds, found = post_search(4, kind)
-        rows.append({"stage": "post_search", "order": 4, "kind": kind,
-                     "best_s": round(seconds, 4), "tables": found})
+            row = {"stage": stage, "order": 4, "kind": kind}
+            found = timed(row, lambda: fn(4, duals))
+            rows.append({**row, "tables": found})
+        row = {"stage": "post_search", "order": 4, "kind": kind}
+        found = post_search(row, 4, kind)
+        rows.append({**row, "tables": found})
     for row in rows:
         head = f"{row['stage']:<21} order {row['order']} {row.get('kind', ''):<16}"
         if "searched" in row:
-            print(f"{head}{row['searched']} searched, {row['derived']} derived")
+            how = "decided" if "decided" in row else "derived"
+            print(f"{head}{row['searched']} searched, {row[how]} {how}")
         else:
-            print(f"{head}{row['best_s']:8.4f} s  {row['tables']} tables")
+            print(f"{head}{row['best_s']:8.4f} s at speed {row['speed']:.3f}: "
+                  f"{row['nominal_s']:8.4f} s nominal  {row['tables']} tables")
     if argv:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count())
-        report = {"schema": "dimonoids.bench-search/2", "src_sha256": source_sha256(),
+        report = {"schema": "dimonoids.bench-search/3", "src_sha256": source_sha256(),
                   "python": platform.python_version(), "cpus": cpus, "repeats": REPEATS,
                   "rows": rows}
         Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -2,51 +2,54 @@
 
 One search core, `_search`, fills a right table cell by cell in row-major
 order against a fixed left table.  It checks the identities of
-`axioms.IDENTITIES` and associativity, each of the form
-A[B[x][y]][z] = C[x][D[y][z]] over the left (L) and right (R) tables.
-After each cell only the triples that look that cell up are checked,
-and a branch is cut at the first identity a filled cell breaks.  A triple
-whose only empty lookup is an outer R cell (A or C) forces that cell's
-value, so a conflicting second value cuts the branch before the cell is
-reached, and a forced cell is tried with that value alone.  D1 looks R up
-once, so it becomes a domain per cell, computed from L before the search.
-With the right table as its own left table and associativity alone, the
-search yields the labeled associative tables; cutting also every branch
-that some relabeling makes lexicographically smaller (lex-leader symmetry
-breaking) leaves one table L per semigroup class, the first of its
-n!/|Aut(L)|-table orbit.  Each depth keeps the relabelings not yet shown
-to make the table larger, so at a leaf the survivors are Aut(L) and no
-second pass over the n! relabelings finds it.  Every pair is isomorphic
-to one whose left table is such an L, so right tables are searched only
-for those, under associativity with D1, D2 and D3 for dimonoids or D2 and
-D4 for doppelsemigroups.  Aut(L) fixes L, so it carries the right tables
-of L onto each other, and the same leader search over Aut(L) yields the
-least right table R of each Aut(L)-orbit with its automorphisms among
-Aut(L): the group Aut(D) of the pair D = (L, R).  A canonical key
-serializes the left block first, so it is L followed by that R; classes
-of different L never share a key, each class is found once, and the
-labeled count is the sum of n!/|Aut(D)|.  `classify` takes each class's
-automorphism group from the same search.
-Doppelsemigroups use two more facts (see `doppel`): D2 and D4 confine
-the rows and the columns of R to the translations of L, so the search
-takes each cell's values from those and checks neither identity per cell,
-and (L, R) is a doppelsemigroup iff (Lᵀ, Rᵀ) is one, so a representative
-whose transpose lies in the class of a smaller one is not searched.
-The leaders of each L are searched once per process and kept, as bytes
-with their groups; the catalog expands their Aut(L)-orbits onto its named
-left tables instead of searching those again.  The search takes one
-worker process per 128 representatives, up to the CPUs the process may
-use, so only order 5 can run a pool: its workers search interleaved shares
-of the representatives that need a search and hand the leaders back, each
-group as indices into the relabelings, and this process derives the rest.
-Keys are then sorted once, in this process, so results do not depend on
-the pool, and the result keeps them as bytes:
-`classify` and the JSONL lines read each class's tables from its key, and
-only `EnumerationResult.class_reps` builds pair objects.  Where workers are
-started by spawn or forkserver (macOS, Windows, Linux from Python 3.14),
-each one imports the caller's main module again, so a script must run an
-order-5 census under `if __name__ == "__main__":`; one read from standard
-input (`python -`) fails with BrokenProcessPool.
+`axioms.IDENTITIES` and associativity, each of the form A[B[x][y]][z] =
+C[x][D[y][z]] over the left (L) and right (R) tables.  After each cell
+only the triples that look that cell up are checked, and a branch is cut
+at the first identity a filled cell breaks.  A triple whose only empty
+lookup is an outer R cell (A or C) forces that cell's value, so a
+conflicting second value cuts the branch before the cell is reached, and a
+forced cell is tried with that value alone.  D1 looks R up once, so it
+becomes a domain per cell, read from an index of L's columns before the
+search.  With the right table as its own left table and associativity
+alone, the search yields the labeled associative tables; cutting also
+every branch that some relabeling makes lexicographically smaller
+(lex-leader symmetry breaking) leaves one table L per semigroup class, the
+first of its n!/|Aut(L)|-table orbit.  Each live relabeling waits, with
+its first position not yet shown equal, for the depth that decides that
+position, so the test resumes where it stopped, and the survivors at a
+leaf are Aut(L).  Every pair is isomorphic to one whose left table is such
+an L, so right tables are searched only for those, under associativity
+with D1, D2 and D3 for dimonoids or D2 and D4 for doppelsemigroups.  With
+L associative, D1 gives L[x][R[y][z]] = L[L[x][y]][z] = L[x][L[y][z]] for
+every x, so where L's columns are pairwise distinct, R = L is the only
+dimonoid right table, and none is searched.  Aut(L) fixes L, so it carries
+the right tables of L onto each other, and the same leader search over
+Aut(L) yields the least right table R of each Aut(L)-orbit with its
+automorphisms among Aut(L): the group Aut(D) of the pair D = (L, R).  A
+canonical key serializes the left block first, so it is L followed by that
+R; classes of different L never share a key, each class is found once, and
+the labeled count is the sum of n!/|Aut(D)|.  `classify` takes each
+class's automorphism group from the same search.  Doppelsemigroups use two
+more facts (see `doppel`): D2 and D4 confine the rows and the columns of R
+to the translations of L, so the search takes each cell's values from
+those and checks neither identity per cell, and (L, R) is a
+doppelsemigroup iff (Lᵀ, Rᵀ) is one, so a representative whose transpose
+lies in the class of a smaller one is not searched.  The leaders of each L
+are searched once per process and kept, as bytes with their groups; the
+catalog expands their Aut(L)-orbits onto its named left tables instead of
+searching those again.  The search takes one worker process per 128
+representatives, up to the CPUs the process may use, so only order 5 can
+run a pool: its workers search interleaved shares of the representatives
+that need a search and hand the leaders back, each group as indices into
+the relabelings, and this process derives the rest.  Keys are then sorted
+once, in this process, so results do not depend on the pool, and the
+result keeps them as bytes: `classify` and the JSONL lines read each
+class's tables from its key, and only `EnumerationResult.class_reps`
+builds pair objects.  Where workers are started by spawn or forkserver
+(macOS, Windows, Linux from Python 3.14), each one imports the caller's
+main module again, so a script must run an order-5 census under
+`if __name__ == "__main__":`; one read from standard input (`python -`)
+fails with BrokenProcessPool.
 
 Orders 1..5 are supported; larger orders are refused.
 """
@@ -103,18 +106,17 @@ def _search(le, n: int, kind: str, perms=None):
     A triple decided but for an outer lookup of R, A[u][z] or C[x][w], forces
     that cell to the value of the other side: a second, different value fails
     at once, and a forced cell is tried with its one value only.  D1 (LLLR)
-    looks R up only at R[y][z], so it confines each cell to a domain fixed by
-    L before the search and is not checked per cell.  With both D2 and D4
-    (doppelsemigroups) each row of R must be a left translation of L and
-    each column a right translation (see `doppel`); both sets are found
-    before the search, and once a cell is set, the domain of the next cell
-    is what the prefix trees of its row and its column allow, so neither
-    identity is checked per cell and a row or column that cannot be
-    completed is never entered.  Per depth k, alive[k]
-    holds the relabelings of perms not yet shown to make the table larger; a
-    relabeling larger at a decided position with every earlier one equal stays
-    larger below that node, so depth k + 1 scans only the survivors of depth k
-    and the survivors at a leaf are exactly its automorphisms.
+    looks R up only at R[y][z], so it confines each cell to a domain read
+    from an index of L's columns before the search and is not checked per
+    cell.  With both D2 and D4 (doppelsemigroups) each row of R must be a
+    left translation of L and each column a right translation (see `doppel`);
+    both sets are found before the search, and once a cell is set, the
+    domain of the next cell is what the prefix trees of its row and its
+    column allow, so neither identity is checked per cell and a row or
+    column that cannot be completed is never entered.  The leader test
+    resumes where each relabeling stopped: a live one waits, with its first
+    position not yet shown equal, for the depth that fills both cells that
+    position compares; those left at a leaf, in perms' order, are Aut.
     """
     nn = n * n
     rng = range(n)
@@ -133,15 +135,11 @@ def _search(le, n: int, kind: str, perms=None):
     plan = []
     for axiom in axioms:
         if axiom == IDENTITIES["d1"]:  # L[L[x][y]][z] = L[x][R[y][z]] for every x
-            cols = [tuple(le[x * n + w] for x in rng) for w in rng]
-            nxt = []
-            for y in rng:
-                for z in rng:
-                    col = tuple(le[le[x * n + y] * n + z] for x in rng)
-                    row = [n] * (n + 1)
-                    for w in reversed(rng):
-                        row[w] = w if cols[w] == col else row[w + 1]
-                    nxt.append(row)
+            rows = {}  # per column of L, the least w at or after each start with that column
+            for w in reversed(rng):
+                rows.setdefault(tuple(le[w::n]), [n] * (n + 1))[:w + 1] = [w] * (w + 1)
+            nxt = [rows.get(tuple(map(le[z::n].__getitem__, le[y::n])), (n,) * (n + 1))
+                   for y in rng for z in rng]  # x -> L[L[x][y]][z]: L's column z at column y
             continue
         if translations and axiom in (IDENTITIES["d2"], IDENTITIES["d4"]):
             continue
@@ -233,33 +231,40 @@ def _search(le, n: int, kind: str, perms=None):
             f = forced[k]
             return d[0] < n if f < 0 else d[f] == f
 
-    alive = [perms] * (nn + 1)  # leads sets alive[k + 1]; with perms empty it need not run
+    # per depth d, each live relabeling whose next position needs cell d, as (index in perms,
+    # images, gather, first position not yet shown equal); at nn, the indices of those left
+    wake = [[(j, p, g, 0) for j, (p, g) in enumerate(perms or ())]] + [[] for _ in range(nn)]
+    filed = [[] for _ in range(nn)]  # per depth, the depths its leads filed relabelings under
 
     def leads(k):
-        """Whether no relabeling p[t[gather[i]]] in alive[k] makes the filled prefix
-        t[:k + 1] smaller; if so, keep those it does not make larger as alive[k + 1]."""
-        kept = []
-        for item in alive[k]:
-            p, gather = item
-            for i in range(k + 1):
-                u = t[gather[i]]
-                if u < 0:
-                    kept.append(item)
+        """Whether no relabeling p[t[gather[i]]] waking at depth k makes t[:k + 1] smaller;
+        if so, file those it does not make larger under the depth deciding their next position."""
+        for entry in wake[k]:
+            j, p, gather, start = entry
+            for i in range(start, nn):
+                g = gather[i]
+                d = g if g > i else i
+                if d > k:
+                    wake[d].append(entry if i == start else (j, p, gather, i))
+                    filed[k].append(d)
                     break
-                w = p[u]
+                w = p[t[g]]
                 if w != t[i]:
                     if w < t[i]:
                         return False
                     break
             else:
-                kept.append(item)
-        alive[k + 1] = kept
+                wake[nn].append(j)
+                filed[k].append(nn)
         return True
 
     last = nn - 1
     k = 0
     while k >= 0:
         trail = trails[k]
+        filing = filed[k]
+        while filing:
+            wake[filing.pop()].pop()
         for c in trail:
             forced[c] = -1
         trail.clear()
@@ -277,7 +282,8 @@ def _search(le, n: int, kind: str, perms=None):
         t_cells[v].append((a, b))
         if holds(a, b, v, trail) and (not perms or leads(k)):
             if k == last:
-                yield tuple(t) if perms is None else (tuple(t), alive[nn])
+                yield tuple(t) if perms is None else (
+                    tuple(t), [perms[j] for j in sorted(wake[nn])])
             else:
                 k += 1
 
@@ -346,13 +352,19 @@ def _right_tables(le, aut, n: int, kind: str):
     its automorphisms among aut: Aut of the pair, in `_perm_data` order.
     Searched once per process: the census fills this for every
     representative, and the catalog then expands these orbits instead of
-    searching its named tables again.
+    searching its named tables again (nothing is where D1 leaves R = le alone).
     """
     rights = _RIGHT_TABLES.get((le, kind))
     if rights is None:
-        rights = _RIGHT_TABLES[le, kind] = tuple(
-            (bytes(re), (aut[0], *group)) for re, group in _search(le, n, kind, aut[1:]))
+        rights = _RIGHT_TABLES[le, kind] = (
+            ((bytes(le), aut),) if _decided_by_d1(le, n, kind) else
+            tuple((bytes(re), (aut[0], *group)) for re, group in _search(le, n, kind, aut[1:])))
     return rights
+
+
+def _decided_by_d1(le, n: int, kind: str) -> bool:
+    """Whether kind has D1 and le, associative, has distinct columns: then R = le only."""
+    return IDENTITIES["d1"] in _AXIOMS[kind] and len({le[w::n] for w in range(n)}) == n
 
 
 def _right_table_share(n: int, kind: str, share):
@@ -383,7 +395,8 @@ def _enumerate_pairs(n: int, kind: str):
     _check_order(n)
     reps = _reps(n)
     start = time.perf_counter()
-    missing = [(le, aut) for le, aut in reps if (le, kind) not in _RIGHT_TABLES]
+    missing = [(le, aut) for le, aut in reps
+               if (le, kind) not in _RIGHT_TABLES and not _decided_by_d1(le, n, kind)]
     partners = {}
     if kind == DOPPELSEMIGROUP:
         from .doppel import transpose_partners, transposed_right_tables
@@ -397,13 +410,13 @@ def _enumerate_pairs(n: int, kind: str):
         # imported here: a serial command should not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # per-representative work is uneven, so deal them out round-robin
+        # work per representative is uneven: deal four round-robin shares a worker
         log_info(__name__, "order %d: %d worker processes search %d representatives",
                  n, workers, len(missing))
         perms = _perm_data(n)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for share in pool.map(_right_table_share, repeat(n), repeat(kind),
-                                  [missing[i::workers] for i in range(workers)]):
+                                  [missing[i::4 * workers] for i in range(4 * workers)]):
                 _RIGHT_TABLES.update(
                     ((le, kind), tuple((re, tuple(map(perms.__getitem__, group)))
                                        for re, group in rights))

@@ -339,14 +339,45 @@ def test_transposed_right_tables_equal_a_search(n, monkeypatch):
             assert transposed_right_tables(searched[partner], q, aut, n) == searched[le]
 
 
+def distinct_columns(n):
+    """The representatives whose n columns are pairwise distinct, with their groups."""
+    return [(le, aut) for le, aut in _reps(n) if len({le[w::n] for w in range(n)}) == n]
+
+
+@pytest.mark.parametrize("n, decided", [(1, 1), (2, 3), (3, 12), (4, 80)])
+def test_distinct_columns_leave_only_r_equal_l(n, decided):
+    # D1 with L associative: L[x][R[y][z]] = L[x][L[y][z]] for every x, so R[y][z] and
+    # L[y][z] label equal columns of L; the unpruned search finds nothing else
+    reps = distinct_columns(n)
+    assert len(reps) == decided
+    for le, _ in reps:
+        assert list(_search(le, n, "dimonoid")) == [le]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_d1_decided_right_tables_need_no_search(n, monkeypatch):
+    kind = "dimonoid"
+    reps = distinct_columns(n)
+    searched = [tuple((bytes(re), (aut[0], *group)) for re, group in _search(le, n, kind, aut[1:]))
+                for le, aut in reps]
+
+    def refuse(*args):
+        raise AssertionError("searched a representative D1 decides")
+
+    monkeypatch.setattr(enumeration, "_search", refuse)
+    monkeypatch.setattr(enumeration, "_RIGHT_TABLES", {})
+    assert [enumeration._right_tables(le, aut, n, kind) for le, aut in reps] == searched
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pool_sizes_agree(n, kind, monkeypatch):
     # force the pool through the private size rule; it only fills the right-table store.
-    # A doppelsemigroup representative is searched only if no smaller one is in the class
-    # of its transpose: one per class up to anti-isomorphism (OEIS A001423), 126 of 188
-    # at order 4
-    searched = len(_reps(n)) if kind == "dimonoid" else _SEMIGROUP_DUAL_CLASSES[n]
+    # A dimonoid representative is searched only if two of its columns are equal (D1
+    # decides the others), 108 of 188 at order 4.  A doppelsemigroup representative is
+    # searched only if no smaller one is in the class of its transpose: one per class up
+    # to anti-isomorphism (OEIS A001423), 126 of 188 at order 4
+    searched = {2: 2, 3: 12, 4: 108}[n] if kind == "dimonoid" else _SEMIGROUP_DUAL_CLASSES[n]
     search = enumeration._search
     runs = []
     for workers in (1, 2, 3):
