@@ -21,8 +21,8 @@ order-4 census of each pair kind it then times the canonical forms of one
 class per dual pair, as `classify` takes them from the key bytes, with the
 left-table coset cache cleared, and the exhaustive `iso._min_key` over all
 n! relabelings of the same pairs; and the stages after the search,
-`enumeration._result` on the keys in the census's order, `classify` and
-`render_json`, with the name map already built.
+`enumeration._result` on the keys with their groups in the census's order,
+`classify` and `render_json`, with the name map already built.
 
 The host's speed drifts, so the speed reference of the benchmark harness,
 the basket of `perfbench/reference.py`, is sampled just before and just
@@ -139,15 +139,15 @@ def exhaustive_keys(n, duals):
 
 
 def post_search(row, n, kind):
-    """Time `_result`, `classify` and `render_json` into row, on the order-n census's keys
-    in the order its search yields them, with the name map built; return the classes."""
-    labeled = enumerate_structures(n, kind).labeled_count
-    keys = [bytes(le) + re for le, aut in enumeration._reps(n)
-            for re, _ in enumeration._right_tables(le, aut, n, kind)]
-    classify(enumeration._result(n, kind, labeled, keys))
-    timed(row, lambda: render_report(
-        classify(enumeration._result(n, kind, labeled, keys)), "json"))
-    return len(keys)
+    """Time `_result`, `classify` and `render_json` into row, on the order-n census's
+    classes in the order its search yields them, with the name map built; return the
+    classes."""
+    enumerate_structures(n, kind)  # keeps the right tables read below
+    classes = [(bytes(le) + re, group) for le, aut in enumeration._reps(n)
+               for re, group in enumeration._right_tables(le, aut, n, kind)]
+    classify(enumeration._result(n, kind, classes))
+    timed(row, lambda: render_report(classify(enumeration._result(n, kind, classes)), "json"))
+    return len(classes)
 
 
 def source_sha256():

@@ -513,15 +513,10 @@ def named_semigroups(n: int):
 
 
 def _special_pair_names(n: int):
-    out = []
-    if n >= 2:
-        out.append((f"C{n}|C{n}^-1",
-                    DiStructure(cyclic(n), shifted_cyclic(n, n - 1))))
+    names = [f"C{n}|C{n}^-1"] if n >= 2 else []
     if n == 3:
-        out.append(("O(3,1)a|O(3,1)b",
-                    DiStructure(idempotent_diagonal_at(3, (0,), 2),
-                                idempotent_diagonal_at(3, (1,), 2))))
-    return out
+        names.append("O(3,1)a|O(3,1)b")
+    return [(name, _special_pair(name)) for name in names]
 
 
 def _right_tables_of(key, p, aut, n: int, kind: str, positions):

@@ -9,8 +9,8 @@ from functools import lru_cache
 from math import factorial
 
 from .catalog import named_class_map, named_semigroups
-from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES, _reps,
-                          _right_tables, enumerate_dimonoids, enumerate_structures)
+from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES,
+                          enumerate_dimonoids, enumerate_structures)
 from .axioms import DIMONOID, _pair_flags
 from .iso import GroupId, _coset_key, canonical_form, identify_group
 from .tables import DiStructure, Permutation, Record, log_info
@@ -72,38 +72,6 @@ def match_names(d: DiStructure, kind: str = DIMONOID) -> str | None:
     return _name_map(d.order, kind).get(canonical_form(d).key)
 
 
-def _census_auts(result: EnumerationResult):
-    """Per class, in order, Aut(D) as the (images, gather) items of `_perm_data`, in its order.
-
-    The left block of a canonical key is the representative L of its semigroup
-    class and the right block the least table of its Aut(L)-orbit, which the
-    census keeps with the pair's group (`enumeration._right_tables`); a
-    semigroup class (L, L) has Aut(L).  Raises RuntimeError for a class whose
-    left table is no representative or whose right table is no kept leader of
-    it, which no canonical key has.
-    """
-    n, kind = result.order, result.kind
-    nn = n * n
-    left_auts = dict(_reps(n))
-    leaders: dict = {}  # left block -> {right block: Aut(D)}
-    for key in result.keys:
-        head = key[:nn]
-        groups = leaders.get(head)
-        if groups is None:
-            le = tuple(head)
-            aut = left_auts.get(le)
-            if aut is None:
-                raise RuntimeError(f"order-{n} {kind} class {key.hex()}: "
-                                   f"the left table is no semigroup representative")
-            groups = leaders[head] = ({head: aut} if kind == SEMIGROUP
-                                      else dict(_right_tables(le, aut, n, kind)))
-        group = groups.get(key[nn:])
-        if group is None:
-            raise RuntimeError(f"order-{n} {kind} class {key.hex()}: the right table "
-                               f"leads no Aut(L)-orbit of its left table's right tables")
-        yield group
-
-
 def _check_census(result: EnumerationResult, rows) -> None:
     """Raise RuntimeError unless the class list is consistent with itself.
 
@@ -112,11 +80,11 @@ def _check_census(result: EnumerationResult, rows) -> None:
     can be isomorphic to its dual).  Semigroup classes, counted once per
     dual pair, must match OEIS A001423, an outside count that checks the
     dual keys.  By orbit-stabilizer the orbit sizes
-    n!/|Aut(D)| must sum to the labeled count.  The census counts each class
-    as n!/|Aut(D)| from the group it keeps with the class's leader, so the
-    sums agree when every row carries that group; the tests compare the
-    leaders and groups with an unpruned search and its stabilizers, the
-    groups with the permutation matcher, and the counts with brute force.
+    n!/|Aut(D)| must sum to the labeled count.  The groups travel with the
+    result, which sums the labeled count over them, so the sums agree when
+    every row names its own key's group; the tests compare the leaders and
+    groups with an unpruned search and its stabilizers, the groups with the
+    permutation matcher, and the counts with brute force.
     """
     n = result.order
     known = {r.key for r in rows}
@@ -150,7 +118,7 @@ def classify(result: EnumerationResult) -> ClassificationReport:
     unnamed_seq = 0
     groups: dict = {}  # Aut(D) -> its GroupId
     dual_keys: dict = {}  # key -> dual key, filled from the partner
-    for key, aut in zip(result.keys, _census_auts(result)):
+    for key, aut in zip(result.keys, result.auts):
         trivial, commutative, abelian, lt, rt = _pair_flags(key[:nn], key[nn:], n)
         name = names.get(key)
         if name is None:

@@ -28,8 +28,8 @@ Aut(L) yields the least right table R of each Aut(L)-orbit with its
 automorphisms among Aut(L): the group Aut(D) of the pair D = (L, R).  A
 canonical key serializes the left block first, so it is L followed by that
 R; classes of different L never share a key, each class is found once, and
-the labeled count is the sum of n!/|Aut(D)|.  `classify` takes each
-class's automorphism group from the same search.  Doppelsemigroups use two
+the labeled count is the sum of n!/|Aut(D)|.  The result keeps each group
+beside its key, and `classify` names them.  Doppelsemigroups use two
 more facts (see `doppel`): D2 and D4 confine the rows and the columns of R
 to the translations of L, so the search takes each cell's values from
 those and checks neither identity per cell, and (L, R) is a
@@ -209,12 +209,9 @@ def _search(le, n: int, kind: str, perms=None):
         rmask, rchild = commutant_masks(frozenset(le[z::n] for z in rng), n)
         cmask, cchild = commutant_masks(frozenset(le[x * n:x * n + n] for x in rng), n)
         nexts = mask_nexts(n)
-        # D1's domains as bitmasks, where the kind has it
-        cells = ([sum(1 << w for w in rng if d[w] == w) for d in nxt]
-                 if IDENTITIES["d1"] in axioms else [(1 << n) - 1] * nn)
         rnode = [0] * nn  # per cell, the trie node of its row's and its column's prefix
         cnode = [0] * nn
-        dom = [nexts[rmask[0] & cmask[0] & cells[0]]] * nn
+        dom = [nexts[rmask[0] & cmask[0]]] * nn
         identities = holds
 
         def holds(a, b, v, trail):
@@ -227,7 +224,7 @@ def _search(le, n: int, kind: str, perms=None):
                 return True
             rn = rnode[k] = rchild[rnode[k - 1] * n + v] if b + 1 < n else 0
             cn = cnode[k] = cchild[cnode[k - n] * n + t[k - n]] if k >= n else 0
-            d = dom[k] = nexts[rmask[rn] & cmask[cn] & cells[k]]
+            d = dom[k] = nexts[rmask[rn] & cmask[cn]]
             f = forced[k]
             return d[0] < n if f < 0 else d[f] == f
 
@@ -313,12 +310,13 @@ def _reps(n: int):
 
 
 class EnumerationResult(Record):
-    """Classes of one kind at one order, as their sorted canonical keys."""
+    """Classes of one kind at one order, as their sorted canonical keys with their groups."""
 
     order: int
     kind: str
     labeled_count: int
     keys: tuple  # of bytes: the left table, then the right table, row by row
+    auts: tuple  # per key, Aut of its pair as `_perm_data` items, identity first
 
     @property
     def class_count(self) -> int:
@@ -382,13 +380,17 @@ def _pool_size(n: int) -> int:
     return max(1, min(cpus or 1, _SEMIGROUP_COUNTS[n][0] // 128))
 
 
-def _result(n: int, kind: str, labeled: int, keys) -> EnumerationResult:
-    """One class per key, sorted."""
+def _result(n: int, kind: str, classes, start=None) -> EnumerationResult:
+    """One class per (key, Aut) item, sorted by key; logs a pair search begun at start, if any."""
+    labeled = sum(factorial(n) // len(aut) for _, aut in classes)
+    if start is not None:
+        log_info(__name__, "order %d: %s pair search found %d labeled in %.2f s",
+                 n, kind, labeled, time.perf_counter() - start)
     start = time.perf_counter()
-    keys = tuple(sorted(keys))
+    keys, auts = zip(*sorted(classes))  # keys are distinct, so no group is compared
     log_info(__name__, "order %d: %d %s classes keyed in %.2f s",
              n, len(keys), kind, time.perf_counter() - start)
-    return EnumerationResult(order=n, kind=kind, labeled_count=labeled, keys=keys)
+    return EnumerationResult(order=n, kind=kind, labeled_count=labeled, keys=keys, auts=auts)
 
 
 def _enumerate_pairs(n: int, kind: str):
@@ -421,30 +423,22 @@ def _enumerate_pairs(n: int, kind: str):
                     ((le, kind), tuple((re, tuple(map(perms.__getitem__, group)))
                                        for re, group in rights))
                     for le, rights in share)
-    # each leader R is its class's key after L, and the class has n!/|Aut| labeled pairs
-    labeled = 0
-    keys = []
-    auts = dict(reps)
+    # each leader R is its class's key after L
+    classes = []
     for le, aut in reps:
-        if le in partners:
+        if le in partners:  # the partner came earlier in reps, so its right tables are kept
             partner, q = partners[le]
             _RIGHT_TABLES[le, kind] = transposed_right_tables(
-                _right_tables(partner, auts[partner], n, kind), q, aut, n)
+                _RIGHT_TABLES[partner, kind], q, aut, n)
         head = bytes(le)
-        for re, group in _right_tables(le, aut, n, kind):
-            labeled += factorial(n) // len(group)
-            keys.append(head + re)
-    log_info(__name__, "order %d: %s pair search found %d labeled in %.2f s",
-             n, kind, labeled, time.perf_counter() - start)
-    return _result(n, kind, labeled, keys)
+        classes += ((head + re, group) for re, group in _right_tables(le, aut, n, kind))
+    return _result(n, kind, classes, start)
 
 
 def enumerate_semigroups(n: int) -> EnumerationResult:
     """Associative tables up to isomorphism, each the trivial pair (L, L) of a representative."""
     _check_order(n)
-    reps = _reps(n)
-    return _result(n, SEMIGROUP, sum(factorial(n) // len(aut) for _, aut in reps),
-                   [bytes(le + le) for le, _ in reps])
+    return _result(n, SEMIGROUP, [(bytes(le + le), aut) for le, aut in _reps(n)])
 
 
 def enumerate_dimonoids(n: int) -> EnumerationResult:

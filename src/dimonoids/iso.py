@@ -19,6 +19,15 @@ from math import lcm
 
 from .tables import DiStructure, OpTable, Permutation, Record
 
+# Isomorphism tests try n! relabelings: cold `aut` took 0.68 s on O8, 7.2 s on O9 (2-core host)
+MAX_ISO_ORDER = 8
+
+
+def _capped(n: int) -> int:
+    if n > MAX_ISO_ORDER:
+        raise ValueError(f"order {n} exceeds the isomorphism tests' cap of {MAX_ISO_ORDER}")
+    return n
+
 
 class CanonicalKey(Record):
     """Minimal serialization of a pair plus the permutation that reaches it."""
@@ -123,7 +132,7 @@ def _coset_key(le, re, n):
 
 def canonical_form(d: DiStructure) -> CanonicalKey:
     """Canonical key of a pair; witness is the lex-least permutation reaching it."""
-    n = d.order
+    n = _capped(d.order)
     best, perm = _coset_key(d.left.entries, d.right.entries, n)
     return CanonicalKey(order=n, key=bytes(best), witness=Permutation(perm))
 
@@ -146,7 +155,7 @@ def distructure_from_key(key: CanonicalKey) -> DiStructure:
 
 def _matches(d1: DiStructure, d2: DiStructure):
     """Permutations carrying d1 onto d2, of the same order, in lexicographic order."""
-    n = d1.order
+    n = _capped(d1.order)
     l1, r1 = d1.left.entries, d1.right.entries
     l2, r2 = d2.left.entries, d2.right.entries
     for p in permutations(range(n)):

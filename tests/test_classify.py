@@ -297,13 +297,14 @@ def test_classify_rejects_inconsistent_census():
     result = enumerate_dimonoids(2)
     with pytest.raises(RuntimeError, match="labeled count"):
         classify(EnumerationResult(result.order, result.kind, result.labeled_count + 1,
-                                   result.keys))
+                                   result.keys, result.auts))
     report = classify(result)
     nonabelian = next(i for i, r in enumerate(report.rows)
                       if r.dual_key != r.key)
     keys = result.keys[:nonabelian] + result.keys[nonabelian + 1:]
+    auts = result.auts[:nonabelian] + result.auts[nonabelian + 1:]
     with pytest.raises(RuntimeError, match="duality"):
-        classify(EnumerationResult(result.order, result.kind, result.labeled_count, keys))
+        classify(EnumerationResult(result.order, result.kind, result.labeled_count, keys, auts))
 
 
 @pytest.mark.parametrize("kind, flags", [
@@ -321,34 +322,26 @@ def test_census_groups_and_dual_keys_match_the_matcher(kind):
     for n in range(1, 5):
         result = enumerate_structures(n, kind)
         report = classify(result)
-        auts = classify_module._census_auts(result)
-        for (key, rep), aut, row in zip(result.class_reps, auts, report.rows, strict=True):
+        for (key, rep), aut, row in zip(result.class_reps, result.auts, report.rows,
+                                        strict=True):
             matched = automorphisms(rep)
             assert tuple(Permutation(p) for p, _ in aut) == matched
             assert row.aut == identify_group(matched)
             assert row.dual_key == canonical_form(rep.dual()).key.hex()
 
 
-def test_classify_rejects_a_left_table_outside_the_census():
-    d = DiStructure(cyclic(3), right_zero(3)).relabel(Permutation((1, 2, 0)))
-    assert d.left.entries not in dict(enumeration._reps(3))
-    key = bytes(d.left.entries + d.right.entries)
-    with pytest.raises(RuntimeError, match="no semigroup representative"):
-        classify(EnumerationResult(3, "dimonoid", 1, (key,)))
+@pytest.mark.parametrize("kind", ["dimonoid", "doppelsemigroup"])
+def test_classify_reads_the_groups_from_the_result(kind, monkeypatch):
+    # with the name map built, classify needs neither the kept right tables nor a search
+    result = enumerate_structures(4, kind)
+    report = classify(result)
 
+    def refuse(*args):
+        raise AssertionError("classify searched right tables")
 
-def test_census_auts_reject_a_right_table_that_leads_no_orbit():
-    # a relabeling of a leader by a nontrivial automorphism of L is no leader itself
-    n, kind = 3, "dimonoid"
-    for le, aut in enumeration._reps(n):
-        for re, _ in enumeration._right_tables(le, aut, n, kind):
-            others = {tuple(p[re[j]] for j in g) for p, g in aut} - {tuple(re)}
-            if others:
-                key = bytes(le) + bytes(min(others))
-                with pytest.raises(RuntimeError, match="leads no Aut"):
-                    list(classify_module._census_auts(EnumerationResult(n, kind, 1, (key,))))
-                return
-    raise AssertionError("no order-3 Aut(L)-orbit has two right tables")
+    monkeypatch.setattr(enumeration, "_RIGHT_TABLES", {})
+    monkeypatch.setattr(enumeration, "_search", refuse)
+    assert classify(result) == report
 
 
 def test_order_must_not_be_a_bool():

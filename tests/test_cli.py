@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import dimonoids
-from dimonoids import DiStructure, format_distructure, left_zero, right_zero
+from dimonoids import (DiStructure, format_distructure, format_table, left_zero,
+                       null_semigroup, right_zero)
 from dimonoids.cli import main
 
 C3 = "0 1 2\n1 2 0\n2 0 1\n"
@@ -220,6 +221,18 @@ def test_aut_of_a_pair_with_the_full_symmetric_group_of_degree_7(tmp_path):
     lines = done.stdout.splitlines()
     assert sum(1 for line in lines if line[0].isdigit()) == 5040
     assert any(line.startswith("group: ") and line.endswith("(order 5040)") for line in lines)
+
+
+def test_aut_and_iso_refuse_orders_above_8(tmp_path, capsys):
+    f = _write(tmp_path / "o9.txt", format_table(null_semigroup(9)) + "\n")
+    assert main(["aut", f]) == 2
+    assert main(["iso", f, f]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: order 9 exceeds the isomorphism tests' cap of 8"] * 2
+    f = _write(tmp_path / "o8.txt", format_table(null_semigroup(8)) + "\n")
+    assert main(["aut", f]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(1 for line in lines if line[0].isdigit()) == 5040  # fixing the zero
 
 
 def test_dual(tmp_path, capsys):

@@ -133,6 +133,14 @@ def test_automorphisms_of_pair_refine_components():
     assert pair_auts == left_auts & right_auts
 
 
+def test_public_entry_points_refuse_orders_above_8():
+    d = DiStructure(null_semigroup(9), null_semigroup(9))
+    for entry in (canonical_form, canonical_representative, automorphisms,
+                  lambda d: canonical_table_key(d.left), lambda d: are_isomorphic(d, d)):
+        with pytest.raises(ValueError, match="cap of 8"):
+            entry(d)
+
+
 def test_identify_group_on_explicit_sets():
     def group_of(images_list):
         return identify_group([Permutation(im) for im in images_list])

@@ -282,7 +282,7 @@ RECORDS = [
     (CanonicalKey, ("order", "key", "witness"), lambda: canonical_form(_PAIR)),
     (GroupId, ("order", "name", "abelian", "element_orders"),
      lambda: identify_group(automorphisms(_PAIR))),
-    (EnumerationResult, ("order", "kind", "labeled_count", "keys"),
+    (EnumerationResult, ("order", "kind", "labeled_count", "keys", "auts"),
      lambda: enumerate_dimonoids(2)),
     (ClassRow, ("key", "name", "trivial", "commutative", "abelian", "aut", "dual_key"),
      lambda: classify_order(2, "dimonoid").rows[-1]),
