@@ -15,9 +15,11 @@ over Aut(L) (each class keyed by the least right table of its Aut(L)-orbit,
 Aut(D) the automorphisms the search kept) and its dual keys from
 `iso._coset_key` of each key's transposed blocks, which minimizes the
 right table over the left table's coset only, once per dual pair.  So
-every 97th class of both pair kinds is checked against the permutation
-matcher, and its key and its dual's against `iso._min_key`, which scans
-all 120 relabelings of both tables.  The time of
+every 97th class of both pair kinds has its group checked against the
+permutation matcher, `iso._matches`, and against `automorphisms`, which
+reads the group off the relabelings reaching the canonical key, and its key
+and its dual's against `iso._min_key`, which scans all 120 relabelings of
+both tables.  The time of
 each census is printed.  The unnamed counts check the order-5 catalog built
 on the census's right tables.  A doppelsemigroup representative whose
 transpose is in the class of a smaller representative takes its right
@@ -41,7 +43,8 @@ from itertools import islice
 
 from dimonoids import (CanonicalKey, Permutation, automorphisms, classify, doppel,
                        enumerate_structures, enumeration, identify_group)
-from dimonoids.iso import _min_key, _perm_data, _stabilizer, distructure_from_key
+from dimonoids.iso import (_matches, _min_key, _perm_data, _stabilizer,
+                           distructure_from_key)
 
 EXPECTED = {"semigroup": (183732, 1915), "dimonoid": (6488383, 55883),
             "doppelsemigroup": (7855432, 68177)}
@@ -58,15 +61,19 @@ def exhaustive_key(d):
 
 
 def check_sample(result, report):
-    """Compare every SAMPLE_STEP-th class's census group, key and dual key with the slow routes."""
+    """Compare every SAMPLE_STEP-th class's census group and `automorphisms` with the
+    matcher's, and its key and dual key with the exhaustive keys."""
     checked = 0
     for key, aut, row in islice(zip(result.keys, result.auts, report.rows),
                                 0, None, SAMPLE_STEP):
         rep = distructure_from_key(CanonicalKey(5, key, Permutation.identity(5)))
-        matched = automorphisms(rep)
+        matched = tuple(_matches(rep, rep))
         if tuple(Permutation(p) for p, _ in aut) != matched or row.aut != identify_group(matched):
             raise SystemExit(f"order-5 {result.kind} {key.hex()}: census group {row.aut.name} "
                              f"differs from the matcher's")
+        if automorphisms(rep) != matched:
+            raise SystemExit(f"order-5 {result.kind} {key.hex()}: automorphisms differ from "
+                             f"the matcher's")
         if row.key != exhaustive_key(rep):
             raise SystemExit(f"order-5 {result.kind} {key.hex()}: census key differs from the "
                              f"exhaustive key")

@@ -1,4 +1,4 @@
-"""Time the census search stages and the dual keys that `classify` takes.
+"""Time the census search stages, the dual keys that `classify` takes and a cold `aut`.
 
 Run from the repository root, optionally naming a JSON file to write:
 
@@ -22,14 +22,21 @@ class per dual pair, as `classify` takes them from the key bytes, with the
 left-table coset cache cleared, and the exhaustive `iso._min_key` over all
 n! relabelings of the same pairs; and the stages after the search,
 `enumeration._result` on the keys with their groups in the census's order,
-`classify` and `render_json`, with the name map already built.
+`classify` and `render_json`, with the name map already built.  Before all
+these, on the null semigroup O_n and the left-zero semigroup LO_n for n =
+6, 7 and 8 (as pairs (T, T); Aut(LO_n) is S_n), it times what `dimonoids
+aut` computes cold, with the `iso._perm_data`, `iso._left_coset` and
+`iso._coset_reach` caches cleared: `automorphisms` and `canonical_form`,
+and, as the reference row, the n! permutation matcher `iso._matches` in
+place of `automorphisms`.
 
 The host's speed drifts, so the speed reference of the benchmark harness,
 the basket of `perfbench/reference.py`, is sampled just before and just
-after each timed row.  A row records the mean of the two samples as its
-`speed` (1.0 is the basket's nominal speed, 0.8 is 20% slower) and its best
-time at nominal speed, `nominal_s` = `best_s` * `speed`, the figure to
-compare between runs.  OUT.json gets the same rows plus a sha256 of the
+after each timed row, SAMPLES times on each side.  A row records the median
+of those samples as its `speed` (1.0 is the basket's nominal speed, 0.8 is
+20% slower), their least and greatest as `speed_spread`, and its best time
+at nominal speed, `nominal_s` = `best_s` * `speed`, the figure to compare
+between runs.  OUT.json gets the same rows plus a sha256 of the
 source measured, the Python version and the CPU count.  The source measured
 is the `src/` next to this script; its digest covers the path and bytes of
 each of its `.py` files, so it names the tree as measured, committed or not.
@@ -39,6 +46,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -48,11 +56,13 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import reference  # noqa: E402
-from dimonoids import (classify, doppel, enumerate_structures, enumeration, iso,  # noqa: E402
+from dimonoids import (DiStructure, automorphisms, canonical_form, classify, doppel,  # noqa: E402
+                       enumerate_structures, enumeration, iso, left_zero, null_semigroup,
                        render_report)
 from dimonoids.axioms import _pair_flags  # noqa: E402
 
 REPEATS = 5
+SAMPLES = 3  # speed samples on each side of a timed row
 STEPS = {3: 1, 4: 1, 5: 10}  # every step-th representative's right tables are searched
 KINDS = ("dimonoid", "doppelsemigroup")
 
@@ -80,12 +90,14 @@ def best_of(fn):
 
 
 def timed(row, fn):
-    """Fill row's best time of fn, the host's speed around it and that time at nominal
-    speed; return fn's result."""
-    before = speed()
+    """Fill row's best time of fn, the host's speed around it (the median of the samples
+    before and after, and their range) and that time at nominal speed; return fn's result."""
+    samples = [speed() for _ in range(SAMPLES)]
     seconds, result = best_of(fn)
-    factor = (before + speed()) / 2
+    samples += [speed() for _ in range(SAMPLES)]
+    factor = statistics.median(samples)
     row.update(best_s=round(seconds, 4), speed=round(factor, 3),
+               speed_spread=[round(min(samples), 3), round(max(samples), 3)],
                nominal_s=round(seconds * factor, 4))
     return result
 
@@ -150,6 +162,16 @@ def post_search(row, n, kind):
     return len(classes)
 
 
+def cold_aut(d, group):
+    """`dimonoids aut`'s group and key of d, every relabeling cache cleared; return the
+    group's order."""
+    for cache in (iso._perm_data, iso._left_coset, iso._coset_reach):
+        cache.cache_clear()
+    auts = group(d)
+    canonical_form(d)
+    return len(auts)
+
+
 def source_sha256():
     """sha256 over the relative path and bytes of each `.py` file under src/, sorted."""
     digest = hashlib.sha256()
@@ -160,6 +182,16 @@ def source_sha256():
 
 def main(argv):
     rows = []
+    # first, while the heap is as small as a command's: the order-8 relabeling tables are
+    # large, and the garbage collector's passes grow with what the censuses leave behind
+    for n in (6, 7, 8):
+        for name, table in (("O", null_semigroup(n)), ("LO", left_zero(n))):
+            d = DiStructure(table, table)
+            for stage, group in (("aut_cold", automorphisms),
+                                 ("aut_cold_matcher", lambda d: tuple(iso._matches(d, d)))):
+                row = {"stage": stage, "order": n, "input": f"{name}{n}"}
+                found = timed(row, lambda: cold_aut(d, group))
+                rows.append({**row, "automorphisms": found})
     for n, step in STEPS.items():
         row = {"stage": "reps", "order": n}
         reps = timed(row, lambda: reps_fresh(n))
@@ -193,17 +225,19 @@ def main(argv):
         found = post_search(row, 4, kind)
         rows.append({**row, "tables": found})
     for row in rows:
-        head = f"{row['stage']:<21} order {row['order']} {row.get('kind', ''):<16}"
+        label = row.get("kind", row.get("input", ""))
+        head = f"{row['stage']:<21} order {row['order']} {label:<16}"
         if "searched" in row:
             how = "decided" if "decided" in row else "derived"
             print(f"{head}{row['searched']} searched, {row[how]} {how}")
         else:
+            what = "tables" if "tables" in row else "automorphisms"
             print(f"{head}{row['best_s']:8.4f} s at speed {row['speed']:.3f}: "
-                  f"{row['nominal_s']:8.4f} s nominal  {row['tables']} tables")
+                  f"{row['nominal_s']:8.4f} s nominal  {row[what]} {what}")
     if argv:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count())
-        report = {"schema": "dimonoids.bench-search/3", "src_sha256": source_sha256(),
+        report = {"schema": "dimonoids.bench-search/4", "src_sha256": source_sha256(),
                   "python": platform.python_version(), "cpus": cpus, "repeats": REPEATS,
                   "rows": rows}
         Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

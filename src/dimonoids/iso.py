@@ -8,8 +8,10 @@ block decides first, so the key is found through the left table's coset:
 one scan of the n! relabelings finds the least relabeling of the left
 table and the relabelings that reach it (a coset of its automorphism
 group), kept per distinct left table in a bounded cache, and the right
-table is minimized over that coset only.  `_min_key`, which scans all n!
-relabelings of both tables, is the reference the tests compare it with.
+table is minimized over that coset only.  The relabelings p that reach the
+key are the coset p0·Aut(D), p0 the first, so `automorphisms` sorts p0⁻¹∘p.
+`_min_key` (all n! relabelings of both tables) and `are_isomorphic`'s
+permutation matcher `_matches` are the references the tests compare with.
 """
 from __future__ import annotations
 
@@ -123,18 +125,24 @@ def _left_coset(le, n):
     return best, tuple(coset)
 
 
-def _coset_key(le, re, n):
-    """`_min_key(le, re, n)`, with re minimized only over the relabelings that minimize le."""
+@lru_cache(maxsize=1)  # `dimonoids aut` asks for a pair's group, then for its key
+def _coset_reach(le, re, n):
+    """(`_min_key(le, re, n)`'s key, the `_perm_data(n)` items reaching it, in order)."""
     left, coset = _left_coset(le, n)
     right, reach = _least(re, coset)
-    return left + right, reach[0][0]
+    return left + right, reach
+
+
+def _coset_key(le, re, n):
+    """`_min_key(le, re, n)`, with re minimized only over the relabelings that minimize le."""
+    best, reach = _coset_reach(le, re, n)
+    return best, reach[0][0]
 
 
 def canonical_form(d: DiStructure) -> CanonicalKey:
     """Canonical key of a pair; witness is the lex-least permutation reaching it."""
-    n = _capped(d.order)
-    best, perm = _coset_key(d.left.entries, d.right.entries, n)
-    return CanonicalKey(order=n, key=bytes(best), witness=Permutation(perm))
+    best, reach = _coset_reach(d.left.entries, d.right.entries, _capped(d.order))
+    return CanonicalKey(order=d.order, key=bytes(best), witness=Permutation(reach[0][0]))
 
 
 def canonical_table_key(t: OpTable) -> CanonicalKey:
@@ -181,8 +189,10 @@ def are_isomorphic(d1: DiStructure, d2: DiStructure):
 
 
 def automorphisms(d: DiStructure):
-    """All permutations fixing both tables, in lexicographic order."""
-    return tuple(_matches(d, d))
+    """All permutations fixing both tables, in lex order: p0⁻¹∘p over the key's coset p0·Aut."""
+    _, reach = _coset_reach(d.left.entries, d.right.entries, _capped(d.order))
+    inv = sorted(range(d.order), key=reach[0][0].__getitem__)  # p0⁻¹
+    return tuple(map(Permutation, sorted(tuple(map(inv.__getitem__, p)) for p, _ in reach)))
 
 
 class GroupId(Record):

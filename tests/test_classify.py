@@ -324,8 +324,9 @@ def test_census_groups_and_dual_keys_match_the_matcher(kind):
         report = classify(result)
         for (key, rep), aut, row in zip(result.class_reps, result.auts, report.rows,
                                         strict=True):
-            matched = automorphisms(rep)
+            matched = tuple(iso._matches(rep, rep))
             assert tuple(Permutation(p) for p, _ in aut) == matched
+            assert automorphisms(rep) == matched
             assert row.aut == identify_group(matched)
             assert row.dual_key == canonical_form(rep.dual()).key.hex()
 
@@ -366,15 +367,18 @@ def test_classify_runs_without_the_exhaustive_key_or_stabilizer(monkeypatch):
 
 
 def test_classify_runs_without_the_matcher(monkeypatch):
+    # the census keeps each class's group, so classify runs neither the permutation
+    # matcher nor `automorphisms`
     reports = [classify_order(3, kind) for kind in ENUM_KINDS]
 
     def refuse(*args):
-        raise AssertionError("classify ran the permutation matcher")
+        raise AssertionError("classify ran the permutation matcher or automorphisms")
 
-    matcher = iso.automorphisms
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "dimonoids" and getattr(module, "automorphisms", None) is matcher:
-            monkeypatch.setattr(module, "automorphisms", refuse)
+        if name.split(".")[0] == "dimonoids":
+            for fn in ("_matches", "automorphisms"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
     assert [classify_order(3, kind) for kind in ENUM_KINDS] == reports
 
 

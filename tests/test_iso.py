@@ -12,6 +12,7 @@ from dimonoids import (DiStructure, GroupId, OpTable, Permutation, are_isomorphi
                        canonical_table_key, cyclic, enumerate_structures,
                        identify_group, left_zero, linear_semilattice,
                        null_semigroup, right_zero, shifted_cyclic)
+from dimonoids import iso
 from dimonoids.iso import _perm_order, distructure_from_key
 
 
@@ -131,6 +132,22 @@ def test_automorphisms_of_pair_refine_components():
     left_auts = {p.images for p in automorphisms(DiStructure(d.left, d.left))}
     right_auts = {p.images for p in automorphisms(DiStructure(d.right, d.right))}
     assert pair_auts == left_auts & right_auts
+
+
+def test_automorphisms_equal_the_matcher():
+    # reference: the n! permutation matcher, in its lexicographic order; the named
+    # families reach S5 and S6, and the relabeled census pairs have a first witness
+    # p0 other than the identity, where p0⁻¹ ∘ p and p ∘ p0⁻¹ differ
+    pairs = [DiStructure(t, t) for n in range(2, 7)
+             for t in (null_semigroup(n), left_zero(n), right_zero(n), cyclic(n),
+                       linear_semilattice(n))]
+    rng = random.Random(19)
+    for kind in ("dimonoid", "doppelsemigroup"):
+        for n in range(1, 5):
+            for _, rep in enumerate_structures(n, kind).class_reps:
+                pairs.append(rep.relabel(Permutation(rng.sample(range(n), n))))
+    for d in pairs:
+        assert automorphisms(d) == tuple(iso._matches(d, d))
 
 
 def test_public_entry_points_refuse_orders_above_8():
