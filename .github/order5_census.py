@@ -1,8 +1,11 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 15 s with two workers on a two-core machine):
+Run from the repository root (about 19 s with two workers on a two-core machine):
 
-    PYTHONPATH=src python .github/order5_census.py
+    PYTHONPATH=src:tests python .github/order5_census.py
+
+The exhaustive references it compares with, `_min_key` and `_stabilizer`,
+are the tests' own, from `tests/exhaustive.py`.
 
 It first times the leader search, `enumeration._reps(5)`, checks the sha256
 of its repr against the value pinned below, and checks that the
@@ -13,12 +16,12 @@ classes up to duality against OEIS A001423, and the sum of 5!/|Aut(D)|
 against the labeled count.  Its keys and groups come from the leader search
 over Aut(L) (each class keyed by the least right table of its Aut(L)-orbit,
 Aut(D) the automorphisms the search kept) and its dual keys from
-`iso._coset_key` of each key's transposed blocks, which minimizes the
+`iso._coset_reach` of each key's transposed blocks, which minimizes the
 right table over the left table's coset only, once per dual pair.  So
 every 97th class of both pair kinds has its group checked against the
 permutation matcher, `iso._matches`, and against `automorphisms`, which
 reads the group off the relabelings reaching the canonical key, and its key
-and its dual's against `iso._min_key`, which scans all 120 relabelings of
+and its dual's against `_min_key`, which scans all 120 relabelings of
 both tables.  The time of
 each census is printed.  The unnamed counts check the order-5 catalog built
 on the census's right tables.  A doppelsemigroup representative whose
@@ -43,8 +46,8 @@ from itertools import islice
 
 from dimonoids import (CanonicalKey, Permutation, automorphisms, classify, doppel,
                        enumerate_structures, enumeration, identify_group)
-from dimonoids.iso import (_matches, _min_key, _perm_data, _stabilizer,
-                           distructure_from_key)
+from dimonoids.iso import _matches, _perm_data, distructure_from_key
+from exhaustive import _min_key, _stabilizer
 
 EXPECTED = {"semigroup": (183732, 1915), "dimonoid": (6488383, 55883),
             "doppelsemigroup": (7855432, 68177)}

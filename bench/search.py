@@ -19,8 +19,8 @@ those whose columns are pairwise distinct, where D1 leaves R = L alone, and
 for doppelsemigroups those it derives from their transposes.  For one
 order-4 census of each pair kind it then times the canonical forms of one
 class per dual pair, as `classify` takes them from the key bytes, with the
-left-table coset cache cleared, and the exhaustive `iso._min_key` over all
-n! relabelings of the same pairs; and the stages after the search,
+left-table coset cache cleared, and the exhaustive `_min_key` of
+`tests/exhaustive.py` over all n! relabelings of the same pairs; and the stages after the search,
 `enumeration._result` on the keys with their groups in the census's order,
 `classify` and `render_json`, with the name map already built.  Before all
 these, on the null semigroup O_n and the left-zero semigroup LO_n for n =
@@ -54,12 +54,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import reference  # noqa: E402
 from dimonoids import (DiStructure, automorphisms, canonical_form, classify, doppel,  # noqa: E402
                        enumerate_structures, enumeration, iso, left_zero, null_semigroup,
                        render_report)
 from dimonoids.axioms import _pair_flags  # noqa: E402
+from exhaustive import _min_key  # noqa: E402
 
 REPEATS = 5
 SAMPLES = 3  # speed samples on each side of a timed row
@@ -143,11 +145,11 @@ def translations(sets, n):
 
 def coset_keys(n, duals):
     iso._left_coset.cache_clear()
-    return len([iso._coset_key(rt, lt, n) for rt, lt in duals])
+    return len([iso._coset_reach(rt, lt, n) for rt, lt in duals])
 
 
 def exhaustive_keys(n, duals):
-    return len([iso._min_key(rt, lt, n) for rt, lt in duals])
+    return len([_min_key(rt, lt, n) for rt, lt in duals])
 
 
 def post_search(row, n, kind):

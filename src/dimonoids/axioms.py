@@ -67,11 +67,6 @@ def assoc_witness(e, n: int):
     return identity_witness(ASSOCIATIVITY, e, e, n)
 
 
-def _pair_axioms_hold(le, re, n, kind) -> bool:
-    """Whether flat tables le, re satisfy kind's pair axioms (not associativity)."""
-    return all(identity_witness(IDENTITIES[a], le, re, n) is None for a in KIND_AXIOMS[kind])
-
-
 def is_associative(t: OpTable):
     """Return (flag, witness); witness is None when associative."""
     w = assoc_witness(t.entries, t.order)

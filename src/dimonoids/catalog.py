@@ -35,7 +35,7 @@ from .axioms import (AxiomError, IDENTITIES, KIND_AXIOMS, NotAssociativeError, _
                      assoc_witness, check_structure, identity_witness, DIMONOID,
                      DOPPELSEMIGROUP)
 from .enumeration import MAX_ORDER, _check_order, _reps, _right_tables
-from .iso import _coset_key, _perm_data, canonical_form
+from .iso import _coset_reach, _perm_data, canonical_form
 from .tables import DiStructure, OpTable, Permutation, apply_permutation
 
 
@@ -581,15 +581,15 @@ def named_structures(n: int, kind: str):
         distinct = []
         seen_tables = set()
         for name, t in named_semigroups(n):
-            # key is the canonical key of (t, t); p carries t onto its left block
-            key, p = _coset_key(t.entries, t.entries, n)
+            # key is the canonical key of (t, t); reach[0][0] carries t onto its left block
+            key, reach = _coset_reach(t.entries, t.entries, n)
             if key in seen_tables:
                 continue
             seen_tables.add(key)
             w = assoc_witness(t.entries, n)
             if w is not None:
                 raise NotAssociativeError(w)
-            distinct.append((name, t, key, p))
+            distinct.append((name, t, key, reach[0][0]))
         # index every relabeling of every distinct table by its entries; a table
         # with a nontrivial Aut group sits at one position per relabeling giving it
         positions: dict = {}
@@ -628,13 +628,13 @@ def named_class_map(n: int, kind: str):
     for name, d in named_structures(n, kind):
         if name in by_name:
             continue
-        key = bytes(_coset_key(d.left.entries, d.right.entries, n)[0])  # canonical_form(d).key
+        key = bytes(_coset_reach(d.left.entries, d.right.entries, n)[0])  # canonical_form(d).key
         if key in by_key:
             continue
         by_key[key] = name
         by_name[name] = d
         *_, lt, rt = _pair_flags(d.left.entries, d.right.entries, n)  # the dual is (Rᵀ, Lᵀ)
-        dual_key = bytes(_coset_key(rt, lt, n)[0])
+        dual_key = bytes(_coset_reach(rt, lt, n)[0])
         dual_name = structure_dual_name(name)
         if dual_key not in by_key and dual_name not in by_name:
             by_key[dual_key] = dual_name

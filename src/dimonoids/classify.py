@@ -12,7 +12,7 @@ from .catalog import named_class_map, named_semigroups
 from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES,
                           enumerate_dimonoids, enumerate_structures)
 from .axioms import DIMONOID, _pair_flags
-from .iso import GroupId, _coset_key, canonical_form, identify_group
+from .iso import GroupId, _coset_reach, canonical_form, identify_group
 from .tables import DiStructure, Permutation, Record, log_info
 
 
@@ -129,7 +129,7 @@ def classify(result: EnumerationResult) -> ClassificationReport:
             group = groups[aut] = identify_group([Permutation(p) for p, _ in aut])
         dual_key = dual_keys.get(key)
         if dual_key is None:
-            dual_key = bytes(_coset_key(rt, lt, n)[0])
+            dual_key = bytes(_coset_reach(rt, lt, n)[0])
             dual_keys[dual_key] = key
         rows.append(ClassRow(key=key.hex(), name=name, trivial=trivial,
                              commutative=commutative, abelian=abelian,

@@ -44,12 +44,12 @@ that need a search and hand the leaders back, each group as indices into
 the relabelings, and this process derives the rest.  Keys are then sorted
 once, in this process, so results do not depend on the pool, and the
 result keeps them as bytes: `classify` and the JSONL lines read each
-class's tables from its key, and only `EnumerationResult.class_reps`
-builds pair objects.  Where workers are started by spawn or forkserver
-(macOS, Windows, Linux from Python 3.14), each one imports the caller's
-main module again, so a script must run an order-5 census under
-`if __name__ == "__main__":`; one read from standard input (`python -`)
-fails with BrokenProcessPool.
+class's tables from its key, and a caller that wants pair objects
+decodes keys with `iso.distructure_from_key`.  Where workers are started
+by spawn or forkserver (macOS, Windows, Linux from Python 3.14), each one
+imports the caller's main module again, so a script must run an order-5
+census under `if __name__ == "__main__":`; one read from standard input
+(`python -`) fails with BrokenProcessPool.
 
 Orders 1..5 are supported; larger orders are refused.
 """
@@ -63,8 +63,8 @@ from itertools import repeat
 from math import factorial
 
 from .axioms import ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS
-from .iso import CanonicalKey, _perm_data, distructure_from_key
-from .tables import OpTable, Permutation, Record, log_info
+from .iso import _perm_data
+from .tables import OpTable, Record, log_info
 
 SEMIGROUP = "semigroup"
 ENUM_KINDS = (SEMIGROUP, DIMONOID, DOPPELSEMIGROUP)
@@ -321,15 +321,6 @@ class EnumerationResult(Record):
     @property
     def class_count(self) -> int:
         return len(self.keys)
-
-    @property
-    def class_reps(self) -> tuple:
-        """(CanonicalKey, DiStructure) per class, decoded from its key; the witness is the
-        identity, which reaches a canonical key.  Each access decodes every class again,
-        so bind the tuple once rather than indexing the property in a loop."""
-        identity = Permutation.identity(self.order)
-        keys = (CanonicalKey(order=self.order, key=k, witness=identity) for k in self.keys)
-        return tuple((key, distructure_from_key(key)) for key in keys)
 
     def summary(self) -> dict:
         return {"schema": "dimonoids.enumeration/1", "order": self.order,

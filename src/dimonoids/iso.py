@@ -10,8 +10,8 @@ table and the relabelings that reach it (a coset of its automorphism
 group), kept per distinct left table in a bounded cache, and the right
 table is minimized over that coset only.  The relabelings p that reach the
 key are the coset p0·Aut(D), p0 the first, so `automorphisms` sorts p0⁻¹∘p.
-`_min_key` (all n! relabelings of both tables) and `are_isomorphic`'s
-permutation matcher `_matches` are the references the tests compare with.
+`are_isomorphic` runs the permutation matcher `_matches`; the exhaustive
+key over all n! relabelings of both tables lives with the tests.
 """
 from __future__ import annotations
 
@@ -42,9 +42,6 @@ class CanonicalKey(Record):
     def hex(self) -> str:
         return self.key.hex()
 
-    def to_json(self) -> dict:
-        return {"order": self.order, "key": self.hex, "witness": list(self.witness.images)}
-
 
 @lru_cache(maxsize=8)
 def _perm_data(n: int):
@@ -57,43 +54,6 @@ def _perm_data(n: int):
         gather = tuple(pinv[u] * n + pinv[v] for u in range(n) for v in range(n))
         out.append((p, gather))
     return tuple(out)
-
-
-def _stabilizer(e, perms):
-    """The (images, gather) items of perms that fix the flat table e, in perms' order:
-    the reference the tests compare the groups of the census searches with."""
-    return tuple((p, g) for p, g in perms if tuple(p[e[j]] for j in g) == e)
-
-
-def _min_key(le, re, n):
-    """(best tuple, witness images) minimizing the serialization over all of
-    `_perm_data(n)`, in lexicographic order: the exhaustive reference for `_coset_key`."""
-    best = None
-    best_perm = None
-    for p, gather in _perm_data(n):
-        cand = []
-        undecided = best is not None
-        k = 0
-        abandoned = False
-        for src in (le, re):
-            for i in gather:
-                v = p[src[i]]
-                if undecided:
-                    b = best[k]
-                    if v > b:
-                        abandoned = True
-                        break
-                    if v < b:
-                        undecided = False
-                cand.append(v)
-                k += 1
-            if abandoned:
-                break
-        if abandoned or undecided:
-            continue  # worse than or equal to best; ties keep the earlier witness
-        best = tuple(cand)
-        best_perm = p
-    return best, best_perm
 
 
 def _least(e, perms):
@@ -127,16 +87,10 @@ def _left_coset(le, n):
 
 @lru_cache(maxsize=1)  # `dimonoids aut` asks for a pair's group, then for its key
 def _coset_reach(le, re, n):
-    """(`_min_key(le, re, n)`'s key, the `_perm_data(n)` items reaching it, in order)."""
+    """((le, re)'s least serialization over `_perm_data(n)`, the items reaching it in order)."""
     left, coset = _left_coset(le, n)
     right, reach = _least(re, coset)
     return left + right, reach
-
-
-def _coset_key(le, re, n):
-    """`_min_key(le, re, n)`, with re minimized only over the relabelings that minimize le."""
-    best, reach = _coset_reach(le, re, n)
-    return best, reach[0][0]
 
 
 def canonical_form(d: DiStructure) -> CanonicalKey:

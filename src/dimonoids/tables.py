@@ -11,7 +11,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import json
 import sys
 from itertools import permutations
 from operator import itemgetter
@@ -317,37 +316,3 @@ def parse_structure(text: str):
         return _table_of(blocks)
     return _pair_of(blocks)
 
-
-# ---------------------------------------------------------------------------
-# JSON codec; mirrors the record fields with tables as nested row arrays
-
-def table_to_json(t: OpTable) -> dict:
-    return {"order": t.order, "entries": [list(r) for r in t.rows()]}
-
-
-def table_from_json(obj: dict) -> OpTable:
-    t = OpTable.from_rows(obj["entries"])
-    if t.order != obj.get("order", t.order):
-        raise TableFormatError(f"declared order {obj['order']} but table has order {t.order}")
-    return t
-
-
-def distructure_to_json(d: DiStructure) -> dict:
-    return {
-        "order": d.order,
-        "left": [list(r) for r in d.left.rows()],
-        "right": [list(r) for r in d.right.rows()],
-    }
-
-
-def distructure_from_json(obj: dict) -> DiStructure:
-    d = DiStructure(OpTable.from_rows(obj["left"]), OpTable.from_rows(obj["right"]))
-    if d.order != obj.get("order", d.order):
-        raise TableFormatError(f"declared order {obj['order']} but tables have order {d.order}")
-    return d
-
-
-def dumps_structure(obj) -> str:
-    if isinstance(obj, DiStructure):
-        return json.dumps(distructure_to_json(obj), sort_keys=True)
-    return json.dumps(table_to_json(obj), sort_keys=True)

@@ -22,6 +22,7 @@ from dimonoids import (DiStructure, Permutation, apply_permutation,
                        enumerate_doppelsemigroups, enumerate_semigroups,
                        left_zero_collapse, semigroup_profile, solve_problem1)
 
+from exhaustive import class_reps
 from test_classify import (TABLE_ORDER2, TABLE_ORDER3_SEMIGROUPS,
                            TABLE_ORDER3_DIMONOIDS, TABLE_ORDER3_DOPPELS)
 
@@ -159,7 +160,7 @@ def test_criterion_5_order3_nonabelian_noncommutative_aut_corrected():
     assert sum(factorial(3) // r.aut.order for r in report.rows) == 267
     for name in ("LO3|RO(2<-3)", "LO(2<-3)|RO3", "LO3|LO(2<-3)", "RO(2<-3)|RO3"):
         row = report.row_by_name(name)
-        rep = next(rep for key, rep in result.class_reps if key.hex == row.key)
+        rep = next(rep for key, rep in class_reps(result) if key.hex == row.key)
         assert len(automorphisms(rep)) == 1
         assert _labeled_orbit_size(rep) == 6
     answer = solve_problem1()
@@ -217,7 +218,7 @@ def test_criterion_7_property_suites():
     all_reps = []
     for n in (1, 2, 3):
         for result in (enumerate_dimonoids(n), enumerate_doppelsemigroups(n)):
-            for _, rep in result.class_reps:
+            for _, rep in class_reps(result):
                 all_reps.append((result.kind, rep))
 
     for kind, rep in all_reps:
@@ -297,7 +298,7 @@ def test_criterion_8_oracle_equivalence():
     for n in (1, 2, 3):
         for result in (enumerate_semigroups(n), enumerate_dimonoids(n),
                        enumerate_doppelsemigroups(n)):
-            reps = [rep for _, rep in result.class_reps]
+            reps = [rep for _, rep in class_reps(result)]
             for i, d1 in enumerate(reps):
                 for d2 in reps[i + 1:]:
                     assert are_isomorphic(d1, d2) is None

@@ -330,7 +330,7 @@ def test_direct_pair_tier_matches_brute_force_at_order4(kind):
     # reference: every relabeling of every distinct named right table against
     # every distinct named left table, kept when the pair axioms hold
     from dimonoids import Permutation, apply_permutation
-    from dimonoids.axioms import _pair_axioms_hold
+    from exhaustive import _pair_axioms_hold
     distinct = {}
     for name, t in named_semigroups(4):
         distinct.setdefault(canonical_form(DiStructure(t, t)).key, (name, t))
@@ -363,7 +363,7 @@ def test_relabeled_census_right_tables_equal_a_search(n, kind):
     # position, so every leader's orbit is expanded
     from dimonoids import enumerate_associative_tables
     from dimonoids.enumeration import _reps, _search
-    from dimonoids.iso import _min_key
+    from exhaustive import _min_key
     tables = {t.entries for t in enumerate_associative_tables(n)}
     left_auts = dict(_reps(n))
     for name, t in named_semigroups(n):

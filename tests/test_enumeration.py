@@ -21,11 +21,12 @@ from dimonoids import (canonical_form, check_dimonoid, check_doppelsemigroup,
                        enumerate_doppelsemigroups, enumerate_semigroups,
                        enumerate_structures, is_associative)
 from dimonoids import enumeration
-from dimonoids.axioms import _pair_axioms_hold, assoc_witness, identity_witness
+from dimonoids.axioms import assoc_witness, identity_witness
 from dimonoids.doppel import commutant, commutant_masks, transposed_right_tables
 from dimonoids.enumeration import (ENUM_KINDS, _SEMIGROUP_DUAL_CLASSES, _reps, _search,
                                    class_lines, write_classes_jsonl)
-from dimonoids.iso import _least, _min_key, _perm_data, _stabilizer
+from dimonoids.iso import _least, _perm_data
+from exhaustive import _min_key, _pair_axioms_hold, _stabilizer, class_reps
 
 KINDS = ("dimonoid", "doppelsemigroup")
 
@@ -116,28 +117,28 @@ def test_class_reps_are_canonical_and_sorted():
     for n in (3, 4):
         for kind in ENUM_KINDS:
             result = enumerate_structures(n, kind)
-            keys = [key.key for key, _ in result.class_reps]
+            keys = [key.key for key, _ in class_reps(result)]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
-            for key, rep in result.class_reps:
+            for key, rep in class_reps(result):
                 assert key.witness.images == tuple(range(n))  # reps are already canonical
                 assert canonical_form(rep) == key
 
 
 def test_class_reps_satisfy_their_axioms():
-    for key, rep in enumerate_dimonoids(3).class_reps:
+    for key, rep in class_reps(enumerate_dimonoids(3)):
         assert check_dimonoid(rep).ok
-    for key, rep in enumerate_doppelsemigroups(3).class_reps:
+    for key, rep in class_reps(enumerate_doppelsemigroups(3)):
         assert check_doppelsemigroup(rep).ok
-    for key, rep in enumerate_semigroups(3).class_reps:
+    for key, rep in class_reps(enumerate_semigroups(3)):
         assert rep.left == rep.right
         assert is_associative(rep.left)[0]
 
 
 def test_order2_families_overlap_in_trivial_pairs():
-    dim = {key.key for key, _ in enumerate_dimonoids(2).class_reps}
-    dop = {key.key for key, _ in enumerate_doppelsemigroups(2).class_reps}
-    triv = {key.key for key, _ in enumerate_semigroups(2).class_reps}
+    dim = set(enumerate_dimonoids(2).keys)
+    dop = set(enumerate_doppelsemigroups(2).keys)
+    triv = set(enumerate_semigroups(2).keys)
     assert triv <= dim and triv <= dop
     assert dim & dop == triv
     assert len(dim | dop) == 11
@@ -173,7 +174,7 @@ def test_class_lines_schema():
     result = enumerate_dimonoids(2)
     lines = list(class_lines(result))
     assert len(lines) == 8
-    for line, (key, rep) in zip(lines, result.class_reps):
+    for line, (key, rep) in zip(lines, class_reps(result)):
         obj = json.loads(line)
         assert obj["schema"] == "dimonoids.class/1"
         assert obj["order"] == 2
@@ -198,7 +199,7 @@ def test_left_rep_scan_matches_brute_force(n, kind):
     result = enumerate_structures(n, kind)
     labeled, keys = brute_force_pairs(n, kind)
     assert result.labeled_count == labeled
-    assert {key.key for key, _ in result.class_reps} == keys
+    assert set(result.keys) == keys
 
 
 @pytest.mark.parametrize("n, reps, labeled", [(1, 1, 1), (2, 5, 8), (3, 24, 113), (4, 188, 3492)])
@@ -389,7 +390,7 @@ def test_pool_sizes_agree(n, kind, monkeypatch):
         result = enumerate_structures(n, kind)
         # with a pool every search runs in a worker process
         assert len(searches) == (searched if workers == 1 else 0)
-        runs.append(([k.key for k, _ in result.class_reps], result.labeled_count,
+        runs.append((list(result.keys), result.labeled_count,
                      dict(enumeration._RIGHT_TABLES)))
     assert runs[0] == runs[1] == runs[2]
 
@@ -404,7 +405,7 @@ def census(kind, workers):
     enumeration._pool_size = lambda n: workers
     enumeration._RIGHT_TABLES.clear()
     result = enumerate_structures(3, kind)
-    return [k.key for k, _ in result.class_reps], result.labeled_count
+    return list(result.keys), result.labeled_count
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])

@@ -1,7 +1,5 @@
-"""Property tests: duality, canonical forms and the text and JSON codecs on random inputs."""
+"""Property tests: duality, canonical forms and the text codec on random inputs."""
 from __future__ import annotations
-
-import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,9 +7,9 @@ from dimonoids import (DiStructure, OpTable, Permutation, canonical_form,
                        format_distructure, format_table, parse_distructure,
                        parse_table)
 from dimonoids.enumeration import _reps
-from dimonoids.iso import _coset_key, _min_key
-from dimonoids.tables import (apply_permutation, distructure_from_json, distructure_to_json,
-                              table_from_json, table_to_json)
+from dimonoids.iso import _coset_reach
+from dimonoids.tables import apply_permutation
+from exhaustive import _min_key
 
 # derandomized: every run draws the same examples, so a failure always reproduces
 _SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -53,14 +51,12 @@ def test_canonical_form_is_invariant_under_relabeling(case):
 @given(st.integers(1, 6).flatmap(_table))
 def test_table_text_and_json_round_trips(t):
     assert parse_table(format_table(t)) == t
-    assert table_from_json(json.loads(json.dumps(table_to_json(t)))) == t
 
 
 @_SETTINGS
 @given(_pairs(6))
 def test_pair_text_and_json_round_trips(d):
     assert parse_distructure(format_distructure(d)) == d
-    assert distructure_from_json(json.loads(json.dumps(distructure_to_json(d)))) == d
 
 
 def _few_valued_table(n: int):
@@ -86,4 +82,5 @@ def _key_case(n: int):
 def test_coset_key_equals_the_exhaustive_key(case):
     # the key and the lex-least witness, against the scan of all n! relabelings of both tables
     n, le, re = case
-    assert _coset_key(le, re, n) == _min_key(le, re, n)
+    best, reach = _coset_reach(le, re, n)
+    assert (best, reach[0][0]) == _min_key(le, re, n)

@@ -1,8 +1,7 @@
-"""Tests for tables: validation, relabeling, duality, text and JSON codecs."""
+"""Tests for tables: validation, relabeling, duality, the text codec."""
 from __future__ import annotations
 
 import copy
-import json
 import pickle
 import random
 
@@ -16,8 +15,6 @@ from dimonoids import (AxiomVerdict, CanonicalKey, ClassificationReport, ClassRo
                        dimonoid_profile, enumerate_dimonoids, format_distructure,
                        format_table, identify_group, left_zero, parse_distructure,
                        parse_structure, parse_table, right_zero, semigroup_profile)
-from dimonoids.tables import (distructure_from_json, distructure_to_json,
-                              dumps_structure, table_from_json, table_to_json)
 
 
 def _random_table(rng, n: int) -> OpTable:
@@ -228,41 +225,17 @@ def test_parse_structure_detects_shape():
     assert isinstance(pair, DiStructure)
 
 
-# a float, a string and a JSON true, which int() used to coerce, and where they sit
+# a float, a string and a bool, which int() would coerce, and where they sit
 BAD_ENTRIES = [([[0, 1.9], [1, 0]], "1.9 (row 1, column 2)"),
                ([[0, 1], [1, "0"]], "'0' (row 2, column 2)"),
                ([[0, 1], [True, 0]], "True (row 2, column 1)")]
 
 
-def test_json_codec_table():
-    t = OpTable.from_rows([(0, 1), (1, 0)])
-    obj = table_to_json(t)
-    assert obj == {"order": 2, "entries": [[0, 1], [1, 0]]}
-    assert table_from_json(obj) == t
-    with pytest.raises(TableFormatError):
-        table_from_json({"order": 3, "entries": [[0, 1], [1, 0]]})
+def test_from_rows_refuses_non_integers():
     for rows, where in BAD_ENTRIES:
         with pytest.raises(TableFormatError) as caught:
-            table_from_json({"order": 2, "entries": rows})
+            OpTable.from_rows(rows)
         assert str(caught.value) == "not an integer: " + where
-
-
-def test_json_codec_distructure():
-    d = DiStructure(OpTable.from_rows([(0, 0), (1, 1)]),
-                    OpTable.from_rows([(0, 1), (0, 1)]))
-    obj = distructure_to_json(d)
-    assert distructure_from_json(obj) == d
-    with pytest.raises(TableFormatError):
-        distructure_from_json({"order": 5, "left": obj["left"], "right": obj["right"]})
-    for rows, where in BAD_ENTRIES:
-        for left, right in ((rows, obj["right"]), (obj["left"], rows)):
-            with pytest.raises(TableFormatError) as caught:
-                distructure_from_json({"order": 2, "left": left, "right": right})
-            assert str(caught.value) == "not an integer: " + where
-    parsed = json.loads(dumps_structure(d))
-    assert parsed == obj
-    parsed = json.loads(dumps_structure(d.left))
-    assert parsed == table_to_json(d.left)
 
 
 # every immutable value type of the package, with its fields in order and a sample
