@@ -164,26 +164,26 @@ def _assert_assoc_preserved(src: OpTable, out: OpTable):
     return out
 
 
+def _adjoin(t: OpTable, absorbing: bool, square: int) -> OpTable:
+    """t with a fresh element u at index n: u*s = s*u = u if absorbing, else s, and u*u = square."""
+    n, e = t.order, t.entries
+    out = []
+    for x in range(n):
+        out += e[x * n:x * n + n]
+        out.append(n if absorbing else x)
+    out += [n] * n if absorbing else range(n)
+    out.append(square)
+    return _assert_assoc_preserved(t, OpTable(n + 1, out))
+
+
 def adjoin_zero(t: OpTable) -> OpTable:
     """Add a fresh absorbing element at index n."""
-    n = t.order
-    out = OpTable.from_function(
-        n + 1, lambda x, y: t.at(x, y) if x < n and y < n else n)
-    return _assert_assoc_preserved(t, out)
+    return _adjoin(t, True, t.order)
 
 
 def adjoin_identity(t: OpTable) -> OpTable:
     """Add a fresh two-sided identity at index n."""
-    n = t.order
-
-    def op(x, y):
-        if x == n:
-            return y
-        if y == n:
-            return x
-        return t.at(x, y)
-
-    return _assert_assoc_preserved(t, OpTable.from_function(n + 1, op))
+    return _adjoin(t, False, t.order)
 
 
 def adjoin_tilde1(t: OpTable) -> OpTable:
@@ -195,17 +195,7 @@ def adjoin_tilde1(t: OpTable) -> OpTable:
     e = next((c for c in range(n)
               if all(t.at(c, x) == x == t.at(x, c) for x in range(n))), None)
     _require(e is not None, "~1 requires a monoid, but the table has no identity")
-
-    def op(x, y):
-        if x == n and y == n:
-            return e
-        if x == n:
-            return y
-        if y == n:
-            return x
-        return t.at(x, y)
-
-    return _assert_assoc_preserved(t, OpTable.from_function(n + 1, op))
+    return _adjoin(t, False, e)
 
 
 def dual_table(t: OpTable) -> OpTable:
@@ -291,16 +281,20 @@ _BASE_PATTERNS = (
 _SUFFIXES = ("+0", "+1", "~1")
 
 
-def _is_balanced(s: str) -> bool:
+def _inner(name: str, prefix: str, suffix: str):
+    """The name that prefix and suffix wrap in name, or None unless its parentheses balance."""
+    if not (name.startswith(prefix) and name.endswith(suffix)):
+        return None
+    inner = name[len(prefix):len(name) - len(suffix)]
     depth = 0
-    for ch in s:
+    for ch in inner:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                return False
-    return depth == 0
+                return None
+    return inner if depth == 0 else None
 
 
 def _checked_name(name: str) -> str:
@@ -328,10 +322,10 @@ def _build_semigroup(name: str, extra: int = 0) -> OpTable:
     """build_semigroup of a name within the length cap, to be grown by extra adjoined elements."""
     name = name.strip()
     for suffix in _SUFFIXES:
-        if name.endswith(suffix) and _is_balanced(name[:-len(suffix)]):
-            return derive_semigroup(_build_semigroup(name[:-len(suffix)], extra + 1), suffix)
-    if name.startswith("dual(") and name.endswith(")") and _is_balanced(name[5:-1]):
-        return dual_table(_build_semigroup(name[5:-1], extra))
+        if (inner := _inner(name, "", suffix)) is not None:
+            return derive_semigroup(_build_semigroup(inner, extra + 1), suffix)
+    if (inner := _inner(name, "dual(", ")")) is not None:
+        return dual_table(_build_semigroup(inner, extra))
     for pattern, builder, order in _BASE_PATTERNS:
         m = pattern.match(name)
         if m:
@@ -370,8 +364,8 @@ def semigroup_dual_name(name: str) -> str:
     """Display name of the dual semigroup class (LO <-> RO, others fixed)."""
     for suffix in _SUFFIXES:
         # adjoining a two-sided zero or identity commutes with duality
-        if name.endswith(suffix) and _is_balanced(name[:-len(suffix)]):
-            return semigroup_dual_name(name[:-len(suffix)]) + suffix
+        if (inner := _inner(name, "", suffix)) is not None:
+            return semigroup_dual_name(inner) + suffix
     if name.startswith("RO"):
         return "LO" + name[2:]
     if name.startswith("LO"):
@@ -381,8 +375,8 @@ def semigroup_dual_name(name: str) -> str:
 
 def structure_dual_name(name: str) -> str:
     """Display name of the dual structure class: swap components, dualize each."""
-    if name.startswith("(") and name.endswith(")+0") and _is_balanced(name[1:-3]):
-        return f"({structure_dual_name(name[1:-3])})+0"
+    if (inner := _inner(name, "(", ")+0")) is not None:
+        return f"({structure_dual_name(inner)})+0"
     if _special_pair(name) is not None:
         return name  # curated specials denote classes isomorphic to their dual
     split = _split_pair(name)
@@ -409,15 +403,14 @@ def build_structure(name: str, kind: str | None = None) -> DiStructure:
 def _build_structure(name: str, kind: str | None, extra: int) -> DiStructure:
     """build_structure of a name within the length cap, to be grown by extra adjoined zeros."""
     name = name.strip()
-    if name.startswith("(") and name.endswith(")+0") and _is_balanced(name[1:-3]):
-        return adjoin_zero_dimonoid(_build_structure(name[1:-3], kind, extra + 1))
-    if name.startswith("triv(") and name.endswith(")") and _is_balanced(name[5:-1]):
-        return trivial_dimonoid(_build_semigroup(name[5:-1], extra))
-    if name.startswith("plus0(") and name.endswith(")") and _is_balanced(name[6:-1]):
-        return adjoin_zero_dimonoid(_build_structure(name[6:-1], kind, extra + 1))
-    if name.startswith("dual(") and name.endswith(")") and _is_balanced(name[5:-1]):
+    for prefix, suffix in (("(", ")+0"), ("plus0(", ")")):
+        if (inner := _inner(name, prefix, suffix)) is not None:
+            return adjoin_zero_dimonoid(_build_structure(inner, kind, extra + 1))
+    if (inner := _inner(name, "triv(", ")")) is not None:
+        return trivial_dimonoid(_build_semigroup(inner, extra))
+    if (inner := _inner(name, "dual(", ")")) is not None:
         # for a bare semigroup name this equals the trivial pair of its dual
-        return dual_dimonoid(_build_structure(name[5:-1], kind, extra))
+        return dual_dimonoid(_build_structure(inner, kind, extra))
     special = _special_pair(name, extra)
     if special is not None:
         return _checked_named_pair(special, name, kind)
@@ -503,12 +496,11 @@ def named_semigroups(n: int):
         out.append((f"LOt0({m}<-{s})", masked_left_zero(m, s)))
         out.append((f"ROt0({m}<-{s})", masked_left_zero(m, s).transpose()))
     for base_name, t in named_semigroups(n - 1):
-        out.append((f"{base_name}+0", adjoin_zero(t)))
-        out.append((f"{base_name}+1", adjoin_identity(t)))
-        try:
-            out.append((f"{base_name}~1", adjoin_tilde1(t)))
-        except ParameterError:
-            pass  # not a monoid
+        for suffix in _SUFFIXES:
+            try:
+                out.append((base_name + suffix, derive_semigroup(t, suffix)))
+            except ParameterError:
+                pass  # ~1 of a non-monoid
     return tuple(out)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .iso import _least, _perm_data
+from .iso import _least, _left_coset
 
 
 def commutant(maps, n: int):
@@ -57,30 +57,32 @@ def commutant(maps, n: int):
                     todo.append(y)
         walks.append((u, steps))
     out = []
-    f = [-1] * n
-
-    def grow(i):
-        if i == len(walks):
-            out.append(tuple(f))
-            return
-        u, steps = walks[i]
-        for v in rng:
-            f[u] = v
-            undo = [u]
-            for x, T, y in steps:
-                w = T[f[x]]
-                if f[y] < 0:
-                    f[y] = w
-                    undo.append(y)
-                elif f[y] != w:
-                    break
-            else:
-                grow(i + 1)
-            for y in undo:
-                f[y] = -1
-
-    grow(0)
+    _grow(walks, 0, [-1] * n, out)
     return out
+
+
+def _grow(walks, i, f, out):
+    """Append to out each completion of f, set at the generators of walks[:i], that
+    commutes with the maps, in lexicographic order.  A module function, not a
+    closure over itself, so that a call leaves no reference cycle behind."""
+    if i == len(walks):
+        out.append(tuple(f))
+        return
+    u, steps = walks[i]
+    for v in range(len(f)):
+        f[u] = v
+        undo = [u]
+        for x, T, y in steps:
+            w = T[f[x]]
+            if f[y] < 0:
+                f[y] = w
+                undo.append(y)
+            elif f[y] != w:
+                break
+        else:
+            _grow(walks, i + 1, f, out)
+        for y in undo:
+            f[y] = -1
 
 
 @lru_cache(maxsize=None)
@@ -125,13 +127,12 @@ def transpose_partners(reps, n: int):
     """{L: (P, q)} for each representative L of reps, `enumeration._reps` items, whose
     transpose is in the class of a smaller representative P: P is the least relabeling
     of Lᵀ and q the first `_perm_data` item that reaches it."""
-    perms = _perm_data(n)
     rng = range(n)
     partners = {}
     for le, _ in reps:
-        partner, reach = _least(tuple(v for z in rng for v in le[z::n]), perms)
+        partner, coset = _left_coset(tuple(v for z in rng for v in le[z::n]), n)
         if partner < le:
-            partners[le] = (partner, reach[0])
+            partners[le] = (partner, coset[0])
     return partners
 
 

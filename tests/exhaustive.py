@@ -1,5 +1,6 @@
 """Exhaustive references the tests, `.github/order5_census.py` and `bench/search.py`
-compare the package's searches with.  None of them runs in a command.
+compare the package's searches with, and the case-by-case `+0`, `+1` and `~1`
+builders the tests compare the catalog's tables with.  None of them runs in a command.
 
 Import with `tests/` on the path (pytest puts it there; scripts set
 `PYTHONPATH=src:tests`).
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 from dimonoids.axioms import IDENTITIES, KIND_AXIOMS, identity_witness
 from dimonoids.iso import CanonicalKey, _perm_data, distructure_from_key
-from dimonoids.tables import Permutation
+from dimonoids.tables import OpTable, Permutation
 
 
 def _pair_axioms_hold(le, re, n, kind) -> bool:
@@ -60,3 +61,56 @@ def class_reps(result) -> tuple:
     identity = Permutation.identity(result.order)
     keys = (CanonicalKey(order=result.order, key=k, witness=identity) for k in result.keys)
     return tuple((key, distructure_from_key(key)) for key in keys)
+
+
+def adjoin_zero_reference(t):
+    """t with a fresh absorbing element at index n, from the operation's cases."""
+    n = t.order
+    return OpTable.from_function(n + 1, lambda x, y: t.at(x, y) if x < n and y < n else n)
+
+
+def adjoin_identity_reference(t):
+    """t with a fresh two-sided identity at index n, from the operation's cases."""
+    n = t.order
+
+    def op(x, y):
+        if x == n:
+            return y
+        if y == n:
+            return x
+        return t.at(x, y)
+
+    return OpTable.from_function(n + 1, op)
+
+
+def adjoin_tilde1_reference(t):
+    """t with u at index n, u*s = s*u = s and u*u = t's identity; None if t has none."""
+    n = t.order
+    e = next((c for c in range(n)
+              if all(t.at(c, x) == x == t.at(x, c) for x in range(n))), None)
+    if e is None:
+        return None
+
+    def op(x, y):
+        if x == n and y == n:
+            return e
+        if x == n:
+            return y
+        if y == n:
+            return x
+        return t.at(x, y)
+
+    return OpTable.from_function(n + 1, op)
+
+
+def adjoined_reference(named):
+    """The +0, +1 and ~1 entries `catalog.named_semigroups(n)` derives from the (name,
+    table) entries of order n - 1, in its order, built by the references above."""
+    out = []
+    for name, t in named:
+        for suffix, build in (("+0", adjoin_zero_reference), ("+1", adjoin_identity_reference),
+                              ("~1", adjoin_tilde1_reference)):
+            table = build(t)
+            if table is not None:
+                out.append((name + suffix, table))
+    return out

@@ -16,6 +16,7 @@ from dimonoids import (AxiomError, DiStructure, NotAssociativeError, OpTable,
                        named_semigroups, named_structures, null_semigroup,
                        pair_dimonoid, right_zero, semigroup_dual_name,
                        shifted_cyclic, structure_dual_name, trivial_dimonoid)
+from exhaustive import adjoined_reference
 
 
 def test_base_family_tables():
@@ -162,6 +163,15 @@ def test_build_semigroup_grammar():
         build_semigroup("Q8")
     with pytest.raises(ParameterError):
         build_semigroup("LO")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_named_semigroups_adjoin_as_the_reference_does(n):
+    # the base families first, then +0, +1 and ~1 of each order-(n-1) entry in turn
+    named = named_semigroups(n)
+    base = [(name, t) for name, t in named if not name.endswith(("+0", "+1", "~1"))]
+    derived = adjoined_reference(named_semigroups(n - 1)) if n > 1 else []
+    assert list(named) == base + derived
 
 
 def test_named_semigroups_cover_all_order3_classes():

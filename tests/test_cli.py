@@ -101,6 +101,17 @@ def test_catalog_build_unknown_name(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, unknown", [
+    ("(LO2|RO2+0", "(LO2|RO2+0"), ("LO2|RO2)+0", "RO2)+0"), ("plus0(LO2|RO2", "plus0(LO2|RO2"),
+    ("triv(C2))", "triv(C2))"), ("dual(C2", "dual(C2"), ("C2+0)", "C2+0)"), ("()+0", "")])
+def test_catalog_build_malformed_wrapped_names(capsys, name, unknown):
+    # a wrapper is taken off only when what it wraps is balanced; ()+0 wraps the empty name
+    assert main(["catalog", "build", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown semigroup name {unknown!r}\n"
+    assert captured.out == ""
+
+
 def test_catalog_build_kind_mismatch(capsys):
     assert main(["catalog", "build", "C3|C3^-1", "--kind", "dimonoid"]) == 2
     assert "error:" in capsys.readouterr().err

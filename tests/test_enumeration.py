@@ -1,6 +1,7 @@
 """Tests for exhaustive enumeration: counts, determinism, output schema."""
 from __future__ import annotations
 
+import gc
 import io
 import json
 import multiprocessing
@@ -319,6 +320,17 @@ def test_translations_match_filtering_every_map(n):
 def test_translations_of_arbitrary_left_tables():
     for n, le in ARBITRARY_LEFTS:
         check_translations(le, n)
+
+
+def test_commutant_leaves_no_garbage():
+    # a reference cycle would keep each call's frames and lists until the cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        assert commutant([(0, 0, 1, 2), (1, 1, 1, 3), (0, 1, 2, 3)], 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
