@@ -24,7 +24,9 @@ reads the group off the relabelings reaching the canonical key, and its key
 and its dual's against `_min_key`, which scans all 120 relabelings of
 both tables.  The time of
 each census is printed.  The unnamed counts check the order-5 catalog built
-on the census's right tables.  A doppelsemigroup representative whose
+on the census's right tables, and the sha256 of each kind's name map
+(`classify._name_map`, canonical key -> name) is compared with the value
+pinned below, so every name and the class it lands on stay fixed.  A doppelsemigroup representative whose
 transpose is in the class of a smaller representative takes its right
 tables from that one's, transposed and relabeled, instead of a search; the
 script prints how many were searched and how many derived, and compares
@@ -46,6 +48,7 @@ from itertools import islice
 
 from dimonoids import (CanonicalKey, Permutation, automorphisms, classify, doppel,
                        enumerate_structures, enumeration, identify_group)
+from dimonoids.classify import _name_map
 from dimonoids.iso import _matches, _perm_data, distructure_from_key
 from exhaustive import _min_key, _stabilizer
 
@@ -56,6 +59,12 @@ SAMPLE_STEP = 97
 DECIDED_STEP = 50
 # sha256 of repr(enumeration._reps(5)): the representatives and their groups, in order
 REPS_SHA256 = "a27117805e3c6de9d54a6a6674c8cc157bfd9ddd722ed6eb58d711090e8f7254"
+# (names, sha256 of repr(sorted((key.hex(), name) for key, name in _name_map(5, kind).items())))
+NAME_MAP_SHA256 = {
+    "semigroup": (158, "ef1aa5316a540bdcb2ce2f1583bf35b332138c09197896703b2395c2d3cb1e11"),
+    "dimonoid": (274, "beac04bfa9a55eed5b018cada2a07f8d94eb2e17c2baf750b96c8964c0896cdf"),
+    "doppelsemigroup": (735, "26ff637c232230e5aceff61763e13e51607e4d7ffbc2134d448341c33c91b5d6"),
+}
 
 
 def exhaustive_key(d):
@@ -131,6 +140,17 @@ def census(kind, workers=None):
     return result.keys, result.labeled_count
 
 
+def check_name_map(kind):
+    """Compare the order-5 name map of kind with its pinned size and sha256."""
+    names = _name_map(5, kind)
+    digest = hashlib.sha256(repr(sorted((key.hex(), name) for key, name in names.items()))
+                            .encode()).hexdigest()
+    if (len(names), digest) != NAME_MAP_SHA256[kind]:
+        raise SystemExit(f"order-5 {kind}: the name map ({len(names)} names) differs from the "
+                         f"pinned sha256")
+    print(f"order-5 {kind} name map: {len(names)} names agree with the pinned sha256")
+
+
 def check_rep_groups():
     """Time the order-5 leader search and compare its groups with the stabilizers."""
     start = time.perf_counter()
@@ -166,6 +186,7 @@ def main():
         if kind in UNNAMED and summary["unnamed"] != UNNAMED[kind]:
             raise SystemExit(f"order-5 {kind}: {summary['unnamed']} unnamed, "
                              f"expected {UNNAMED[kind]}")
+        check_name_map(kind)
         if kind != "semigroup":
             print(kind, check_sample(result, report), "sampled classes agree with the matcher")
         if kind == "dimonoid":

@@ -282,7 +282,8 @@ _SUFFIXES = ("+0", "+1", "~1")
 
 
 def _inner(name: str, prefix: str, suffix: str):
-    """The name that prefix and suffix wrap in name, or None unless its parentheses balance."""
+    """The name that prefix and suffix wrap in name, or None unless it is nonempty and its
+    parentheses balance."""
     if not (name.startswith(prefix) and name.endswith(suffix)):
         return None
     inner = name[len(prefix):len(name) - len(suffix)]
@@ -294,7 +295,7 @@ def _inner(name: str, prefix: str, suffix: str):
             depth -= 1
             if depth < 0:
                 return None
-    return inner if depth == 0 else None
+    return inner if depth == 0 and inner else None
 
 
 def _checked_name(name: str) -> str:
@@ -469,32 +470,22 @@ def _checked_named_pair(d: DiStructure, name: str, kind: str | None) -> DiStruct
 def named_semigroups(n: int):
     """(name, table) pairs at order n, most canonical names first.
 
-    Later entries may repeat an earlier isomorphism class (for example
-    M(2,1) repeats O2); matching keeps the first name.
+    The base names are built through the name grammar, then +0, +1 and ~1
+    extend each order-(n-1) entry.  Later entries may repeat an earlier
+    isomorphism class (for example M(2,1) repeats O2); matching keeps the
+    first name.  Order 4 lists 118 entries (21 base) in 68 classes.
     """
     _require(n >= 1, f"order must be >= 1, got {n}")
     _require(n <= MAX_RELABEL_ORDER, f"order {n} exceeds {MAX_RELABEL_ORDER}, the largest "
                                      f"order the catalog lists")
     if n == 1:
-        return (("C1", cyclic(1)),)
-    out = [(f"C{n}", cyclic(n)), (f"O{n}", null_semigroup(n)),
-           (f"L{n}", linear_semilattice(n))]
-    for r in range(2, n + 1):
-        out.append((f"M({r},{n - r + 1})", monogenic(r, n - r + 1)))
-    for m in range(1, n):
-        out.append((f"O({n},{m})", idempotent_diagonal(n, m)))
-    out.append((f"LO{n}", left_zero(n)))
-    out.append((f"RO{n}", right_zero(n)))
-    if n >= 3:
-        out.append((f"LOB{n}", left_zero_band(n)))
-        out.append((f"ROB{n}", left_zero_band(n).transpose()))
-    for m in range(2, n):
-        out.append((f"LO({m}<-{n})", left_zero_collapse(m, n)))
-        out.append((f"RO({m}<-{n})", left_zero_collapse(m, n).transpose()))
-    s = n - 1
-    for m in range(1, s):
-        out.append((f"LOt0({m}<-{s})", masked_left_zero(m, s)))
-        out.append((f"ROt0({m}<-{s})", masked_left_zero(m, s).transpose()))
+        return (("C1", _build_semigroup("C1")),)
+    names = [f"C{n}", f"O{n}", f"L{n}", *(f"M({r},{n - r + 1})" for r in range(2, n + 1)),
+             *(f"O({n},{m})" for m in range(1, n)), f"LO{n}", f"RO{n}",
+             *([f"LOB{n}", f"ROB{n}"] if n >= 3 else []),
+             *(f"{side}O({m}<-{n})" for m in range(2, n) for side in "LR"),
+             *(f"{side}Ot0({m}<-{n - 1})" for m in range(1, n - 1) for side in "LR")]
+    out = [(name, _build_semigroup(name)) for name in names]
     for base_name, t in named_semigroups(n - 1):
         for suffix in _SUFFIXES:
             try:
@@ -502,6 +493,19 @@ def named_semigroups(n: int):
             except ParameterError:
                 pass  # ~1 of a non-monoid
     return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _semigroup_classes(n: int):
+    """(name, table, key, p) for the first named table of each semigroup class at order n.
+
+    key is the canonical key of (table, table), a tuple; p carries the table onto its left block.
+    """
+    classes: dict = {}
+    for name, t in named_semigroups(n):
+        key, reach = _coset_reach(t.entries, t.entries, n)
+        classes.setdefault(key, (name, t, key, reach[0][0]))
+    return tuple(classes.values())
 
 
 def _special_pair_names(n: int):
@@ -545,10 +549,10 @@ def named_structures(n: int, kind: str):
     keeps, relabeled onto it, and look them up among the relabeled named
     tables; a leader that is no relabeled named table is skipped unexpanded.
     Within one `left|right` name, abelian candidates (right table equal to
-    the transpose of the left) come first, then relabeling order; a right
-    table that several relabelings produce appears once per relabeling.
-    Only candidates satisfying the kind's axioms appear.  One name can
-    reach several isomorphism classes; `named_class_map` resolves that.
+    the transpose of the left) come first, then relabeling order; each
+    right table appears once.  Only candidates satisfying the kind's axioms
+    appear.  One name can reach several isomorphism classes;
+    `named_class_map` resolves that.
     Raises ParameterError for a kind other than dimonoid or doppelsemigroup
     and ValueError for an order the enumeration does not support.
     """
@@ -570,33 +574,25 @@ def named_structures(n: int, kind: str):
         for name, d in _special_pair_names(n):
             if check_structure(d, kind).ok:
                 out.append((name, d))
-        distinct = []
-        seen_tables = set()
-        for name, t in named_semigroups(n):
-            # key is the canonical key of (t, t); reach[0][0] carries t onto its left block
-            key, reach = _coset_reach(t.entries, t.entries, n)
-            if key in seen_tables:
-                continue
-            seen_tables.add(key)
+        distinct = _semigroup_classes(n)
+        for _, t, _, _ in distinct:
             w = assoc_witness(t.entries, n)
             if w is not None:
                 raise NotAssociativeError(w)
-            distinct.append((name, t, key, reach[0][0]))
-        # index every relabeling of every distinct table by its entries; a table
-        # with a nontrivial Aut group sits at one position per relabeling giving it
+        # index every relabeling of every distinct table by its entries, at the first
+        # (table, relabeling) giving it
         positions: dict = {}
         for ri, (_, t, _, _) in enumerate(distinct):
             e = t.entries
             for pi, (p, gather) in enumerate(_perm_data(n)):
-                positions.setdefault(tuple([p[e[j]] for j in gather]), []).append((ri, pi))
+                positions.setdefault(tuple([p[e[j]] for j in gather]), (ri, pi))
         # both components are (relabeled) associative tables checked above, so
         # the right tables are exactly the relabelings that pass the pair
         # axioms; the trivial pair is already named by the bare tier
         left_auts = dict(_reps(n))
         for lname, lt, key, p in distinct:
             rights = _right_tables_of(key, p, left_auts[key[:n * n]], n, kind, positions)
-            hits = sorted((ri, pi, rt) for rt in rights
-                          if rt != lt.entries for ri, pi in positions[rt])
+            hits = sorted((*positions[rt], rt) for rt in rights if rt != lt.entries)
             abelian = lt.transpose().entries
             for ri, group in groupby(hits, key=itemgetter(0)):
                 block = sorted((rt for _, _, rt in group), key=lambda rt: rt != abelian)

@@ -8,7 +8,7 @@ import time
 from functools import lru_cache
 from math import factorial
 
-from .catalog import named_class_map, named_semigroups
+from .catalog import _semigroup_classes, named_class_map
 from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES,
                           enumerate_dimonoids, enumerate_structures)
 from .axioms import DIMONOID, _pair_flags
@@ -60,10 +60,7 @@ class ClassificationReport(Record):
 def _name_map(order: int, kind: str) -> dict:
     """Canonical key bytes -> display name; first (highest priority) name wins."""
     if kind == SEMIGROUP:
-        mapping: dict = {}
-        for name, t in named_semigroups(order):
-            mapping.setdefault(canonical_form(DiStructure(t, t)).key, name)
-        return mapping
+        return {bytes(key): name for name, _, key, _ in _semigroup_classes(order)}
     return named_class_map(order, kind)[1]
 
 

@@ -91,15 +91,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.catalog_command == "build":
-        if args.kind == SEMIGROUP or ("|" not in args.name
-                                      and not args.name.startswith(("triv(", "plus0(", "("))):
-            try:
-                table = catalog.build_semigroup(args.name)
-            except catalog.ParameterError:
-                table = None
-            if table is not None:
-                _emit(format_table(table) + "\n", args.out)
-                return 0
+        try:
+            table = catalog.build_semigroup(args.name)
+        except catalog.ParameterError:
+            pass  # a pair name, or a name build_structure refuses with the message
+        else:
+            _emit(format_table(table) + "\n", args.out)
+            return 0
         kind = None if args.kind == "any" else args.kind
         d = catalog.build_structure(args.name, kind=kind)
         _emit(format_distructure(d) + "\n", args.out)

@@ -103,9 +103,10 @@ def test_catalog_build_unknown_name(capsys):
 
 @pytest.mark.parametrize("name, unknown", [
     ("(LO2|RO2+0", "(LO2|RO2+0"), ("LO2|RO2)+0", "RO2)+0"), ("plus0(LO2|RO2", "plus0(LO2|RO2"),
-    ("triv(C2))", "triv(C2))"), ("dual(C2", "dual(C2"), ("C2+0)", "C2+0)"), ("()+0", "")])
+    ("triv(C2))", "triv(C2))"), ("dual(C2", "dual(C2"), ("C2+0)", "C2+0)"), ("()+0", "()"),
+    ("plus0()", "plus0()"), ("triv()", "triv()"), ("dual()", "dual()"), ("+0", "+0")])
 def test_catalog_build_malformed_wrapped_names(capsys, name, unknown):
-    # a wrapper is taken off only when what it wraps is balanced; ()+0 wraps the empty name
+    # a wrapper is taken off only when what it wraps is nonempty and balanced
     assert main(["catalog", "build", name]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: unknown semigroup name {unknown!r}\n"
