@@ -26,9 +26,9 @@ left-table coset cache cleared, and the exhaustive `_min_key` of
 these, on the null semigroup O_n and the left-zero semigroup LO_n for n =
 6, 7 and 8 (as pairs (T, T); Aut(LO_n) is S_n), it times what `dimonoids
 aut` computes cold, with the `iso._perm_data`, `iso._left_coset` and
-`iso._coset_reach` caches cleared: `automorphisms` and `canonical_form`,
-and, as the reference row, the n! permutation matcher `iso._matches` in
-place of `automorphisms`.
+`iso._coset_reach` caches cleared: `automorphisms`, `identify_group` on
+the group found and `canonical_form`, and, as the reference row, the same
+with the n! permutation matcher `iso._matches` in place of `automorphisms`.
 
 The host's speed drifts, so the speed reference of the benchmark harness,
 the basket of `perfbench/reference.py`, is sampled just before and just
@@ -58,8 +58,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 import reference  # noqa: E402
 from dimonoids import (DiStructure, automorphisms, canonical_form, classify, doppel,  # noqa: E402
-                       enumerate_structures, enumeration, iso, left_zero, null_semigroup,
-                       render_report)
+                       enumerate_structures, enumeration, identify_group, iso, left_zero,
+                       null_semigroup, render_report)
 from dimonoids.axioms import _pair_flags  # noqa: E402
 from exhaustive import _min_key  # noqa: E402
 
@@ -165,11 +165,12 @@ def post_search(row, n, kind):
 
 
 def cold_aut(d, group):
-    """`dimonoids aut`'s group and key of d, every relabeling cache cleared; return the
-    group's order."""
+    """`dimonoids aut`'s group, its name and the key of d, every relabeling cache cleared;
+    return the group's order."""
     for cache in (iso._perm_data, iso._left_coset, iso._coset_reach):
         cache.cache_clear()
     auts = group(d)
+    identify_group(auts)
     canonical_form(d)
     return len(auts)
 
@@ -239,7 +240,7 @@ def main(argv):
     if argv:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count())
-        report = {"schema": "dimonoids.bench-search/4", "src_sha256": source_sha256(),
+        report = {"schema": "dimonoids.bench-search/5", "src_sha256": source_sha256(),
                   "python": platform.python_version(), "cpus": cpus, "repeats": REPEATS,
                   "rows": rows}
         Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

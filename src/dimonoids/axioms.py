@@ -19,7 +19,7 @@ the lexicographically first failing triple (x, y, z).
 """
 from __future__ import annotations
 
-from .tables import DiStructure, OpTable, Record
+from .tables import DiStructure, OpTable, Record, json_fields
 
 DIMONOID = "dimonoid"
 DOPPELSEMIGROUP = "doppelsemigroup"
@@ -99,17 +99,7 @@ class AxiomVerdict(Record):
         return tuple(sorted(self.witnesses.items()))
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "ok": self.ok,
-            "left_associative": self.left_associative,
-            "right_associative": self.right_associative,
-            "d1": self.d1,
-            "d2": self.d2,
-            "d3": self.d3,
-            "d4": self.d4,
-            "witnesses": {k: list(v) for k, v in sorted(self.witnesses.items())},
-        }
+        return {**json_fields(self), "ok": self.ok}
 
 
 def check_structure(d: DiStructure, kind: str) -> AxiomVerdict:
@@ -162,15 +152,7 @@ class SemigroupProfile(Record):
     zero: int | None
     monogenic: tuple | None  # (index r, period m) with r + m - 1 == order
 
-    def to_json(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "commutative", "band", "semilattice", "right_commutative",
-            "identity", "zero")}
-        for k in ("idempotents", "left_identities", "right_identities",
-                  "left_zeros", "right_zeros"):
-            out[k] = list(getattr(self, k))
-        out["monogenic"] = list(self.monogenic) if self.monogenic else None
-        return out
+    to_json = json_fields
 
 
 def _monogenic_params(e, n):
@@ -229,9 +211,7 @@ class DimonoidProfile(Record):
     abelian: bool
     self_dual: bool
 
-    def to_json(self) -> dict:
-        return {"trivial": self.trivial, "commutative": self.commutative,
-                "abelian": self.abelian, "self_dual": self.self_dual}
+    to_json = json_fields
 
 
 def _pair_flags(le, re, n: int):

@@ -13,7 +13,7 @@ from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES,
                           enumerate_dimonoids, enumerate_structures)
 from .axioms import DIMONOID, _pair_flags
 from .iso import GroupId, _coset_reach, canonical_form, identify_group
-from .tables import DiStructure, Permutation, Record, log_info
+from .tables import DiStructure, Permutation, Record, json_fields, log_info
 
 
 class ClassRow(Record):
@@ -25,17 +25,7 @@ class ClassRow(Record):
     aut: GroupId
     dual_key: str
 
-    def to_json(self) -> dict:
-        return {
-            "key": self.key, "name": self.name, "trivial": self.trivial,
-            "commutative": self.commutative, "abelian": self.abelian,
-            "aut": _group_json(self.aut), "dual_key": self.dual_key,
-        }
-
-
-def _group_json(g: GroupId) -> dict:
-    return {"order": g.order, "name": g.name, "abelian": g.abelian,
-            "element_orders": list(g.element_orders)}
+    to_json = json_fields
 
 
 class ClassificationReport(Record):
@@ -51,9 +41,7 @@ class ClassificationReport(Record):
         raise KeyError(name)
 
     def to_json(self) -> dict:
-        return {"schema": "dimonoids.report/1", "order": self.order,
-                "kind": self.kind, "rows": [r.to_json() for r in self.rows],
-                "summary": dict(self.summary)}
+        return {"schema": "dimonoids.report/1", **json_fields(self)}
 
 
 @lru_cache(maxsize=32)
@@ -210,8 +198,7 @@ def render_csv(report: ClassificationReport) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "name", "trivial", "commutative", "abelian",
-                     "aut", "dual_key"])
+    writer.writerow(ClassRow._fields)
     for r in report.rows:
         writer.writerow([r.key, r.name, int(r.trivial), int(r.commutative),
                          int(r.abelian), r.aut.name, r.dual_key])
@@ -227,7 +214,7 @@ def render_json(report: ClassificationReport) -> str:
     groups: dict = {}  # GroupId -> its index; a row's JSON fields are its record fields
     fields = [{**row.__dict__, "aut": groups.setdefault(row.aut, len(groups))}
               for row in report.rows]
-    blocks = [json.dumps(_group_json(g), sort_keys=True, indent=2).replace("\n", "\n      ")
+    blocks = [json.dumps(json_fields(g), sort_keys=True, indent=2).replace("\n", "\n      ")
               for g in groups]
     text = json.dumps(ClassificationReport(report.order, report.kind, (), report.summary)
                       .to_json(), sort_keys=True, indent=2)

@@ -87,9 +87,10 @@ def _left_coset(le, n):
 
 @lru_cache(maxsize=1)  # `dimonoids aut` asks for a pair's group, then for its key
 def _coset_reach(le, re, n):
-    """((le, re)'s least serialization over `_perm_data(n)`, the items reaching it in order)."""
-    left, coset = _left_coset(le, n)
-    right, reach = _least(re, coset)
+    """((le, re)'s least serialization over `_perm_data(n)`, the items reaching it in order);
+    le and re may be bytes or tuples, and `_left_coset` caches each left table as a tuple."""
+    left, coset = _left_coset(tuple(le), n)
+    right, reach = _least(tuple(re), coset)
     return left + right, reach
 
 
@@ -187,14 +188,14 @@ def identify_group(perms) -> GroupId:
 
     The input must already be a group (closed, with identity and
     inverses); anything else raises ValueError.  Closure is checked by
-    generating the group: walking the input in sorted order, each element
-    not yet generated becomes a generator, and the generated set is
-    regrown breadth-first from the identity, every product of a generated
-    element and a generator checked against the input.  Each new generator
-    at least doubles the generated set, so there are at most log2|G|
-    generators and the work is O(|G| * log2|G| * degree), never a scan
-    over all pairs of elements.  The group is abelian iff its generators
-    commute pairwise.
+    generating the group (Dimino's algorithm): walking the input in sorted
+    order, each element g not yet generated becomes a generator, and the
+    group H generated so far grows to <H, g> by whole cosets H*c, one for
+    each product c of a coset representative and a generator outside the
+    cosets so far, every element checked against the input.  So each
+    element is made once, never by a scan over all pairs of elements, and
+    there are at most log2|G| generators.  The group is abelian iff its
+    generators commute pairwise.
     """
     elems = {p.images for p in perms}
     if not elems:
@@ -217,20 +218,20 @@ def identify_group(perms) -> GroupId:
         if g in generated:
             continue
         gens.append(g)
-        generated = {ident}
-        frontier = [ident]
-        while frontier:
-            grown = []
-            for a in frontier:
-                get = a.__getitem__
-                for b in gens:
-                    c = tuple(map(get, b))
-                    if c not in generated:
-                        if c not in elems:
-                            raise ValueError("not closed under composition: not a group")
-                        generated.add(c)
-                        grown.append(c)
-            frontier = grown
+        subgroup = list(generated)  # H, generated by the earlier generators
+        reps = [ident]
+        for r in reps:  # grows: the representatives of the cosets H*r of <H, g>
+            get = r.__getitem__
+            for s in gens:
+                c = tuple(map(get, s))
+                if c in generated:
+                    continue
+                reps.append(c)
+                for h in subgroup:
+                    hc = tuple(map(h.__getitem__, c))
+                    if hc not in elems:
+                        raise ValueError("not closed under composition: not a group")
+                    generated.add(hc)
     abelian = all(tuple(a[v] for v in b) == tuple(b[v] for v in a)
                   for i, a in enumerate(gens) for b in gens[:i])
     order = len(elems)

@@ -95,6 +95,18 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def json_fields(value):
+    """value as JSON data: a Record as the dict of its fields, a tuple as a list, and the
+    items of records, dicts and tuples mapped in turn."""
+    if isinstance(value, Record):
+        return {name: json_fields(value.__dict__[name]) for name in value._fields}
+    if isinstance(value, dict):
+        return {k: json_fields(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [json_fields(v) for v in value]
+    return value
+
+
 class OpTable(Record):
     """A binary operation on {0..order-1}, closed by construction."""
 

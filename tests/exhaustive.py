@@ -1,6 +1,7 @@
 """Exhaustive references the tests, `.github/order5_census.py` and `bench/search.py`
-compare the package's searches with, and the case-by-case `+0`, `+1` and `~1`
-builders the tests compare the catalog's tables with.  None of them runs in a command.
+compare the package's searches and group naming with, and the case-by-case `+0`,
+`+1` and `~1` builders the tests compare the catalog's tables with.  None of them
+runs in a command.
 
 Import with `tests/` on the path (pytest puts it there; scripts set
 `PYTHONPATH=src:tests`).
@@ -8,7 +9,7 @@ Import with `tests/` on the path (pytest puts it there; scripts set
 from __future__ import annotations
 
 from dimonoids.axioms import IDENTITIES, KIND_AXIOMS, identity_witness
-from dimonoids.iso import CanonicalKey, _perm_data, distructure_from_key
+from dimonoids.iso import CanonicalKey, GroupId, _perm_data, _perm_order, distructure_from_key
 from dimonoids.tables import OpTable, Permutation
 
 
@@ -114,3 +115,47 @@ def adjoined_reference(named):
             if table is not None:
                 out.append((name + suffix, table))
     return out
+
+
+def identify_group_reference(perms) -> GroupId:
+    """`iso.identify_group` by an all-pairs closure and commutation scan, O(|G|^2)."""
+    elems = {p.images for p in perms}
+    if not elems:
+        raise ValueError("empty set is not a group")
+    degree = len(next(iter(elems)))
+    if any(len(im) != degree for im in elems):
+        raise ValueError("permutations of mixed degree")
+    ident = tuple(range(degree))
+    if ident not in elems:
+        raise ValueError("identity missing: not a group")
+    for a in elems:
+        inv = [0] * degree
+        for i, v in enumerate(a):
+            inv[v] = i
+        if tuple(inv) not in elems:
+            raise ValueError("inverse missing: not a group")
+        for b in elems:
+            if tuple(a[v] for v in b) not in elems:
+                raise ValueError("not closed under composition: not a group")
+    order = len(elems)
+    abelian = all(
+        tuple(a[v] for v in b) == tuple(b[v] for v in a)
+        for a in elems for b in elems)
+    element_orders = tuple(sorted(_perm_order(im) for im in elems))
+    name = None
+    if order == 1:
+        name = "C1"
+    elif order == 2:
+        name = "C2"
+    elif order == 3:
+        name = "C3"
+    elif order == 4:
+        name = "C4" if 4 in element_orders else "V4"
+    elif order == 5:
+        name = "C5"
+    elif order == 6:
+        name = "C6" if abelian else "S3"
+    if name is None:
+        kind = "abelian" if abelian else "nonabelian"
+        name = f"other({order},{kind},orders={'+'.join(map(str, element_orders))})"
+    return GroupId(order=order, name=name, abelian=abelian, element_orders=element_orders)

@@ -12,7 +12,7 @@ from dimonoids import (DiStructure, NotAssociativeError, OpTable,
                        monogenic, null_semigroup, right_zero,
                        semigroup_profile, shifted_cyclic)
 from dimonoids.axioms import IDENTITIES, assoc_witness, identity_witness
-from dimonoids.catalog import left_zero_collapse
+from dimonoids.catalog import idempotent_diagonal, left_zero_collapse
 
 
 def _all_tables(n: int):
@@ -104,6 +104,33 @@ def test_verdict_to_json():
     assert obj["ok"] is False
     assert obj["witnesses"] == {"d4": [0, 0, 1]}
     assert obj["d1"] is None
+
+
+def test_json_forms_are_pinned():
+    # every field present and named as before, tuples as lists, in both modes
+    d = DiStructure(left_zero(2), cyclic(2))
+    flags = {"left_associative": True, "right_associative": True, "d2": True}
+    assert check_dimonoid(d).to_json() == {
+        "mode": "dimonoid", "ok": False, **flags, "d1": True, "d3": False, "d4": None,
+        "witnesses": {"d3": [0, 1, 0]}}
+    assert check_doppelsemigroup(d).to_json() == {
+        "mode": "doppelsemigroup", "ok": False, **flags, "d1": None, "d3": None,
+        "d4": False, "witnesses": {"d4": [0, 0, 1]}}
+    plain = {"band": False, "semilattice": False, "commutative": True,
+             "right_commutative": True}
+    none = {"left_identities": [], "right_identities": [], "identity": None}
+    assert semigroup_profile(cyclic(3)).to_json() == {
+        **plain, "idempotents": [0], "left_identities": [0], "right_identities": [0],
+        "identity": 0, "left_zeros": [], "right_zeros": [], "zero": None,
+        "monogenic": [1, 3]}
+    assert semigroup_profile(idempotent_diagonal(3, 1)).to_json() == {
+        **plain, **none, "idempotents": [0, 2], "left_zeros": [2], "right_zeros": [2],
+        "zero": 2, "monogenic": None}
+    assert semigroup_profile(monogenic(2, 3)).to_json() == {
+        **plain, **none, "idempotents": [2], "left_zeros": [], "right_zeros": [],
+        "zero": None, "monogenic": [2, 3]}
+    assert dimonoid_profile(DiStructure(left_zero(2), right_zero(2))).to_json() == {
+        "trivial": False, "commutative": False, "abelian": True, "self_dual": True}
 
 
 def test_profile_cyclic_group():

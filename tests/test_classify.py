@@ -5,9 +5,12 @@ import csv
 import importlib
 import io
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +252,16 @@ def test_render_json():
     assert report.to_json() == obj
 
 
+def test_class_row_json_form_is_pinned():
+    row = classify_order(3).row_by_name("LO3|RO3")
+    key = "000000010101020202000102000102000102"
+    assert row.to_json() == {
+        "key": key, "name": "LO3|RO3", "trivial": False, "commutative": False,
+        "abelian": True, "dual_key": key,
+        "aut": {"order": 6, "name": "S3", "abelian": False,
+                "element_orders": [1, 2, 2, 2, 3, 3]}}
+
+
 def test_render_json_equals_the_indented_dump():
     reports = [classify_order(n, kind) for n in range(1, 5) for kind in ENUM_KINDS]
     reports.append(solve_problem1())
@@ -406,3 +419,31 @@ def test_semigroup_dual_pairs_checked_against_oeis(monkeypatch):
     monkeypatch.setitem(enumeration._SEMIGROUP_DUAL_CLASSES, 3, 17)
     with pytest.raises(RuntimeError, match="18 up to duality, expected 17"):
         classify(enumerate_semigroups(3))
+
+
+# counts the full-S_n scans `iso._left_coset` makes, per left table as a tuple
+COSET_SCANS = """
+import sys
+from collections import Counter
+from dimonoids import classify_order, iso
+scans, least = Counter(), iso._least
+def counted(e, perms):
+    if perms is iso._perm_data(len(perms[0][0])):
+        scans[tuple(e)] += 1
+    return least(e, perms)
+iso._least = counted
+classify_order(4, sys.argv[1])
+print(len(scans), max(scans.values()))
+"""
+
+
+@pytest.mark.parametrize("kind", ["dimonoid", "doppelsemigroup"])
+def test_cold_classify_scans_each_left_table_once(kind):
+    # the census's dual keys arrive as key bytes and the catalog's tables as tuples; one
+    # cache entry per table means no table's coset is found twice
+    env = {**os.environ, "PYTHONPATH": str(Path(dimonoids.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", COSET_SCANS, kind], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    tables, most = map(int, done.stdout.split())
+    assert tables > 100 and most == 1

@@ -7,14 +7,14 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimonoids import (DiStructure, GroupId, OpTable, Permutation, are_isomorphic,
+from dimonoids import (DiStructure, OpTable, Permutation, are_isomorphic,
                        automorphisms, canonical_form, canonical_representative,
                        canonical_table_key, cyclic, enumerate_structures,
                        identify_group, left_zero, linear_semilattice,
                        null_semigroup, right_zero, shifted_cyclic)
 from dimonoids import iso
-from dimonoids.iso import _perm_order, distructure_from_key
-from exhaustive import class_reps
+from dimonoids.iso import distructure_from_key
+from exhaustive import class_reps, identify_group_reference
 
 
 def _random_pair(rng, n: int) -> DiStructure:
@@ -209,54 +209,10 @@ def test_shifted_cyclic_is_isomorphic_to_cyclic():
     assert are_isomorphic(d1, d2) is not None
 
 
-def _identify_group_reference(perms) -> GroupId:
-    """The O(|G|^2) closure and commutation scan identify_group replaced."""
-    elems = {p.images for p in perms}
-    if not elems:
-        raise ValueError("empty set is not a group")
-    degree = len(next(iter(elems)))
-    if any(len(im) != degree for im in elems):
-        raise ValueError("permutations of mixed degree")
-    ident = tuple(range(degree))
-    if ident not in elems:
-        raise ValueError("identity missing: not a group")
-    for a in elems:
-        inv = [0] * degree
-        for i, v in enumerate(a):
-            inv[v] = i
-        if tuple(inv) not in elems:
-            raise ValueError("inverse missing: not a group")
-        for b in elems:
-            if tuple(a[v] for v in b) not in elems:
-                raise ValueError("not closed under composition: not a group")
-    order = len(elems)
-    abelian = all(
-        tuple(a[v] for v in b) == tuple(b[v] for v in a)
-        for a in elems for b in elems)
-    element_orders = tuple(sorted(_perm_order(im) for im in elems))
-    name = None
-    if order == 1:
-        name = "C1"
-    elif order == 2:
-        name = "C2"
-    elif order == 3:
-        name = "C3"
-    elif order == 4:
-        name = "C4" if 4 in element_orders else "V4"
-    elif order == 5:
-        name = "C5"
-    elif order == 6:
-        name = "C6" if abelian else "S3"
-    if name is None:
-        kind = "abelian" if abelian else "nonabelian"
-        name = f"other({order},{kind},orders={'+'.join(map(str, element_orders))})"
-    return GroupId(order=order, name=name, abelian=abelian, element_orders=element_orders)
-
-
 def _assert_matches_reference(perms):
     """identify_group equals the reference, or both raise ValueError."""
     try:
-        expected = _identify_group_reference(perms)
+        expected = identify_group_reference(perms)
     except ValueError:
         with pytest.raises(ValueError):
             identify_group(perms)
@@ -303,6 +259,24 @@ def test_identify_group_matches_reference_on_two_generator_subgroups_of_s4():
     lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
 def test_identify_group_matches_reference_on_random_subgroups(gens):
     _assert_matches_reference(_generated([tuple(g) for g in gens]))
+
+
+def test_identify_group_matches_reference_on_unions_and_deletions():
+    # a union of two subgroups holds the identity and all inverses, so only the closure
+    # check can refuse it; a group less or plus one element fails it or the inverse check
+    rng = random.Random(24)
+    for _ in range(80):
+        n = rng.randint(3, 5)
+        h, k = ([tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 2))]
+                for _ in range(2))
+        h, k = _generated(h), _generated(k)
+        _assert_matches_reference(h)
+        _assert_matches_reference(sorted(set(h) | set(k), key=lambda p: p.images))
+        if len(h) > 1:
+            _assert_matches_reference(h[:1] + rng.sample(h[1:], len(h) - 2))
+        outside = Permutation(tuple(rng.sample(range(n), n)))
+        if outside not in h:
+            _assert_matches_reference(h + [outside])
 
 
 def test_identify_group_names_the_full_symmetric_group_of_degree_7():
