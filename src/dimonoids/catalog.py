@@ -36,7 +36,7 @@ from .axioms import (AxiomError, IDENTITIES, KIND_AXIOMS, NotAssociativeError, _
                      DOPPELSEMIGROUP)
 from .enumeration import MAX_ORDER, _check_order, _reps, _right_tables
 from .iso import _coset_reach, _perm_data, canonical_form
-from .tables import DiStructure, OpTable, Permutation, apply_permutation
+from .tables import DiStructure, OpTable, Permutation, _inverse, _relabeling, apply_permutation
 
 
 class ParameterError(ValueError):
@@ -523,10 +523,7 @@ def _right_tables_of(key, p, aut, n: int, kind: str, positions):
     order and kind, and searches them only when none ran.  positions holds
     whole relabeling orbits, so a leader outside it is skipped with its orbit.
     """
-    pinv = [0] * n
-    for i, v in enumerate(p):
-        pinv[v] = i
-    gather = [p[x] * n + p[y] for x in range(n) for y in range(n)]
+    pinv, gather = _relabeling(_inverse(p))
     out = []
     for re, _ in _right_tables(key[:n * n], aut, n, kind):
         if tuple(re) in positions:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .iso import _least, _left_coset
+from .tables import _inverse, _relabeling
 
 
 def commutant(maps, n: int):
@@ -146,13 +147,10 @@ def transposed_right_tables(rights, q, aut, n: int):
     group: the relabelings of aut that reach that least table from itself, which
     fix it.  Sorting them gives the order the search yields.
     """
-    p = q[0]
-    pinv = [0] * n
-    for i, v in enumerate(p):
-        pinv[v] = i
-    rng = range(n)
+    qinv, gather = _relabeling(_inverse(q[0]))
+    transposed = [j for x in range(n) for j in gather[x::n]]  # reads q⁻¹(Rᵀ) off R
     out = []
     for re, _ in rights:
-        leader = _least([pinv[re[p[y] * n + p[x]]] for x in rng for y in rng], aut)[0]
+        leader = _least([qinv[re[j]] for j in transposed], aut)[0]
         out.append((bytes(leader), tuple(_least(leader, aut)[1])))
     return tuple(sorted(out))

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import lcm
 
-from .tables import DiStructure, OpTable, Permutation, Record
+from .tables import DiStructure, OpTable, Permutation, Record, _inverse, _relabeling
 
 # Isomorphism tests try n! relabelings: cold `aut` took 0.68 s on O8, 7.2 s on O9 (2-core host)
 MAX_ISO_ORDER = 8
@@ -45,15 +45,8 @@ class CanonicalKey(Record):
 
 @lru_cache(maxsize=8)
 def _perm_data(n: int):
-    """All (images, gather) pairs; gather[u*n+v] = pinv[u]*n + pinv[v]."""
-    out = []
-    for p in permutations(range(n)):
-        pinv = [0] * n
-        for i, v in enumerate(p):
-            pinv[v] = i
-        gather = tuple(pinv[u] * n + pinv[v] for u in range(n) for v in range(n))
-        out.append((p, gather))
-    return tuple(out)
+    """`tables._relabeling` of every permutation of degree n, in lexicographic order."""
+    return tuple(map(_relabeling, permutations(range(n))))
 
 
 def _least(e, perms):
@@ -146,7 +139,7 @@ def are_isomorphic(d1: DiStructure, d2: DiStructure):
 def automorphisms(d: DiStructure):
     """All permutations fixing both tables, in lex order: p0⁻¹∘p over the key's coset p0·Aut."""
     _, reach = _coset_reach(d.left.entries, d.right.entries, _capped(d.order))
-    inv = sorted(range(d.order), key=reach[0][0].__getitem__)  # p0⁻¹
+    inv = _inverse(reach[0][0])
     return tuple(map(Permutation, sorted(tuple(map(inv.__getitem__, p)) for p, _ in reach)))
 
 
@@ -183,6 +176,13 @@ def _perm_order(images) -> int:
     return lcm(*cycle_lengths) if cycle_lengths else 1
 
 
+# Names by sorted element orders: the groups of order at most 6 differ in them, and a
+# larger group's tuple is longer than each key here.
+_GROUP_NAMES = {(1,): "C1", (1, 2): "C2", (1, 3, 3): "C3", (1, 2, 4, 4): "C4",
+                (1, 2, 2, 2): "V4", (1, 5, 5, 5, 5): "C5", (1, 2, 3, 3, 6, 6): "C6",
+                (1, 2, 2, 2, 3, 3): "S3"}
+
+
 def identify_group(perms) -> GroupId:
     """Name the group formed by a closed set of permutations.
 
@@ -206,12 +206,8 @@ def identify_group(perms) -> GroupId:
     ident = tuple(range(degree))
     if ident not in elems:
         raise ValueError("identity missing: not a group")
-    inv = [0] * degree
-    for a in elems:
-        for i, v in enumerate(a):
-            inv[v] = i
-        if tuple(inv) not in elems:
-            raise ValueError("inverse missing: not a group")
+    if any(_inverse(a) not in elems for a in elems):
+        raise ValueError("inverse missing: not a group")
     gens = []
     generated = {ident}
     for g in sorted(elems):
@@ -236,19 +232,7 @@ def identify_group(perms) -> GroupId:
                   for i, a in enumerate(gens) for b in gens[:i])
     order = len(elems)
     element_orders = tuple(sorted(_perm_order(im) for im in elems))
-    name = None
-    if order == 1:
-        name = "C1"
-    elif order == 2:
-        name = "C2"
-    elif order == 3:
-        name = "C3"
-    elif order == 4:
-        name = "C4" if 4 in element_orders else "V4"
-    elif order == 5:
-        name = "C5"
-    elif order == 6:
-        name = "C6" if abelian else "S3"
+    name = _GROUP_NAMES.get(element_orders)
     if name is None:
         kind = "abelian" if abelian else "nonabelian"
         name = f"other({order},{kind},orders={'+'.join(map(str, element_orders))})"

@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * elements of an order-n structure are always the integers 0..n-1
 * a table is stored row-major as a flat tuple, entries[x*n + y] == x*y
   (x indexes the row, y the column)
-* relabeling by a permutation p satisfies t'(p(x), p(y)) = p(t(x, y))
+* relabeling by a permutation p satisfies t'(p(x), p(y)) = p(t(x, y)); `_relabeling`
+  builds the gather that does it and `_inverse` the inverse it needs, for every module
 * the text form of a table is n lines of n space-separated integers;
   a pair of tables is two such blocks separated by one blank line
 """
@@ -214,10 +215,7 @@ class Permutation(Record):
         return self.images[x]
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(tuple(inv))
+        return Permutation(_inverse(self.images))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(x) == self(other(x))."""
@@ -226,18 +224,30 @@ class Permutation(Record):
         return Permutation(tuple(self.images[v] for v in other.images))
 
 
+def _inverse(p) -> tuple:
+    """The images of p⁻¹, for p the images of a permutation."""
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _relabeling(p):
+    """(p, gather) for p the images of a permutation of degree n: a flat order-n table e
+    relabeled by p is [p[e[j]] for j in gather], as gather[u*n + v] = p⁻¹(u)*n + p⁻¹(v)."""
+    n = len(p)
+    pinv = _inverse(p)
+    return p, tuple([pinv[u] * n + pinv[v] for u in range(n) for v in range(n)])
+
+
 def apply_permutation(t: OpTable, p: Permutation) -> OpTable:
     """Relabel t by p: the result r satisfies r(p(x), p(y)) = p(t(x, y))."""
     n = t.order
     if p.degree != n:
         raise OrderMismatchError(f"table order {n}, permutation degree {p.degree}")
-    img = p.images
-    out = [0] * (n * n)
+    img, gather = _relabeling(p.images)
     e = t.entries
-    for x in range(n):
-        for y in range(n):
-            out[img[x] * n + img[y]] = img[e[x * n + y]]
-    return OpTable(n, tuple(out))
+    return OpTable(n, tuple([img[e[j]] for j in gather]))
 
 
 # ---------------------------------------------------------------------------

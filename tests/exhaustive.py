@@ -1,7 +1,7 @@
 """Exhaustive references the tests, `.github/order5_census.py` and `bench/search.py`
-compare the package's searches and group naming with, and the case-by-case `+0`,
-`+1` and `~1` builders the tests compare the catalog's tables with.  None of them
-runs in a command.
+compare the package's searches, relabeling and group naming with, and the
+case-by-case `+0`, `+1` and `~1` builders the tests compare the catalog's tables
+with.  None of them runs in a command.
 
 Import with `tests/` on the path (pytest puts it there; scripts set
 `PYTHONPATH=src:tests`).
@@ -54,6 +54,17 @@ def _min_key(le, re, n):
         best = tuple(cand)
         best_perm = p
     return best, best_perm
+
+
+def relabel_reference(e, p) -> tuple:
+    """The flat table e relabeled by the images p, each entry scattered to its cell:
+    r[p(x)*n + p(y)] = p(e[x*n + y]), the reference for `tables._relabeling`'s gather."""
+    n = len(p)
+    out = [0] * (n * n)
+    for x in range(n):
+        for y in range(n):
+            out[p[x] * n + p[y]] = p[e[x * n + y]]
+    return tuple(out)
 
 
 def class_reps(result) -> tuple:

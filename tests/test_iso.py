@@ -232,6 +232,17 @@ def _generated(gens):
     return [Permutation(im) for im in sorted(group)]
 
 
+def test_group_name_table_names_each_group_of_order_at_most_6():
+    groups = {f"C{n}": [tuple(range(1, n)) + (0,)] for n in range(1, 7)}  # an n-cycle
+    groups["V4"] = [(1, 0, 2, 3), (0, 1, 3, 2)]
+    groups["S3"] = [(1, 0, 2), (1, 2, 0)]
+    assert sorted(iso._GROUP_NAMES.values()) == sorted(groups)
+    for name, gens in groups.items():
+        group = identify_group(_generated(gens))
+        assert group.name == name
+        assert iso._GROUP_NAMES[group.element_orders] == name
+
+
 @pytest.mark.parametrize("kind", ["semigroup", "dimonoid", "doppelsemigroup"])
 def test_identify_group_matches_reference_on_class_aut_groups(kind):
     for n in (1, 2, 3, 4):

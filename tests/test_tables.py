@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from itertools import permutations
 
 import pytest
 
@@ -15,6 +16,8 @@ from dimonoids import (AxiomVerdict, CanonicalKey, ClassificationReport, ClassRo
                        dimonoid_profile, enumerate_dimonoids, format_distructure,
                        format_table, identify_group, left_zero, parse_distructure,
                        parse_structure, parse_table, right_zero, semigroup_profile)
+from dimonoids.tables import _inverse, _relabeling
+from exhaustive import relabel_reference
 
 
 def _random_table(rng, n: int) -> OpTable:
@@ -133,6 +136,25 @@ def test_apply_permutation_properties():
         assert apply_permutation(apply_permutation(t, p), p.inverse()) == t
     with pytest.raises(OrderMismatchError):
         apply_permutation(_random_table(rng, 3), Permutation((1, 0)))
+
+
+def test_relabeling_gathers_what_the_scatter_loop_puts():
+    rng = random.Random(7)
+    perms = [p for n in range(1, 5) for p in permutations(range(n))]
+    perms += [tuple(rng.sample(range(n), n)) for n in (5, 6) for _ in range(30)]
+    for p in perms:
+        images, gather = _relabeling(p)
+        assert images == p
+        for _ in range(3):
+            e = _random_table(rng, len(p)).entries
+            assert tuple(p[e[j]] for j in gather) == relabel_reference(e, p)
+
+
+def test_inverse_composes_to_the_identity():
+    for n in range(1, 7):
+        for p in permutations(range(n)):
+            inv = _inverse(p)
+            assert tuple(inv[v] for v in p) == tuple(range(n)) == tuple(p[v] for v in inv)
 
 
 def test_distructure_basics():
