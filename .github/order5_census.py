@@ -26,7 +26,11 @@ both tables.  The time of
 each census is printed.  The unnamed counts check the order-5 catalog built
 on the census's right tables, and the sha256 of each kind's name map
 (`classify._name_map`, canonical key -> name) is compared with the value
-pinned below, so every name and the class it lands on stay fixed.  A doppelsemigroup representative whose
+pinned below, so every name and the class it lands on stay fixed.  For both pair
+kinds the sha256 of the JSON report, the bytes of `dimonoids classify --order 5
+--kind K --format json`, is compared with the value pinned below: order 5 is
+the only order whose census runs in the pool, so `tests/cli_manifest.txt`,
+which stops at order 4, cannot pin it.  A doppelsemigroup representative whose
 transpose is in the class of a smaller representative takes its right
 tables from that one's, transposed and relabeled, instead of a search; the
 script prints how many were searched and how many derived, and compares
@@ -47,7 +51,7 @@ import time
 from itertools import islice
 
 from dimonoids import (CanonicalKey, Permutation, automorphisms, classify, doppel,
-                       enumerate_structures, enumeration, identify_group)
+                       enumerate_structures, enumeration, identify_group, render_report)
 from dimonoids.classify import _name_map
 from dimonoids.iso import _matches, _perm_data, distructure_from_key
 from exhaustive import _min_key, _stabilizer
@@ -64,6 +68,12 @@ NAME_MAP_SHA256 = {
     "semigroup": (158, "ef1aa5316a540bdcb2ce2f1583bf35b332138c09197896703b2395c2d3cb1e11"),
     "dimonoid": (274, "beac04bfa9a55eed5b018cada2a07f8d94eb2e17c2baf750b96c8964c0896cdf"),
     "doppelsemigroup": (735, "26ff637c232230e5aceff61763e13e51607e4d7ffbc2134d448341c33c91b5d6"),
+}
+
+# sha256 of `dimonoids classify --order 5 --kind K --format json`
+REPORT_JSON_SHA256 = {
+    "dimonoid": "54de62119f2ff20666f2001c5395ffaf9dfee01c18c96354ac1cfc62d0bb03ed",
+    "doppelsemigroup": "5fed3d2e6485ef9b41856ff8b95aa5948f9c2e0ff062e5b1007c3c4bd3a5cc57",
 }
 
 
@@ -151,6 +161,15 @@ def check_name_map(kind):
     print(f"order-5 {kind} name map: {len(names)} names agree with the pinned sha256")
 
 
+def check_report_bytes(report):
+    """Compare the sha256 of report's JSON rendering with the pinned value."""
+    digest = hashlib.sha256(render_report(report, "json").encode("utf-8")).hexdigest()
+    if digest != REPORT_JSON_SHA256[report.kind]:
+        raise SystemExit(f"order-5 {report.kind}: the JSON report differs from the pinned "
+                         f"sha256")
+    print(f"order-5 {report.kind} JSON report agrees with the pinned sha256")
+
+
 def check_rep_groups():
     """Time the order-5 leader search and compare its groups with the stabilizers."""
     start = time.perf_counter()
@@ -188,6 +207,7 @@ def main():
                              f"expected {UNNAMED[kind]}")
         check_name_map(kind)
         if kind != "semigroup":
+            check_report_bytes(report)
             print(kind, check_sample(result, report), "sampled classes agree with the matcher")
         if kind == "dimonoid":
             check_decided()

@@ -1,7 +1,6 @@
 """End-to-end tests for the command line interface, run in process."""
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_manifest
 import dimonoids
 from dimonoids import (DiStructure, format_distructure, format_table, left_zero,
                        null_semigroup, right_zero)
@@ -101,12 +101,8 @@ def test_catalog_build_unknown_name(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, unknown", [
-    ("(LO2|RO2+0", "(LO2|RO2+0"), ("LO2|RO2)+0", "RO2)+0"), ("plus0(LO2|RO2", "plus0(LO2|RO2"),
-    ("triv(C2))", "triv(C2))"), ("dual(C2", "dual(C2"), ("C2+0)", "C2+0)"), ("()+0", "()"),
-    ("plus0()", "plus0()"), ("triv()", "triv()"), ("dual()", "dual()"), ("+0", "+0")])
+@pytest.mark.parametrize("name, unknown", cli_manifest.MALFORMED_WRAPPED_NAMES.items())
 def test_catalog_build_malformed_wrapped_names(capsys, name, unknown):
-    # a wrapper is taken off only when what it wraps is nonempty and balanced
     assert main(["catalog", "build", name]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: unknown semigroup name {unknown!r}\n"
@@ -299,20 +295,16 @@ def test_classify_json_semigroups(capsys):
     assert auts["LO3"] == "S3"
 
 
-# sha256 of `classify --order 4 --kind K --format json`, pinned when the report was
-# first rendered by `json.dumps(..., indent=2)`, before `render_json` laid it out itself
-ORDER4_JSON_SHA256 = {
-    "dimonoid": "74ae419165191f227c178f317052c188e9ee70f417f68f5ed8a03117730b574e",
-    "doppelsemigroup": "de21d68bdcbddfd8e383acc8ddfafe7875e62b8c5ba88461bf495367e0e35d58",
-    "semigroup": "355f53dd00aa9e1dfdaf858f4d1d60b823b54deb13df02efa6d9f04e19f28701",
-}
-
-
-@pytest.mark.parametrize("kind", sorted(ORDER4_JSON_SHA256))
-def test_classify_order4_json_bytes_are_pinned(kind, capsys):
-    assert main(["classify", "--order", "4", "--kind", kind, "--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ORDER4_JSON_SHA256[kind]
+def test_cli_manifest_bytes(tmp_path, monkeypatch):
+    # every command of tests/cli_manifest.txt keeps its exit code and its output bytes
+    files = cli_manifest.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    expected = cli_manifest.parse(cli_manifest.MANIFEST.read_text(encoding="utf-8"))
+    assert [argv for argv, _ in expected] == cli_manifest.commands(files)
+    changed = [cli_manifest.line(argv, got) for argv, want in expected
+               if (got := cli_manifest.run(argv)) != want]
+    assert not changed, (f"{len(changed)} of {len(expected)} commands differ from the "
+                         f"manifest:\n" + "\n".join(changed[:20]))
 
 
 def test_classify_rejects_bad_order(capsys):
