@@ -17,11 +17,9 @@ automorphism groups.
 """
 from .tables import (DiStructure, OpTable, OrderMismatchError, Permutation,
                      TableFormatError, apply_permutation, format_distructure,
-                     format_table, parse_distructure, parse_structure,
-                     parse_table)
-from .axioms import (AxiomError, AxiomVerdict, DIMONOID, DOPPELSEMIGROUP,
-                     DimonoidProfile, NotAssociativeError, SemigroupProfile,
-                     check_dimonoid, check_doppelsemigroup, check_structure,
+                     format_table, parse_structure, parse_table)
+from .axioms import (AxiomVerdict, DIMONOID, DOPPELSEMIGROUP, DimonoidProfile,
+                     NotAssociativeError, SemigroupProfile, check_structure,
                      dimonoid_profile, is_associative, semigroup_profile)
 from .catalog import (ParameterError, adjoin_identity, adjoin_tilde1,
                       adjoin_zero, adjoin_zero_dimonoid, build_semigroup,
@@ -30,17 +28,15 @@ from .catalog import (ParameterError, adjoin_identity, adjoin_tilde1,
                       left_zero_band, left_zero_collapse, linear_semilattice,
                       masked_left_zero, monogenic, named_class_map,
                       named_semigroups, named_structures, null_semigroup,
-                      pair_dimonoid, right_zero, semigroup_dual_name,
-                      shifted_cyclic, structure_dual_name, trivial_dimonoid)
+                      right_zero, semigroup_dual_name, shifted_cyclic,
+                      structure_dual_name, trivial_dimonoid)
 from .iso import (CanonicalKey, GroupId, are_isomorphic, automorphisms,
-                  canonical_form, canonical_representative, canonical_table_key,
-                  identify_group)
+                  canonical_form, identify_group)
 from .enumeration import (EnumerationResult, SEMIGROUP,
                           enumerate_associative_tables, enumerate_dimonoids,
                           enumerate_doppelsemigroups, enumerate_semigroups,
                           enumerate_structures)
 from .classify import (ClassRow, ClassificationReport, classify,
-                       classify_order, match_names, render_report,
-                       solve_problem1)
+                       classify_order, render_report, solve_problem1)
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from .tables import DiStructure, OpTable, Record, json_fields
 
 DIMONOID = "dimonoid"
 DOPPELSEMIGROUP = "doppelsemigroup"
-KINDS = (DIMONOID, DOPPELSEMIGROUP)
 
 
 class NotAssociativeError(ValueError):
@@ -32,15 +31,6 @@ class NotAssociativeError(ValueError):
     def __init__(self, witness):
         super().__init__(f"not associative, witness (x, y, z) = {witness}")
         self.witness = witness
-
-
-class AxiomError(ValueError):
-    """A checked structure failed its axioms; carries the AxiomVerdict."""
-
-    def __init__(self, verdict):
-        failed = ", ".join(name for name, _ in verdict.failures())
-        super().__init__(f"axioms failed: {failed}")
-        self.verdict = verdict
 
 
 IDENTITIES = {"d1": "LLLR", "d2": "LRRL", "d3": "RLRR", "d4": "RLLR"}
@@ -123,16 +113,6 @@ def check_structure(d: DiStructure, kind: str) -> AxiomVerdict:
             witnesses[name] = w
     return AxiomVerdict(mode=kind, left_associative=wl is None,
                         right_associative=wr is None, witnesses=witnesses, **flags)
-
-
-def check_dimonoid(d: DiStructure) -> AxiomVerdict:
-    """Both tables associative plus D1, D2, D3."""
-    return check_structure(d, DIMONOID)
-
-
-def check_doppelsemigroup(d: DiStructure) -> AxiomVerdict:
-    """Both tables associative plus D2, D4."""
-    return check_structure(d, DOPPELSEMIGROUP)
 
 
 # ---------------------------------------------------------------------------

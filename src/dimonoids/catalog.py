@@ -31,9 +31,8 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
-from .axioms import (AxiomError, IDENTITIES, KIND_AXIOMS, NotAssociativeError, _pair_flags,
-                     assoc_witness, check_structure, identity_witness, DIMONOID,
-                     DOPPELSEMIGROUP)
+from .axioms import (IDENTITIES, KIND_AXIOMS, NotAssociativeError, _pair_flags, assoc_witness,
+                     check_structure, identity_witness, DIMONOID, DOPPELSEMIGROUP)
 from .enumeration import MAX_ORDER, _check_order, _reps, _right_tables
 from .iso import _coset_reach, _perm_data, canonical_form
 from .tables import DiStructure, OpTable, Permutation, _inverse, _relabeling, apply_permutation
@@ -224,16 +223,6 @@ def trivial_dimonoid(t: OpTable) -> DiStructure:
     if w is not None:
         raise NotAssociativeError(w)
     return DiStructure(t, t)
-
-
-def pair_dimonoid(left: OpTable, right: OpTable, mode: str | None = DIMONOID) -> DiStructure:
-    """Assemble a pair, checking the axioms of mode unless mode is None."""
-    d = DiStructure(left, right)
-    if mode is not None:
-        verdict = check_structure(d, mode)
-        if not verdict.ok:
-            raise AxiomError(verdict)
-    return d
 
 
 def dual_dimonoid(d: DiStructure) -> DiStructure:

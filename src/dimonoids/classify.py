@@ -12,8 +12,8 @@ from .catalog import _semigroup_classes, named_class_map
 from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES,
                           enumerate_dimonoids, enumerate_structures)
 from .axioms import DIMONOID, _pair_flags
-from .iso import GroupId, _coset_reach, canonical_form, identify_group
-from .tables import DiStructure, Permutation, Record, json_fields, log_info
+from .iso import GroupId, _coset_reach, identify_group
+from .tables import Permutation, Record, json_fields, log_info
 
 
 class ClassRow(Record):
@@ -50,11 +50,6 @@ def _name_map(order: int, kind: str) -> dict:
     if kind == SEMIGROUP:
         return {bytes(key): name for name, _, key, _ in _semigroup_classes(order)}
     return named_class_map(order, kind)[1]
-
-
-def match_names(d: DiStructure, kind: str = DIMONOID) -> str | None:
-    """The catalog name of d's isomorphism class, if it has one."""
-    return _name_map(d.order, kind).get(canonical_form(d).key)
 
 
 def _check_census(result: EnumerationResult, rows) -> None:

@@ -93,16 +93,6 @@ def canonical_form(d: DiStructure) -> CanonicalKey:
     return CanonicalKey(order=d.order, key=bytes(best), witness=Permutation(reach[0][0]))
 
 
-def canonical_table_key(t: OpTable) -> CanonicalKey:
-    """Canonical key of a single table via its trivial pair."""
-    return canonical_form(DiStructure(t, t))
-
-
-def canonical_representative(d: DiStructure) -> DiStructure:
-    """The relabeled copy of d whose serialization is the canonical key."""
-    return d.relabel(canonical_form(d).witness)
-
-
 def distructure_from_key(key: CanonicalKey) -> DiStructure:
     n = key.order
     vals = list(key.key)

@@ -327,10 +327,6 @@ def parse_table(text: str) -> OpTable:
     return _table_of(_blocks(text))
 
 
-def parse_distructure(text: str) -> DiStructure:
-    return _pair_of(_blocks(text))
-
-
 def parse_structure(text: str):
     """Parse either a single table or a two-block pair, whichever the text holds."""
     blocks = _blocks(text)

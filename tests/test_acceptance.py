@@ -14,9 +14,9 @@ import random
 import time
 from math import factorial
 
-from dimonoids import (DiStructure, Permutation, apply_permutation,
-                       are_isomorphic, automorphisms, adjoin_zero_dimonoid,
-                       canonical_form, check_dimonoid, check_doppelsemigroup,
+from dimonoids import (DIMONOID, DOPPELSEMIGROUP, DiStructure, Permutation,
+                       apply_permutation, are_isomorphic, automorphisms,
+                       adjoin_zero_dimonoid, canonical_form, check_structure,
                        classify_order, classify, dimonoid_profile,
                        enumerate_associative_tables, enumerate_dimonoids,
                        enumerate_doppelsemigroups, enumerate_semigroups,
@@ -225,10 +225,7 @@ def test_criterion_7_property_suites():
         # duality is an involution and preserves the axioms
         dd = rep.dual()
         assert dd.dual() == rep
-        if kind == "dimonoid":
-            assert check_dimonoid(dd).ok
-        else:
-            assert check_doppelsemigroup(dd).ok
+        assert check_structure(dd, kind).ok
         # abelian, self-dual, and transposed-components all coincide
         profile = dimonoid_profile(rep)
         assert profile.abelian == profile.self_dual
@@ -250,7 +247,7 @@ def test_criterion_7_property_suites():
     for n in (2, 3, 4):
         for t in enumerate_associative_tables(n):
             expected = semigroup_profile(t).right_commutative
-            assert check_dimonoid(DiStructure(t, t.transpose())).ok == expected
+            assert check_structure(DiStructure(t, t.transpose()), DIMONOID).ok == expected
 
     # a doppelsemigroup with a null coordinate is a dimonoid exactly when
     # the triple products of the other operation all land on the zero
@@ -261,11 +258,11 @@ def test_criterion_7_property_suites():
         if _is_null(rep.left):
             null_left += 1
             z = rep.left.entries[0]
-            assert check_dimonoid(rep).ok == _right_triples_hit_only(rep.right, z)
+            assert check_structure(rep, DIMONOID).ok == _right_triples_hit_only(rep.right, z)
         if _is_null(rep.right):
             null_right += 1
             z = rep.right.entries[0]
-            assert check_dimonoid(rep).ok == _right_triples_hit_only(rep.left, z)
+            assert check_structure(rep, DIMONOID).ok == _right_triples_hit_only(rep.left, z)
     assert null_left >= 10 and null_right >= 10  # the premise is well fed
 
     # sampled order-4 structures: shared-zero extensions of every order-3
@@ -284,7 +281,7 @@ def test_criterion_7_property_suites():
         assert d.dual().dual() == d
         profile = dimonoid_profile(d)
         assert profile.abelian == profile.self_dual
-        if check_dimonoid(d).ok:
+        if check_structure(d, DIMONOID).ok:
             _proposition_checks(d)
         assert {p.images for p in automorphisms(d)} == \
             {p.images for p in automorphisms(d.dual())}

@@ -5,9 +5,8 @@ from itertools import islice, product
 
 import pytest
 
-from dimonoids import (DiStructure, NotAssociativeError, OpTable,
-                       check_dimonoid, check_doppelsemigroup, check_structure,
-                       cyclic, dimonoid_profile, enumerate_associative_tables,
+from dimonoids import (DIMONOID, DOPPELSEMIGROUP, DiStructure, NotAssociativeError,
+                       OpTable, check_structure, cyclic, dimonoid_profile, enumerate_associative_tables,
                        is_associative, left_zero, linear_semilattice,
                        monogenic, null_semigroup, right_zero,
                        semigroup_profile, shifted_cyclic)
@@ -41,7 +40,7 @@ def test_is_associative_on_groups():
 
 def test_dimonoid_left_right_zero_pair():
     d = DiStructure(left_zero(3), right_zero(3))
-    verdict = check_dimonoid(d)
+    verdict = check_structure(d, DIMONOID)
     assert verdict.ok
     assert verdict.mode == "dimonoid"
     assert (verdict.d1, verdict.d2, verdict.d3) == (True, True, True)
@@ -52,7 +51,7 @@ def test_dimonoid_left_right_zero_pair():
 def test_doppel_fails_on_left_right_zero_pair():
     # (x -| y) |- z = z but x -| (y |- z) = x, first failure at z != x
     d = DiStructure(left_zero(3), right_zero(3))
-    verdict = check_doppelsemigroup(d)
+    verdict = check_structure(d, DOPPELSEMIGROUP)
     assert not verdict.ok
     assert verdict.mode == "doppelsemigroup"
     assert verdict.d2 is True
@@ -64,8 +63,8 @@ def test_doppel_fails_on_left_right_zero_pair():
 
 def test_cyclic_with_shifted_inverse_pair():
     d = DiStructure(cyclic(3), shifted_cyclic(3, 2))
-    assert check_doppelsemigroup(d).ok
-    verdict = check_dimonoid(d)
+    assert check_structure(d, DOPPELSEMIGROUP).ok
+    verdict = check_structure(d, DIMONOID)
     assert not verdict.ok
     assert verdict.witnesses["d1"] == (0, 0, 0)
     assert verdict.witnesses["d3"] == (0, 0, 0)
@@ -75,14 +74,14 @@ def test_cyclic_with_shifted_inverse_pair():
 def test_trivial_pair_of_any_semigroup_is_both_kinds():
     for t in (cyclic(3), linear_semilattice(3), null_semigroup(3), monogenic(2, 2)):
         d = DiStructure(t, t)
-        assert check_dimonoid(d).ok
-        assert check_doppelsemigroup(d).ok
+        assert check_structure(d, DIMONOID).ok
+        assert check_structure(d, DOPPELSEMIGROUP).ok
 
 
 def test_nonassociative_component_is_reported():
     nor = OpTable.from_rows([(1, 0), (0, 0)])
     d = DiStructure(nor, null_semigroup(2))
-    verdict = check_dimonoid(d)
+    verdict = check_structure(d, DIMONOID)
     assert not verdict.ok
     assert not verdict.left_associative
     assert verdict.right_associative
@@ -99,7 +98,7 @@ def test_check_structure_dispatch():
 
 def test_verdict_to_json():
     d = DiStructure(left_zero(2), right_zero(2))
-    obj = check_doppelsemigroup(d).to_json()
+    obj = check_structure(d, DOPPELSEMIGROUP).to_json()
     assert obj["mode"] == "doppelsemigroup"
     assert obj["ok"] is False
     assert obj["witnesses"] == {"d4": [0, 0, 1]}
@@ -110,10 +109,10 @@ def test_json_forms_are_pinned():
     # every field present and named as before, tuples as lists, in both modes
     d = DiStructure(left_zero(2), cyclic(2))
     flags = {"left_associative": True, "right_associative": True, "d2": True}
-    assert check_dimonoid(d).to_json() == {
+    assert check_structure(d, DIMONOID).to_json() == {
         "mode": "dimonoid", "ok": False, **flags, "d1": True, "d3": False, "d4": None,
         "witnesses": {"d3": [0, 1, 0]}}
-    assert check_doppelsemigroup(d).to_json() == {
+    assert check_structure(d, DOPPELSEMIGROUP).to_json() == {
         "mode": "doppelsemigroup", "ok": False, **flags, "d1": None, "d3": None,
         "d4": False, "witnesses": {"d4": [0, 0, 1]}}
     plain = {"band": False, "semilattice": False, "commutative": True,

@@ -7,18 +7,18 @@ import importlib
 import pytest
 
 from dimonoids import catalog
-from dimonoids import (AxiomError, DiStructure, NotAssociativeError, OpTable,
-                       ParameterError, adjoin_identity, adjoin_tilde1,
+from dimonoids import (DIMONOID, DOPPELSEMIGROUP, DiStructure, NotAssociativeError,
+                       OpTable, ParameterError, adjoin_identity, adjoin_tilde1,
                        adjoin_zero, adjoin_zero_dimonoid, build_semigroup,
-                       build_structure, canonical_form, check_dimonoid,
-                       check_doppelsemigroup, cyclic, dimonoid_profile,
+                       build_structure, canonical_form, check_structure, cyclic,
+                       dimonoid_profile,
                        dual_dimonoid, dual_table, derive_semigroup,
                        idempotent_diagonal, is_associative, left_zero,
                        left_zero_band, left_zero_collapse, linear_semilattice,
                        masked_left_zero, monogenic, named_class_map,
                        named_semigroups, named_structures, null_semigroup,
-                       pair_dimonoid, right_zero, semigroup_dual_name,
-                       shifted_cyclic, structure_dual_name, trivial_dimonoid)
+                       right_zero, semigroup_dual_name, shifted_cyclic,
+                       structure_dual_name, trivial_dimonoid)
 from exhaustive import adjoined_reference
 
 
@@ -107,24 +107,12 @@ def test_trivial_dimonoid():
         trivial_dimonoid(OpTable.from_rows([(1, 0), (0, 0)]))
 
 
-def test_pair_dimonoid_checks_axioms():
-    d = pair_dimonoid(left_zero(3), right_zero(3))
-    assert check_dimonoid(d).ok
-    with pytest.raises(AxiomError) as exc:
-        pair_dimonoid(cyclic(3), shifted_cyclic(3, 2))  # doppel but not dimonoid
-    assert "d1" in str(exc.value)
-    d = pair_dimonoid(cyclic(3), shifted_cyclic(3, 2), mode="doppelsemigroup")
-    assert check_doppelsemigroup(d).ok
-    d = pair_dimonoid(cyclic(3), shifted_cyclic(3, 2), mode=None)  # unchecked
-    assert not check_dimonoid(d).ok
-
-
 def test_adjoin_zero_dimonoid():
     d = adjoin_zero_dimonoid(DiStructure(left_zero(2), right_zero(2)))
     assert d.order == 3
     assert d.left.rows() == ((0, 0, 2), (1, 1, 2), (2, 2, 2))
     assert d.right.rows() == ((0, 1, 2), (0, 1, 2), (2, 2, 2))
-    assert check_dimonoid(d).ok
+    assert check_structure(d, DIMONOID).ok
 
 
 def test_constructions_raise_when_they_break_an_axiom(monkeypatch):
@@ -212,7 +200,7 @@ def test_build_structure_trivial_and_derived():
     assert build_structure("C3") == trivial_dimonoid(cyclic(3))
     assert build_structure("triv(C3)") == trivial_dimonoid(cyclic(3))
     d = build_structure("(LO2|RO2)+0")
-    assert d.order == 3 and check_dimonoid(d).ok
+    assert d.order == 3 and check_structure(d, DIMONOID).ok
     assert build_structure("plus0(LO2|RO2)") == d
     assert build_structure("dual(O3)") == trivial_dimonoid(null_semigroup(3))
 
@@ -222,10 +210,10 @@ def test_build_structure_pairs():
     assert d == DiStructure(left_zero(3), right_zero(3))
     d = build_structure("C3|C3^-1")
     assert d == DiStructure(cyclic(3), shifted_cyclic(3, 2))
-    assert check_doppelsemigroup(d).ok
+    assert check_structure(d, DOPPELSEMIGROUP).ok
     d = build_structure("LO3|O3", kind="dimonoid")
     assert d.left == left_zero(3)
-    assert check_dimonoid(d).ok
+    assert check_structure(d, DIMONOID).ok
     with pytest.raises(ParameterError):
         build_structure("C2|C3")  # component orders differ
     with pytest.raises(ParameterError):
@@ -336,7 +324,7 @@ def test_named_structures_candidates_satisfy_axioms():
 def test_special_pair_tables():
     by_name, _ = named_class_map(3, "doppelsemigroup")
     d = by_name["O(3,1)a|O(3,1)b"]
-    assert check_doppelsemigroup(d).ok
+    assert check_structure(d, DOPPELSEMIGROUP).ok
     left, right = d.left, d.right
     assert left != right
     assert canonical_form(DiStructure(left, left)).key == \

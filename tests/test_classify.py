@@ -16,10 +16,9 @@ import pytest
 
 import dimonoids
 from dimonoids import (DiStructure, EnumerationResult, Permutation,
-                       automorphisms, canonical_form, canonical_table_key, classify,
-                       classify_order, cyclic, enumerate_dimonoids, enumerate_semigroups,
-                       enumerate_structures, identify_group, left_zero,
-                       left_zero_collapse, match_names, render_report,
+                       automorphisms, canonical_form, classify, classify_order, cyclic,
+                       enumerate_dimonoids, enumerate_semigroups, enumerate_structures,
+                       identify_group, left_zero, left_zero_collapse, render_report,
                        right_zero, solve_problem1, structure_dual_name)
 from dimonoids import enumeration, iso
 from dimonoids.enumeration import ENUM_KINDS
@@ -170,11 +169,10 @@ def test_self_paired_nonabelian_dimonoid_coordinates():
     # coordinates are the collapse semigroup and its transpose, like the
     # abelian class named LO(2<-3)|RO(2<-3), but no relabeling transposes
     # one table onto the other
-    assert canonical_table_key(rep.left).key == \
-        canonical_table_key(left_zero_collapse(2, 3)).key
-    assert canonical_table_key(rep.right).key == \
-        canonical_table_key(left_zero_collapse(2, 3).transpose()).key
-    assert match_names(rep) is None
+    for t, collapse in ((rep.left, left_zero_collapse(2, 3)),
+                        (rep.right, left_zero_collapse(2, 3).transpose())):
+        assert canonical_form(DiStructure(t, t)).key == \
+            canonical_form(DiStructure(collapse, collapse)).key
 
 
 def test_order3_doppelsemigroup_report():
@@ -208,12 +206,14 @@ def test_problem1_summary():
 
 
 def test_match_names():
-    assert match_names(DiStructure(cyclic(3), cyclic(3)), "semigroup") == "C3"
-    d = DiStructure(left_zero(3), right_zero(3))
-    assert match_names(d) == "LO3|RO3"
-    relabeled = d.relabel(Permutation((2, 0, 1)))
-    assert match_names(relabeled) == "LO3|RO3"
-    assert match_names(DiStructure(cyclic(3), cyclic(3))) == "C3"
+    # a structure, relabeled or not, gets the name of the report row keyed by its canonical key
+    names = {kind: {r.key: r.name for r in classify_order(3, kind).rows}
+             for kind in ("semigroup", "dimonoid")}
+    c3, d = DiStructure(cyclic(3), cyclic(3)), DiStructure(left_zero(3), right_zero(3))
+    assert names["semigroup"][canonical_form(c3).hex] == "C3"
+    assert names["dimonoid"][canonical_form(d).hex] == "LO3|RO3"
+    assert names["dimonoid"][canonical_form(d.relabel(Permutation((2, 0, 1)))).hex] == "LO3|RO3"
+    assert names["dimonoid"][canonical_form(c3).hex] == "C3"
 
 
 def test_row_by_name_raises_on_unknown():
@@ -290,7 +290,7 @@ def test_classify_builds_no_per_class_objects(monkeypatch):
     def refuse(*args):
         raise AssertionError("classify built a per-class pair, dual or canonical form")
 
-    monkeypatch.setattr(classify_module, "canonical_form", refuse)
+    monkeypatch.setattr(iso, "canonical_form", refuse)
     monkeypatch.setattr(iso, "distructure_from_key", refuse)
     monkeypatch.setattr(DiStructure, "dual", refuse)
     for nk, result in results.items():

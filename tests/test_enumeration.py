@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import dimonoids
-from dimonoids import (canonical_form, check_dimonoid, check_doppelsemigroup,
+from dimonoids import (DIMONOID, DOPPELSEMIGROUP, canonical_form, check_structure,
                        enumerate_associative_tables, enumerate_dimonoids,
                        enumerate_doppelsemigroups, enumerate_semigroups,
                        enumerate_structures, is_associative)
@@ -128,9 +128,9 @@ def test_class_reps_are_canonical_and_sorted():
 
 def test_class_reps_satisfy_their_axioms():
     for key, rep in class_reps(enumerate_dimonoids(3)):
-        assert check_dimonoid(rep).ok
+        assert check_structure(rep, DIMONOID).ok
     for key, rep in class_reps(enumerate_doppelsemigroups(3)):
-        assert check_doppelsemigroup(rep).ok
+        assert check_structure(rep, DOPPELSEMIGROUP).ok
     for key, rep in class_reps(enumerate_semigroups(3)):
         assert rep.left == rep.right
         assert is_associative(rep.left)[0]

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dimonoids import (DiStructure, OpTable, Permutation, are_isomorphic,
-                       automorphisms, canonical_form, canonical_representative,
-                       canonical_table_key, cyclic, enumerate_structures,
+                       automorphisms, canonical_form, cyclic, enumerate_structures,
                        identify_group, left_zero, linear_semilattice,
                        null_semigroup, right_zero, shifted_cyclic)
 from dimonoids import iso
@@ -73,9 +72,9 @@ def test_canonical_representative_idempotent():
     rng = random.Random(3)
     for _ in range(10):
         d = _random_pair(rng, 3)
-        rep = canonical_representative(d)
+        rep = d.relabel(canonical_form(d).witness)
         assert are_isomorphic(d, rep) is not None
-        assert canonical_representative(rep) == rep
+        assert rep.relabel(canonical_form(rep).witness) == rep
         key = canonical_form(rep)
         assert key.witness.images == (0, 1, 2)
         assert key.key == canonical_form(d).key
@@ -87,12 +86,7 @@ def test_canonical_key_fields():
     assert key.order == 2
     assert len(key.key) == 8  # both flat tables
     assert key.hex == key.key.hex()
-    assert distructure_from_key(key) == canonical_representative(d)
-
-
-def test_canonical_table_key_is_trivial_pair_key():
-    t = cyclic(3)
-    assert canonical_table_key(t).key == canonical_form(DiStructure(t, t)).key
+    assert distructure_from_key(key) == d.relabel(key.witness)
 
 
 def test_automorphisms_form_a_group():
@@ -150,8 +144,7 @@ def test_automorphisms_equal_the_matcher():
 
 def test_public_entry_points_refuse_orders_above_8():
     d = DiStructure(null_semigroup(9), null_semigroup(9))
-    for entry in (canonical_form, canonical_representative, automorphisms,
-                  lambda d: canonical_table_key(d.left), lambda d: are_isomorphic(d, d)):
+    for entry in (canonical_form, automorphisms, lambda d: are_isomorphic(d, d)):
         with pytest.raises(ValueError, match="cap of 8"):
             entry(d)
 

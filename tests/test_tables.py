@@ -8,14 +8,14 @@ from itertools import permutations
 
 import pytest
 
-from dimonoids import (AxiomVerdict, CanonicalKey, ClassificationReport, ClassRow,
+from dimonoids import (DIMONOID, AxiomVerdict, CanonicalKey, ClassificationReport, ClassRow,
                        DimonoidProfile, DiStructure, EnumerationResult, GroupId,
                        OpTable, OrderMismatchError, Permutation, SemigroupProfile,
                        TableFormatError, apply_permutation, automorphisms,
-                       canonical_form, check_dimonoid, classify_order,
+                       canonical_form, check_structure, classify_order,
                        dimonoid_profile, enumerate_dimonoids, format_distructure,
-                       format_table, identify_group, left_zero, parse_distructure,
-                       parse_structure, parse_table, right_zero, semigroup_profile)
+                       format_table, identify_group, left_zero, parse_structure,
+                       parse_table, right_zero, semigroup_profile)
 from dimonoids.tables import _inverse, _relabeling
 from exhaustive import relabel_reference
 
@@ -211,7 +211,7 @@ def test_parse_distructure_round_trip():
     for n in (1, 2, 3):
         d = DiStructure(_random_table(rng, n), _random_table(rng, n))
         text = format_distructure(d)
-        assert parse_distructure(text) == d
+        assert parse_structure(text) == d
         assert str(d) == text
 
 
@@ -234,10 +234,10 @@ def test_parse_errors_carry_position():
         parse_table("")
     with pytest.raises(TableFormatError):
         parse_table("0 1\n1 0\n\n0 1\n1 0")  # two blocks
+    with pytest.raises(TableFormatError, match="expected two table blocks"):
+        parse_structure("0\n\n0\n\n0")  # three blocks
     with pytest.raises(TableFormatError):
-        parse_distructure("0 1\n1 0")  # one block
-    with pytest.raises(TableFormatError):
-        parse_distructure("0 1\n1 0\n\n0 1 2\n1 2 0\n2 0 1")  # width mismatch
+        parse_structure("0 1\n1 0\n\n0 1 2\n1 2 0\n2 0 1")  # width mismatch
 
 
 def test_parse_structure_detects_shape():
@@ -267,7 +267,7 @@ RECORDS = [
     (DiStructure, ("left", "right"), lambda: _PAIR),
     (Permutation, ("images",), lambda: Permutation((1, 0))),
     (AxiomVerdict, ("mode", "left_associative", "right_associative", "d1", "d2", "d3",
-                    "d4", "witnesses"), lambda: check_dimonoid(_PAIR)),
+                    "d4", "witnesses"), lambda: check_structure(_PAIR, DIMONOID)),
     (SemigroupProfile, ("commutative", "band", "semilattice", "right_commutative",
                         "idempotents", "left_identities", "right_identities", "identity",
                         "left_zeros", "right_zeros", "zero", "monogenic"),
