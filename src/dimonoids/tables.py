@@ -133,10 +133,6 @@ class OpTable(Record):
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("rows must form a square table")
-        for i, row in enumerate(rows, start=1):
-            for j, v in enumerate(row, start=1):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise TableFormatError(f"not an integer: {v!r}", row=i, column=j)
         return cls(n, tuple(v for r in rows for v in r))
 
     @classmethod

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,31 @@ def test_import_loads_no_pool_dataclasses_or_csv():
                    "'dataclasses', 'inspect', 'ast', 'dis', 'csv') if m in sys.modules])")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# the public names of `import dimonoids` besides its modules: adding a name to the package,
+# or taking one away, means editing this list
+PUBLIC_NAMES = [
+    "AxiomVerdict", "CanonicalKey", "ClassRow", "ClassificationReport", "DIMONOID",
+    "DOPPELSEMIGROUP", "DiStructure", "DimonoidProfile", "EnumerationResult", "GroupId",
+    "NotAssociativeError", "OpTable", "OrderMismatchError", "ParameterError", "Permutation",
+    "SEMIGROUP", "SemigroupProfile", "TableFormatError", "adjoin_identity", "adjoin_tilde1",
+    "adjoin_zero", "adjoin_zero_dimonoid", "apply_permutation", "are_isomorphic",
+    "automorphisms", "build_semigroup", "build_structure", "canonical_form",
+    "check_structure", "classify", "classify_order", "cyclic", "derive_semigroup",
+    "dimonoid_profile", "dual_dimonoid", "dual_table", "enumerate_associative_tables",
+    "enumerate_dimonoids", "enumerate_doppelsemigroups", "enumerate_semigroups",
+    "enumerate_structures", "format_distructure", "format_table", "idempotent_diagonal",
+    "identify_group", "is_associative", "left_zero", "left_zero_band", "left_zero_collapse",
+    "linear_semilattice", "masked_left_zero", "monogenic", "named_class_map",
+    "named_semigroups", "named_structures", "null_semigroup", "parse_structure",
+    "parse_table", "render_report", "right_zero", "semigroup_dual_name", "semigroup_profile",
+    "shifted_cyclic", "solve_problem1", "structure_dual_name", "trivial_dimonoid"]
+
+
+def test_public_names_are_pinned():
+    assert sorted(name for name, value in vars(dimonoids).items() if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)) == PUBLIC_NAMES
 
 
 def test_classify_without_verbose_leaves_logging_unloaded():

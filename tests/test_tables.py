@@ -248,16 +248,16 @@ def test_parse_structure_detects_shape():
 
 
 # a float, a string and a bool, which int() would coerce, and where they sit
-BAD_ENTRIES = [([[0, 1.9], [1, 0]], "1.9 (row 1, column 2)"),
-               ([[0, 1], [1, "0"]], "'0' (row 2, column 2)"),
-               ([[0, 1], [True, 0]], "True (row 2, column 1)")]
+BAD_ENTRIES = [([[0, 1.9], [1, 0]], "1.9"), ([[0, 1], [1, "0"]], "'0'"),
+               ([[0, 1], [True, 0]], "True")]
 
 
 def test_from_rows_refuses_non_integers():
-    for rows, where in BAD_ENTRIES:
-        with pytest.raises(TableFormatError) as caught:
+    # the constructor refuses them, bools included
+    for rows, entry in BAD_ENTRIES:
+        with pytest.raises(ValueError) as caught:
             OpTable.from_rows(rows)
-        assert str(caught.value) == "not an integer: " + where
+        assert str(caught.value) == f"entry {entry} is not an int in 0..1"
 
 
 # every immutable value type of the package, with its fields in order and a sample
