@@ -14,9 +14,9 @@ import random
 import time
 from math import factorial
 
-from dimonoids import (DIMONOID, DOPPELSEMIGROUP, DiStructure, Permutation,
-                       apply_permutation, are_isomorphic, automorphisms,
-                       adjoin_zero_dimonoid, canonical_form, check_structure,
+from dimonoids import (DIMONOID, DiStructure, Permutation, apply_permutation,
+                       are_isomorphic, automorphisms, adjoin_zero_dimonoid,
+                       canonical_form, check_structure,
                        classify_order, classify, dimonoid_profile,
                        enumerate_associative_tables, enumerate_dimonoids,
                        enumerate_doppelsemigroups, enumerate_semigroups,
