@@ -174,9 +174,6 @@ def semigroup_profile(t: OpTable) -> SemigroupProfile:
     right_zeros = tuple(c for c in range(n) if all(e[x * n + c] == c for x in range(n)))
     zero = next((c for c in left_zeros if c in right_zeros), None)
     monogenic = _monogenic_params(e, n)
-    if monogenic is not None and monogenic[0] + monogenic[1] - 1 != n:
-        raise RuntimeError(f"monogenic index {monogenic[0]} and period {monogenic[1]} "
-                           f"do not fit order {n}")
     return SemigroupProfile(
         commutative=commutative, band=band, semilattice=semilattice,
         right_commutative=right_commutative, idempotents=idempotents,

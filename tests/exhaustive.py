@@ -1,15 +1,29 @@
 """Exhaustive references the tests, `.github/order5_census.py` and `bench/search.py`
-compare the package's searches, relabeling and group naming with, and the
+compare the package's searches, relabeling and group naming with, the
 case-by-case `+0`, `+1` and `~1` builders the tests compare the catalog's tables
-with.  None of them runs in a command.
+with, and the census checks built on them.  None of them runs in a command.
+
+Each census check (`check_*`) has this one implementation: tier-1 runs it at
+orders 1-4 on every item, and `.github/order5_census.py` at order 5 on every
+step-th item.  A check raises AssertionError naming the first item that fails,
+by an explicit raise, which `python -O` keeps.
 
 Import with `tests/` on the path (pytest puts it there; scripts set
 `PYTHONPATH=src:tests`).
 """
 from __future__ import annotations
 
-from dimonoids.axioms import IDENTITIES, KIND_AXIOMS, identity_witness
-from dimonoids.iso import CanonicalKey, GroupId, _perm_data, _perm_order, distructure_from_key
+from functools import lru_cache
+from itertools import islice
+from math import factorial
+from unittest import mock
+
+from dimonoids import classify, enumeration
+from dimonoids.axioms import DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS, identity_witness
+from dimonoids.doppel import transpose_partners, transposed_right_tables
+from dimonoids.enumeration import _reps, _search, enumerate_structures
+from dimonoids.iso import (CanonicalKey, GroupId, _least, _matches, _perm_data, _perm_order,
+                           automorphisms, canonical_form, distructure_from_key, identify_group)
 from dimonoids.tables import OpTable, Permutation
 
 
@@ -73,6 +87,152 @@ def class_reps(result) -> tuple:
     identity = Permutation.identity(result.order)
     keys = (CanonicalKey(order=result.order, key=k, witness=identity) for k in result.keys)
     return tuple((key, distructure_from_key(key)) for key in keys)
+
+
+def _exhaustive_hex(d):
+    """`_min_key` of the pair d, as hex."""
+    return bytes(_min_key(d.left.entries, d.right.entries, d.order)[0]).hex()
+
+
+def check_rep_groups(n):
+    """`_reps(n)`, once each representative's group is found to be its stabilizer among
+    `_perm_data(n)`, in that order."""
+    reps = _reps(n)
+    perms = _perm_data(n)
+    for t, aut in reps:
+        if aut != _stabilizer(t, perms):
+            raise AssertionError(f"order-{n} representative {t}: the leader search's group "
+                                 f"differs from the stabilizer")
+    return reps
+
+
+def check_d1_decided(n, step=1):
+    """How many order-n representatives have pairwise distinct columns, once every step-th
+    of them is checked: the unpruned dimonoid search yields L alone, and an empty store
+    takes ((bytes(L), Aut L),) from `_right_tables` without a search."""
+    decided = [(le, aut) for le, aut in _reps(n) if len({le[w::n] for w in range(n)}) == n]
+
+    def refuse(*args):
+        raise AssertionError(f"order {n}: searched a representative D1 decides")
+
+    with mock.patch.object(enumeration, "_RIGHT_TABLES", {}):
+        for le, aut in decided[::step]:
+            # D1 with L associative: L[x][R[y][z]] = L[x][L[y][z]] for every x, so R[y][z]
+            # and L[y][z] label equal columns of L
+            if list(_search(le, n, DIMONOID)) != [le]:
+                raise AssertionError(f"order-{n} representative {le}: its columns are "
+                                     f"distinct, but R = L is not its only right table")
+            with mock.patch.object(enumeration, "_search", refuse):
+                if enumeration._right_tables(le, aut, n, DIMONOID) != ((bytes(le), aut),):
+                    raise AssertionError(f"order-{n} representative {le}: D1 decides it, "
+                                         f"but R = L is not what is kept")
+    return len(decided)
+
+
+def check_transposed(n, step=1):
+    """(searched, derived): how many order-n doppelsemigroup representatives the census
+    searches and how many it derives from a transpose's, once the right tables the
+    census kept for every step-th representative and every step-th derived one are found
+    equal to a search, and so are `transposed_right_tables` from each relabeling that
+    carries its transpose onto its partner's representative.  Run after that census."""
+    kind = DOPPELSEMIGROUP
+    reps = _reps(n)
+    auts = dict(reps)
+    partners = transpose_partners(reps, n)
+    derived = [item for item in reps if item[0] in partners]
+
+    @lru_cache(maxsize=None)
+    def searched(le):
+        """le's leaders with their groups, as `_right_tables` keeps them, from a search."""
+        aut = auts[le]
+        return tuple((bytes(re), (aut[0], *group)) for re, group in _search(le, n, kind, aut[1:]))
+
+    perms = _perm_data(n)
+    for le, aut in dict.fromkeys((*reps[::step], *derived[::step])):
+        if enumeration._RIGHT_TABLES[le, kind] != searched(le):
+            raise AssertionError(f"order-{n} {kind} representative {le}: the census's right "
+                                 f"tables differ from a search")
+        partner, reach = _least(tuple(le[y * n + x] for x in range(n) for y in range(n)), perms)
+        for q in reach:
+            if transposed_right_tables(searched(partner), q, aut, n) != searched(le):
+                raise AssertionError(f"order-{n} {kind} representative {le}: the right tables "
+                                     f"transposed from {partner} by {q[0]} differ from a search")
+    return len(reps) - len(derived), len(derived)
+
+
+def check_census_classes(result, step=1):
+    """`classify(result)`, once every step-th class is checked against the references: its
+    census group and `automorphisms` equal the permutation matcher's, `identify_group`
+    names that group, its key and dual key equal `_min_key`'s, and its dual key equals the
+    canonical form of its dual."""
+    n = result.order
+    report = classify(result)
+    identity = Permutation.identity(n)
+    for key, aut, row in islice(zip(result.keys, result.auts, report.rows, strict=True),
+                                0, None, step):
+        rep = distructure_from_key(CanonicalKey(order=n, key=key, witness=identity))
+        dual = rep.dual()
+        matched = tuple(_matches(rep, rep))
+        checks = {"census group": tuple(Permutation(p) for p, _ in aut) == matched,
+                  "automorphisms": automorphisms(rep) == matched,
+                  "group name": row.aut == identify_group(matched),
+                  "key": row.key == key.hex() == _exhaustive_hex(rep),
+                  "dual key": row.dual_key == _exhaustive_hex(dual) == canonical_form(dual).hex}
+        failed = [name for name, ok in checks.items() if not ok]
+        if failed:
+            raise AssertionError(f"order-{n} {result.kind} class {key.hex()}: "
+                                 f"{', '.join(failed)} differ from the references")
+    return report
+
+
+def check_pool_sizes(n, kind, sizes):
+    """Per pool size in sizes, (keys, labeled count, kept right tables, searches run in
+    this process) of a census of kind at order n searched afresh with `_pool_size` forced
+    to it, once all are found to share the first three, and every pooled one to search
+    nothing in this process."""
+    _reps(n)  # the semigroup search for the left tables runs here either way
+    search = enumeration._search
+    runs = []
+    for workers in sizes:
+        searches = []
+        enumeration._RIGHT_TABLES.clear()
+        with (mock.patch.object(enumeration, "_pool_size", lambda n: workers),
+              mock.patch.object(enumeration, "_search",
+                                lambda *args: searches.append(args) or search(*args))):
+            result = enumerate_structures(n, kind)
+        runs.append((result.keys, result.labeled_count, dict(enumeration._RIGHT_TABLES),
+                     len(searches)))
+        if runs[-1][:3] != runs[0][:3]:
+            raise AssertionError(f"order-{n} {kind}: the census with {workers} workers "
+                                 f"differs from the one with {sizes[0]}")
+        if workers > 1 and searches:
+            raise AssertionError(f"order-{n} {kind}: the census with {workers} workers "
+                                 f"searched {len(searches)} representatives in this process")
+    return runs
+
+
+def check_burnside(result):
+    """(classes, labeled) of result's kind at its order by Burnside's lemma, once found
+    equal to result's counts.  Each representative L of `_reps` adds the average number
+    of its unpruned right tables that an element of Aut(L) fixes, and n!/|Aut(L)| times
+    their number: no leader test on right tables, D1 shortcut, transposition or pool."""
+    n, kind = result.order, result.kind
+    classes = labeled = 0
+    for le, aut in _reps(n):
+        rights = list(_search(le, n, kind))
+        fixed = len(rights) + sum(1 for p, gather in aut[1:] for re in rights
+                                  if tuple(p[re[j]] for j in gather) == re)
+        orbits, rest = divmod(fixed, len(aut))
+        if rest:
+            raise AssertionError(f"order-{n} {kind} representative {le}: its {len(aut)} "
+                                 f"automorphisms fix {fixed} right tables, not a multiple")
+        classes += orbits
+        labeled += factorial(n) // len(aut) * len(rights)
+    if (classes, labeled) != (result.class_count, result.labeled_count):
+        raise AssertionError(f"order-{n} {kind}: Burnside's lemma counts {classes} classes "
+                             f"({labeled} labeled), the census {result.class_count} "
+                             f"({result.labeled_count})")
+    return classes, labeled
 
 
 def adjoin_zero_reference(t):

@@ -14,7 +14,7 @@ import random
 import time
 from math import factorial
 
-from dimonoids import (DIMONOID, DiStructure, Permutation, apply_permutation,
+from dimonoids import (DIMONOID, DiStructure, Permutation,
                        are_isomorphic, automorphisms, adjoin_zero_dimonoid,
                        canonical_form, check_structure,
                        classify_order, classify, dimonoid_profile,
@@ -23,8 +23,7 @@ from dimonoids import (DIMONOID, DiStructure, Permutation, apply_permutation,
                        left_zero_collapse, semigroup_profile, solve_problem1)
 
 from exhaustive import class_reps
-from test_classify import (TABLE_ORDER2, TABLE_ORDER3_SEMIGROUPS,
-                           TABLE_ORDER3_DIMONOIDS, TABLE_ORDER3_DOPPELS)
+from test_classify import TABLE_ORDER2, TABLE_ORDER3_DOPPELS, TABLE_ORDER3_SEMIGROUPS
 
 
 def _aut_names(report):

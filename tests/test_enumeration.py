@@ -23,11 +23,13 @@ from dimonoids import (DIMONOID, DOPPELSEMIGROUP, canonical_form, check_structur
                        enumerate_structures, is_associative)
 from dimonoids import enumeration
 from dimonoids.axioms import assoc_witness, identity_witness
-from dimonoids.doppel import commutant, commutant_masks, transposed_right_tables
+from dimonoids.doppel import commutant, commutant_masks
 from dimonoids.enumeration import (ENUM_KINDS, _SEMIGROUP_DUAL_CLASSES, _reps, _search,
                                    class_lines, write_classes_jsonl)
-from dimonoids.iso import _least, _perm_data
-from exhaustive import _min_key, _pair_axioms_hold, _stabilizer, class_reps
+from dimonoids.iso import _perm_data
+from exhaustive import (_min_key, _pair_axioms_hold, _stabilizer, check_burnside,
+                        check_d1_decided, check_pool_sizes, check_rep_groups, check_transposed,
+                        class_reps)
 
 KINDS = ("dimonoid", "doppelsemigroup")
 
@@ -215,8 +217,7 @@ def test_left_reps_are_semigroup_classes(n, reps, labeled):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_left_rep_groups_are_their_stabilizers(n):
     # the search's surviving relabelings, identity first, in `_perm_data` order
-    perms = _perm_data(n)
-    assert [aut for _, aut in _reps(n)] == [_stabilizer(t, perms) for t, _ in _reps(n)]
+    assert check_rep_groups(n) == _reps(n)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -276,10 +277,6 @@ def test_search_matches_filtering_every_right_table_for_arbitrary_left_tables(ki
         assert list(_search(le, n, kind)) == expected, le
 
 
-def transpose(e, n):
-    return tuple(e[y * n + x] for x in range(n) for y in range(n))
-
-
 def brute_force_translations(le, n):
     """(rows, columns) a right table may have under D2 and D4, from all n^n maps: the maps
     commuting with every u -> L[u][z], and those commuting with every u -> L[x][u]."""
@@ -335,100 +332,49 @@ def test_commutant_leaves_no_garbage():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_transposed_right_tables_equal_a_search(n, monkeypatch):
-    kind = "doppelsemigroup"
+    # one representative searched per class up to anti-isomorphism (OEIS A001423)
     monkeypatch.setattr(enumeration, "_RIGHT_TABLES", {})
-    enumerate_structures(n, kind)
-    census = dict(enumeration._RIGHT_TABLES)
-    searched = {le: tuple((bytes(re), (aut[0], *group))
-                          for re, group in _search(le, n, kind, aut[1:]))
-                for le, aut in _reps(n)}
-    perms = _perm_data(n)
-    for le, aut in _reps(n):
-        assert census[le, kind] == searched[le]
-        # every representative, its own transpose's included, and every relabeling
-        # that carries Lᵀ onto its representative P
-        partner, reach = _least(transpose(le, n), perms)
-        for q in reach:
-            assert transposed_right_tables(searched[partner], q, aut, n) == searched[le]
-
-
-def distinct_columns(n):
-    """The representatives whose n columns are pairwise distinct, with their groups."""
-    return [(le, aut) for le, aut in _reps(n) if len({le[w::n] for w in range(n)}) == n]
+    enumerate_structures(n, "doppelsemigroup")
+    searched = _SEMIGROUP_DUAL_CLASSES[n]
+    assert check_transposed(n) == (searched, len(_reps(n)) - searched)
 
 
 @pytest.mark.parametrize("n, decided", [(1, 1), (2, 3), (3, 12), (4, 80)])
 def test_distinct_columns_leave_only_r_equal_l(n, decided):
-    # D1 with L associative: L[x][R[y][z]] = L[x][L[y][z]] for every x, so R[y][z] and
-    # L[y][z] label equal columns of L; the unpruned search finds nothing else
-    reps = distinct_columns(n)
-    assert len(reps) == decided
-    for le, _ in reps:
-        assert list(_search(le, n, "dimonoid")) == [le]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_d1_decided_right_tables_need_no_search(n, monkeypatch):
-    kind = "dimonoid"
-    reps = distinct_columns(n)
-    searched = [tuple((bytes(re), (aut[0], *group)) for re, group in _search(le, n, kind, aut[1:]))
-                for le, aut in reps]
-
-    def refuse(*args):
-        raise AssertionError("searched a representative D1 decides")
-
-    monkeypatch.setattr(enumeration, "_search", refuse)
-    monkeypatch.setattr(enumeration, "_RIGHT_TABLES", {})
-    assert [enumeration._right_tables(le, aut, n, kind) for le, aut in reps] == searched
+    assert check_d1_decided(n) == decided
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_pool_sizes_agree(n, kind, monkeypatch):
-    # force the pool through the private size rule; it only fills the right-table store.
+def test_pool_sizes_agree(n, kind):
     # A dimonoid representative is searched only if two of its columns are equal (D1
     # decides the others), 108 of 188 at order 4.  A doppelsemigroup representative is
     # searched only if no smaller one is in the class of its transpose: one per class up
-    # to anti-isomorphism (OEIS A001423), 126 of 188 at order 4
+    # to anti-isomorphism (OEIS A001423), 126 of 188 at order 4.  With a pool every
+    # search runs in a worker process
     searched = {2: 2, 3: 12, 4: 108}[n] if kind == "dimonoid" else _SEMIGROUP_DUAL_CLASSES[n]
-    search = enumeration._search
-    runs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(enumeration, "_pool_size", lambda n: workers)
-        searches = []
-        monkeypatch.setattr(enumeration, "_search",
-                            lambda *args: searches.append(args) or search(*args))
-        enumeration._RIGHT_TABLES.clear()
-        result = enumerate_structures(n, kind)
-        # with a pool every search runs in a worker process
-        assert len(searches) == (searched if workers == 1 else 0)
-        runs.append((list(result.keys), result.labeled_count,
-                     dict(enumeration._RIGHT_TABLES)))
-    assert runs[0] == runs[1] == runs[2]
+    assert [run[3] for run in check_pool_sizes(n, kind, (1, 2, 3))] == [searched, 0, 0]
 
 
-# sets the start method, runs a census with the pool forced and one serially, and prints
-# whether they agree and how many searches ran in this process (none when pooled)
+@pytest.mark.parametrize("kind, n, classes, labeled", [
+    ("dimonoid", 1, 1, 1), ("dimonoid", 2, 8, 13), ("dimonoid", 3, 52, 267),
+    ("dimonoid", 4, 734, 15277), ("doppelsemigroup", 1, 1, 1), ("doppelsemigroup", 2, 8, 14),
+    ("doppelsemigroup", 3, 77, 413), ("doppelsemigroup", 4, 1217, 26028)])
+def test_burnside_counts_equal_the_census(kind, n, classes, labeled):
+    assert check_burnside(enumerate_structures(n, kind)) == (classes, labeled)
+
+
+# sets the start method, then checks a census with the pool forced against a serial one,
+# and prints how many searches the pooled one ran in this process (none) and its count
 POOLED_VS_SERIAL = """
 import multiprocessing, sys
-from dimonoids import enumerate_structures, enumeration
-
-def census(kind, workers):
-    enumeration._pool_size = lambda n: workers
-    enumeration._RIGHT_TABLES.clear()
-    result = enumerate_structures(3, kind)
-    return list(result.keys), result.labeled_count
+from exhaustive import check_pool_sizes
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
-    enumeration._reps(3)  # the semigroup search for the left tables runs here either way
-    search, searches = enumeration._search, []
-    enumeration._search = lambda *args: searches.append(args) or search(*args)
     for kind in ("dimonoid", "doppelsemigroup"):
-        pooled = census(kind, 2)
-        in_parent = len(searches)
-        print(kind, in_parent, pooled == census(kind, 1), pooled[1])
-        searches.clear()
+        pooled, _ = check_pool_sizes(3, kind, (2, 1))
+        print(kind, pooled[3], pooled[1])
 """
 
 
@@ -438,11 +384,12 @@ def test_pool_under_start_method(method):
     # and on Linux from Python 3.14 (forkserver)
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{method} is not available on this platform")
-    env = {**os.environ, "PYTHONPATH": str(Path(dimonoids.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        (str(Path(dimonoids.__file__).parents[1]), str(Path(__file__).parent)))}
     done = subprocess.run([sys.executable, "-c", POOLED_VS_SERIAL, method], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "dimonoid 0 True 267\ndoppelsemigroup 0 True 413\n"
+    assert done.stdout == "dimonoid 0 267\ndoppelsemigroup 0 413\n"
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8, 64])
