@@ -1,8 +1,8 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 28 s with two workers on a two-core machine):
+Run from the repository root (about 37 s with two workers on a two-core machine):
 
-    PYTHONPATH=src:tests python .github/order5_census.py
+    PYTHONPATH=src:tests python -X dev -W error .github/order5_census.py
 
 It runs at order 5 the census checks of `tests/exhaustive.py`, which tier-1
 runs at orders 1-4:

@@ -349,11 +349,13 @@ def _special_pair(name: str, extra: int = 0):
 
 
 def semigroup_dual_name(name: str) -> str:
-    """Display name of the dual semigroup class (LO <-> RO, others fixed)."""
+    """Display name of the dual semigroup class (LO <-> RO, dual(X) -> X, others fixed)."""
     for suffix in _SUFFIXES:
         # adjoining a two-sided zero or identity commutes with duality
         if (inner := _inner(name, "", suffix)) is not None:
             return semigroup_dual_name(inner) + suffix
+    if (inner := _inner(name, "dual(", ")")) is not None:
+        return inner
     if name.startswith("RO"):
         return "LO" + name[2:]
     if name.startswith("LO"):
@@ -363,8 +365,13 @@ def semigroup_dual_name(name: str) -> str:
 
 def structure_dual_name(name: str) -> str:
     """Display name of the dual structure class: swap components, dualize each."""
-    if (inner := _inner(name, "(", ")+0")) is not None:
-        return f"({structure_dual_name(inner)})+0"
+    for prefix, suffix in (("(", ")+0"), ("plus0(", ")")):
+        if (inner := _inner(name, prefix, suffix)) is not None:
+            return f"{prefix}{structure_dual_name(inner)}{suffix}"
+    if (inner := _inner(name, "triv(", ")")) is not None:
+        return f"triv({semigroup_dual_name(inner)})"
+    if (inner := _inner(name, "dual(", ")")) is not None:
+        return inner
     if _special_pair(name) is not None:
         return name  # curated specials denote classes isomorphic to their dual
     split = _split_pair(name)

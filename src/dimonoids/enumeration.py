@@ -39,9 +39,9 @@ are searched once per process and kept, as bytes with their groups; the
 catalog expands their Aut(L)-orbits onto its named left tables instead of
 searching those again.  The search takes one worker process per 128
 representatives, up to the CPUs the process may use, so only order 5 can
-run a pool: its workers search interleaved shares of the representatives
-that need a search and hand the leaders back, each group as indices into
-the relabelings, and this process derives the rest.  Keys are then sorted
+run a pool: its workers search the representatives that need a search,
+16 to a task, and hand back each one's leaders with their groups, which
+this process keeps as they come; it derives the rest.  Keys are then sorted
 once, in this process, so results do not depend on the pool, and the
 result keeps them as bytes: `classify` and the JSONL lines read each
 class's tables from its key, and a caller that wants pair objects
@@ -356,15 +356,6 @@ def _decided_by_d1(le, n: int, kind: str) -> bool:
     return IDENTITIES["d1"] in _AXIOMS[kind] and len({le[w::n] for w in range(n)}) == n
 
 
-def _right_table_share(n: int, kind: str, share):
-    """`_right_tables` for each (le, Aut(le)) of a pool worker's share, each group
-    sent back as indices into `_perm_data(n)`."""
-    index = {item: i for i, item in enumerate(_perm_data(n))}
-    return [(le, tuple((re, tuple(map(index.__getitem__, group)))
-                       for re, group in _right_tables(le, aut, n, kind)))
-            for le, aut in share]
-
-
 def _pool_size(n: int) -> int:
     """Pool processes at order n: one per 128 semigroup classes, one per usable CPU at most."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -403,17 +394,14 @@ def _enumerate_pairs(n: int, kind: str):
         # imported here: a serial command should not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # work per representative is uneven: deal four round-robin shares a worker
         log_info(__name__, "order %d: %d worker processes search %d representatives",
                  n, workers, len(missing))
-        perms = _perm_data(n)
+        lefts, auts = zip(*missing)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for share in pool.map(_right_table_share, repeat(n), repeat(kind),
-                                  [missing[i::4 * workers] for i in range(4 * workers)]):
-                _RIGHT_TABLES.update(
-                    ((le, kind), tuple((re, tuple(map(perms.__getitem__, group)))
-                                       for re, group in rights))
-                    for le, rights in share)
+            # 16 representatives a task: 4 and 64 ran no faster at order 5
+            replies = pool.map(_right_tables, lefts, auts, repeat(n), repeat(kind),
+                               chunksize=16)
+            _RIGHT_TABLES.update(((le, kind), rights) for le, rights in zip(lefts, replies))
     # each leader R is its class's key after L
     classes = []
     for le, aut in reps:

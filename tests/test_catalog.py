@@ -301,17 +301,21 @@ def test_structure_dual_name():
     assert structure_dual_name("C3|C3^-1") == "C3|C3^-1"
     assert structure_dual_name("O(3,1)a|O(3,1)b") == "O(3,1)a|O(3,1)b"
     assert structure_dual_name("LO3") == "RO3"
+    assert structure_dual_name("triv(LO3)") == "triv(RO3)"
+    assert structure_dual_name("plus0(LO3|O3)") == "plus0(O3|RO3)"
+    assert structure_dual_name("dual(LO3|O3)") == "LO3|O3"
+    assert structure_dual_name("triv(dual(LO3))") == "triv(LO3)"
 
 
 def test_dual_name_matches_dual_table():
-    # on semigroup names the display dual must be the transpose's class
-    for n in (2, 3):
-        for name, t in named_semigroups(n):
-            dual_name = semigroup_dual_name(name)
-            built = build_semigroup(dual_name)
-            d1 = DiStructure(t.transpose(), t.transpose())
-            d2 = DiStructure(built, built)
-            assert canonical_form(d1).key == canonical_form(d2).key, name
+    # on semigroup names the display dual must be the transpose's class, also under dual()
+    for n in (1, 2, 3, 4):
+        for base, table in named_semigroups(n):
+            for name, t in ((base, table), (f"dual({base})", table.transpose())):
+                built = build_semigroup(semigroup_dual_name(name))
+                d1 = DiStructure(t.transpose(), t.transpose())
+                d2 = DiStructure(built, built)
+                assert canonical_form(d1).key == canonical_form(d2).key, name
 
 
 def test_named_structures_candidates_satisfy_axioms():
