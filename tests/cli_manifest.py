@@ -44,7 +44,8 @@ MALFORMED_WRAPPED_NAMES = {
     "plus0()": "plus0()", "triv()": "triv()", "dual()": "dual()", "+0": "+0"}
 MALFORMED_TEXT = {"outside": "0 2\n1 0\n", "not-int": "0 1\n1 x\n", "ragged": "0 1\n1\n",
                   "three-blocks": "0\n\n0\n\n0\n", "width": "0 1\n1 0\n\n0 1 2\n1 2 0\n2 0 1\n",
-                  "empty": ""}
+                  "empty": "", "rows-over": "0 1\n1 0\n\n0 1\n1 0\n0 1\n",
+                  "rows-under": "0 1\n1 0\n\n0 1\n"}
 
 
 def _family_names(n: int):

@@ -230,9 +230,9 @@ def test_parse_errors_carry_position():
     with pytest.raises(TableFormatError) as exc:
         parse_table("0 2\n1 0")
     assert "outside" in str(exc.value)
-    with pytest.raises(TableFormatError):
+    with pytest.raises(TableFormatError, match="expected one table block, found 0"):
         parse_table("")
-    with pytest.raises(TableFormatError):
+    with pytest.raises(TableFormatError, match="expected one table block, found 2"):
         parse_table("0 1\n1 0\n\n0 1\n1 0")  # two blocks
     with pytest.raises(TableFormatError, match="expected two table blocks"):
         parse_structure("0\n\n0\n\n0")  # three blocks
