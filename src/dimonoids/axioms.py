@@ -19,7 +19,7 @@ the lexicographically first failing triple (x, y, z).
 """
 from __future__ import annotations
 
-from .tables import DiStructure, OpTable, Record, json_fields
+from .tables import DiStructure, OpTable, Record, _transposed, json_fields
 
 DIMONOID = "dimonoid"
 DOPPELSEMIGROUP = "doppelsemigroup"
@@ -193,21 +193,13 @@ class DimonoidProfile(Record):
 
 def _pair_flags(le, re, n: int):
     """(trivial, commutative, abelian, Lᵀ, Rᵀ) of the flat tables le and re, both bytes or
-    both tuples, with their transposes of the same type; abelian must agree with self-dual,
-    (Rᵀ, Lᵀ) == (le, re)."""
-    cols = range(n)  # column x of a table is e[x::n]
-    if type(le) is bytes:
-        lt, rt = b"".join([le[x::n] for x in cols]), b"".join([re[x::n] for x in cols])
-    else:
-        lt, rt = (tuple(v for x in cols for v in e[x::n]) for e in (le, re))
-    abelian = le == rt
-    if abelian != (rt == le and lt == re):
-        raise RuntimeError(f"abelian is {abelian} but self_dual is {not abelian}")
-    return le == re, le == lt and re == rt, abelian, lt, rt
+    both tuples, with their transposes of the same type."""
+    lt, rt = _transposed(le, n), _transposed(re, n)
+    return le == re, le == lt and re == rt, le == rt, lt, rt
 
 
 def dimonoid_profile(d: DiStructure) -> DimonoidProfile:
-    """Table-level flags for a pair; abelian and self_dual must agree."""
+    """Table-level flags for a pair; self_dual is abelian, as (Rᵀ, Lᵀ) = (L, R) iff L = Rᵀ."""
     trivial, commutative, abelian, _, _ = _pair_flags(d.left.entries, d.right.entries, d.order)
     return DimonoidProfile(trivial=trivial, commutative=commutative,
                            abelian=abelian, self_dual=abelian)

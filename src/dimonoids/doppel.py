@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .iso import _least, _left_coset
-from .tables import _inverse, _relabeling
+from .tables import _inverse, _relabeling, _transposed
 
 
 def commutant(maps, n: int):
@@ -128,10 +128,9 @@ def transpose_partners(reps, n: int):
     """{L: (P, q)} for each representative L of reps, `enumeration._reps` items, whose
     transpose is in the class of a smaller representative P: P is the least relabeling
     of Lᵀ and q the first `_perm_data` item that reaches it."""
-    rng = range(n)
     partners = {}
     for le, _ in reps:
-        partner, coset = _left_coset(tuple(v for z in rng for v in le[z::n]), n)
+        partner, coset = _left_coset(_transposed(le, n), n)
         if partner < le:
             partners[le] = (partner, coset[0])
     return partners
@@ -148,7 +147,7 @@ def transposed_right_tables(rights, q, aut, n: int):
     fix it.  Sorting them gives the order the search yields.
     """
     qinv, gather = _relabeling(_inverse(q[0]))
-    transposed = [j for x in range(n) for j in gather[x::n]]  # reads q⁻¹(Rᵀ) off R
+    transposed = _transposed(gather, n)  # reads q⁻¹(Rᵀ) off R
     out = []
     for re, _ in rights:
         leader = _least([qinv[re[j]] for j in transposed], aut)[0]

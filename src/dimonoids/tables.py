@@ -5,15 +5,15 @@ Conventions used throughout the package:
 * elements of an order-n structure are always the integers 0..n-1
 * a table is stored row-major as a flat tuple, entries[x*n + y] == x*y
   (x indexes the row, y the column)
-* relabeling by a permutation p satisfies t'(p(x), p(y)) = p(t(x, y)); `_relabeling`
-  builds the gather that does it and `_inverse` the inverse it needs, for every module
+* relabeling by a permutation p satisfies t'(p(x), p(y)) = p(t(x, y)); for every module,
+  `_relabeling` builds its gather, `_inverse` the inverse and `_transposed` the transpose
 * the text form of a table is n lines of n space-separated integers;
   a pair of tables is two such blocks separated by one blank line
 """
 from __future__ import annotations
 
 import sys
-from itertools import permutations
+from itertools import chain, permutations
 from operator import itemgetter
 
 
@@ -147,8 +147,7 @@ class OpTable(Record):
         return tuple(self.entries[i * n:(i + 1) * n] for i in range(n))
 
     def transpose(self) -> "OpTable":
-        n = self.order
-        return OpTable(n, tuple(self.entries[y * n + x] for x in range(n) for y in range(n)))
+        return OpTable(self.order, _transposed(self.entries, self.order))
 
     def __str__(self):
         return format_table(self)
@@ -228,6 +227,12 @@ def _inverse(p) -> tuple:
     return tuple(inv)
 
 
+def _transposed(e, n: int):
+    """The transpose of the flat order-n table e, a tuple or bytes, as the same type."""
+    cols = [e[x::n] for x in range(n)]  # column x of e
+    return b"".join(cols) if isinstance(e, bytes) else tuple(chain.from_iterable(cols))
+
+
 def _relabeling(p):
     """(p, gather) for p the images of a permutation of degree n: a flat order-n table e
     relabeled by p is [p[e[j]] for j in gather], as gather[u*n + v] = p⁻¹(u)*n + p⁻¹(v)."""
@@ -257,31 +262,23 @@ def format_distructure(d: DiStructure) -> str:
     return format_table(d.left) + "\n\n" + format_table(d.right)
 
 
-def _parse_block(lines, first_line_no: int, order: int | None = None) -> OpTable:
-    if not lines:
-        raise TableFormatError("empty table block", row=first_line_no)
-    rows = []
-    n = order if order is not None else len(lines)
-    for i, line in enumerate(lines):
+def _parse_block(lines, first_line_no: int, n: int) -> OpTable:
+    entries = []
+    for lineno, line in enumerate(lines, first_line_no):
         tokens = line.split()
-        lineno = first_line_no + i
         if len(tokens) != n:
-            raise TableFormatError(
-                f"expected {n} entries per row, got {len(tokens)}", row=lineno)
-        row = []
-        for j, tok in enumerate(tokens):
+            raise TableFormatError(f"expected {n} entries per row, got {len(tokens)}", row=lineno)
+        for j, tok in enumerate(tokens, 1):
             try:
                 v = int(tok, 10)
             except ValueError:
-                raise TableFormatError(f"not an integer: {tok!r}", row=lineno, column=j + 1)
+                raise TableFormatError(f"not an integer: {tok!r}", row=lineno, column=j)
             if not 0 <= v < n:
-                raise TableFormatError(
-                    f"entry {v} outside 0..{n - 1}", row=lineno, column=j + 1)
-            row.append(v)
-        rows.append(row)
-    if len(rows) != n:
-        raise TableFormatError(f"expected {n} rows, got {len(rows)}", row=first_line_no)
-    return OpTable.from_rows(rows)
+                raise TableFormatError(f"entry {v} outside 0..{n - 1}", row=lineno, column=j)
+            entries.append(v)
+    if len(lines) != n:
+        raise TableFormatError(f"expected {n} rows, got {len(lines)}", row=first_line_no)
+    return OpTable(n, entries)
 
 
 def _blocks(text: str):
@@ -302,31 +299,20 @@ def _blocks(text: str):
     return blocks
 
 
-def _table_of(blocks) -> OpTable:
+def parse_table(text: str) -> OpTable:
+    blocks = _blocks(text)
     if len(blocks) != 1:
         raise TableFormatError(f"expected one table block, found {len(blocks)}")
     lines, start = blocks[0]
-    return _parse_block(lines, start)
-
-
-def _pair_of(blocks) -> DiStructure:
-    if len(blocks) != 2:
-        raise TableFormatError(
-            f"expected two table blocks separated by a blank line, found {len(blocks)}")
-    (l1, s1), (l2, s2) = blocks
-    left = _parse_block(l1, s1)
-    right = _parse_block(l2, s2, order=left.order)
-    return DiStructure(left, right)
-
-
-def parse_table(text: str) -> OpTable:
-    return _table_of(_blocks(text))
+    return _parse_block(lines, start, len(lines))
 
 
 def parse_structure(text: str):
     """Parse either a single table or a two-block pair, whichever the text holds."""
     blocks = _blocks(text)
-    if len(blocks) == 1:
-        return _table_of(blocks)
-    return _pair_of(blocks)
-
+    if len(blocks) not in (1, 2):
+        raise TableFormatError(
+            f"expected two table blocks separated by a blank line, found {len(blocks)}")
+    n = len(blocks[0][0])  # the order of the first block holds for the second
+    tables = [_parse_block(lines, start, n) for lines, start in blocks]
+    return tables[0] if len(tables) == 1 else DiStructure(*tables)

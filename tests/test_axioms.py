@@ -10,7 +10,7 @@ from dimonoids import (DIMONOID, DOPPELSEMIGROUP, DiStructure, NotAssociativeErr
                        is_associative, left_zero, linear_semilattice,
                        monogenic, null_semigroup, right_zero,
                        semigroup_profile, shifted_cyclic)
-from dimonoids.axioms import IDENTITIES, assoc_witness, identity_witness
+from dimonoids.axioms import IDENTITIES, _pair_flags, assoc_witness, identity_witness
 from dimonoids.catalog import idempotent_diagonal, left_zero_collapse
 
 
@@ -208,11 +208,29 @@ def test_dimonoid_profile_flags():
     assert not p.trivial and not p.commutative and not p.abelian
 
 
-def test_abelian_equals_self_dual_exhaustively():
-    for left in _all_tables(2):
-        for right in _all_tables(2):
+def _flags_by_cell(left, right):
+    """(trivial, commutative, abelian) of a pair read cell by cell: trivial is L = R,
+    commutative is both tables commutative, and abelian is x -| y = y |- x."""
+    cells = list(product(range(left.order), repeat=2))
+    return (all(left.at(x, y) == right.at(x, y) for x, y in cells),
+            all(t.at(x, y) == t.at(y, x) for t in (left, right) for x, y in cells),
+            all(left.at(x, y) == right.at(y, x) for x, y in cells))
+
+
+def test_pair_flags_match_their_definitions():
+    # all 256 order-2 pairs, and the pairs of a fixed slice of order-3 tables and their
+    # transposes, built without OpTable.transpose so that abelian pairs occur
+    order3 = list(islice(_all_tables(3), 0, None, 997))
+    order3 += [OpTable.from_function(3, lambda x, y, t=t: t.at(y, x)) for t in order3]
+    for tables in (list(_all_tables(2)), order3):
+        for left, right in product(tables, repeat=2):
+            trivial, commutative, abelian = _flags_by_cell(left, right)
             p = dimonoid_profile(DiStructure(left, right))
-            assert p.abelian == p.self_dual
+            # the dual (Rᵀ, Lᵀ) is the pair itself iff L = Rᵀ, that is, iff abelian
+            assert (p.trivial, p.commutative, p.abelian, p.self_dual) == (
+                trivial, commutative, abelian, abelian), (left, right)
+            le, re = bytes(left.entries), bytes(right.entries)  # as classify passes them
+            assert _pair_flags(le, re, left.order)[:3] == (trivial, commutative, abelian)
 
 
 # The pair axioms as the module docstring writes them, with L(x, y) = x -| y

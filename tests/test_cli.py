@@ -380,6 +380,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_enumerate_out_writes_what_stdout_gets(tmp_path, capsys):
+    argv = ["enumerate", "--order", "3", "--kind", "doppelsemigroup"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "classes.jsonl"
+    assert main([*argv, "--out", str(target)]) == 0  # -W error: an unclosed file fails here
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["check", "/nonexistent/table.txt"]) == 2
     assert "error:" in capsys.readouterr().err
