@@ -61,7 +61,7 @@ from dimonoids import (DiStructure, automorphisms, canonical_form, classify, dop
                        enumerate_structures, enumeration, identify_group, iso, left_zero,
                        null_semigroup, render_report)
 from dimonoids.axioms import _pair_flags  # noqa: E402
-from exhaustive import _min_key  # noqa: E402
+from exhaustive import _min_key, trie_paths  # noqa: E402
 
 REPEATS = 5
 SAMPLES = 3  # speed samples on each side of a timed row
@@ -209,7 +209,8 @@ def main(argv):
         row = {"stage": "translations", "order": n, "kind": "doppelsemigroup",
                "lefts": len(sample)}
         timed(row, lambda: translations(sets, n))
-        rows.append({**row, "tables": sum(len(doppel.commutant(maps, n)) for maps in sets)})
+        rows.append({**row, "tables": sum(len(trie_paths(*doppel.commutant_masks(maps, n), n))
+                                            for maps in sets)})
         # representatives the census does not search: for dimonoids, those D1 decides
         decided = sum(enumeration._decided_by_d1(le, n, "dimonoid") for le, _ in reps)
         derived = len(doppel.transpose_partners(reps, n))

@@ -207,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="catalog_command", required=True)
     pl = csub.add_parser("list", help="list named structures with their tables")
     pl.add_argument("--order", type=int, help="restrict to one order (default 1..3)")
-    pl.add_argument("--kind", choices=ENUM_KINDS + ("any",), default=SEMIGROUP)
+    pl.add_argument("--kind", choices=ENUM_KINDS + ("any",), default=SEMIGROUP,
+                    help="semigroup (default) or any: the named semigroups; dimonoid or "
+                         "doppelsemigroup: that kind's named pair candidates")
     _add_out(pl)
     pl.set_defaults(fn=_cmd_catalog)
     pb = csub.add_parser("build", help="build a named structure")

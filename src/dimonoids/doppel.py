@@ -6,10 +6,12 @@ that is, is a left translation of (S, L) in the sense of Clifford and
 Preston (The Algebraic Theory of Semigroups I, 1961).  D4,
 R[L[x][y]][z] = L[x][R[y][z]], holds iff every column x -> R[x][z] commutes
 with each left translation u -> L[x][u]: it is a right translation.
-`commutant_masks` finds either set as a prefix tree, from which
-`enumeration._search` takes each cell's values, so a kind with both
-identities checks neither per cell.  Dimonoids keep D2 as a checked
-identity: there the row sets cut few nodes and cost more than they save.
+`commutant_masks` finds either set as a prefix tree, by one depth-first
+search over a map's positions that decides each commutation check at the
+last position it reads; `enumeration._search` takes each cell's values from
+the trees, so a kind with both identities checks neither per cell.
+Dimonoids keep D2 as a checked identity: there the row sets cut few nodes
+and cost more than they save.
 
 And (L, R) is a doppelsemigroup iff (Lᵀ, Rᵀ) is one.  So a representative
 L whose transpose lies in the class of a smaller representative P is not
@@ -28,88 +30,48 @@ from .iso import _least, _left_coset
 from .tables import _inverse, _relabeling, _transposed
 
 
-def commutant(maps, n: int):
-    """Every map f of range(n), as a tuple, with f[T[u]] = T[f[u]] for each T in maps and
-    each u, in lexicographic order.
-
-    f[u] decides f on every element a walk from u through the maps reaches,
-    so f is searched only at generators, the elements no earlier walk
-    reached: each value of f at a generator is walked on and checked against
-    the values already set, and a conflict cuts the branch.
-    """
-    rng = range(n)
-    maps = set(maps)
-    maps.discard(tuple(rng))  # the identity commutes with every map
-    # per generator u, the steps (x, T, y = T[x]) of a breadth-first walk from u
-    walks = []
-    reached = set()
-    for u in rng:
-        if u in reached:
-            continue
-        reached.add(u)
-        todo = [u]
-        steps = []
-        for x in todo:
-            for T in maps:
-                y = T[x]
-                steps.append((x, T, y))
-                if y not in reached:
-                    reached.add(y)
-                    todo.append(y)
-        walks.append((u, steps))
-    out = []
-    _grow(walks, 0, [-1] * n, out)
-    return out
-
-
-def _grow(walks, i, f, out):
-    """Append to out each completion of f, set at the generators of walks[:i], that
-    commutes with the maps, in lexicographic order.  A module function, not a
-    closure over itself, so that a call leaves no reference cycle behind."""
-    if i == len(walks):
-        out.append(tuple(f))
-        return
-    u, steps = walks[i]
-    for v in range(len(f)):
-        f[u] = v
-        undo = [u]
-        for x, T, y in steps:
-            w = T[f[x]]
-            if f[y] < 0:
-                f[y] = w
-                undo.append(y)
-            elif f[y] != w:
-                break
-        else:
-            _grow(walks, i + 1, f, out)
-        for y in undo:
-            f[y] = -1
-
-
 @lru_cache(maxsize=None)
 def commutant_masks(maps: frozenset, n: int):
-    """The prefix tree of `commutant(maps, n)` down to the maps' last position:
-    (mask, child), where node 0 is the empty prefix, mask[node] has bit v set iff
-    some map continues that prefix with v, and child[node * n + v] is the node of
-    the prefix so continued.  Kept per set of maps, since left tables share them:
-    the 252 sets of the 126 searched order-4 representatives are 180 distinct ones."""
+    """The prefix tree of the maps f of range(n) with f[T[u]] = T[f[u]] for each T in maps
+    and each u, down to their last position: (mask, child), where node 0 is the empty
+    prefix, mask[node] has bit v set iff some map continues that prefix with v, and
+    child[node * n + v] is the node of the prefix so continued.  Kept per set of maps, since
+    left tables share them: the 252 sets of the 126 searched order-4 representatives are
+    180 distinct ones.  checks[u] holds each (x, T), T not the identity, whose check
+    f[T[x]] = T[f[x]] the search first decides at position u = max(x, T[x])."""
+    checks = [[] for _ in range(n)]
+    for T in maps:
+        if T != tuple(range(n)):
+            for x in range(n):
+                checks[max(x, T[x])].append((x, T))
     mask = [0]
     child = [0] * n
-    path = [0] * n  # path[j]: the node of the previous map's first j values
-    prev = (-1,) * n
-    for f in commutant(maps, n):  # sorted and distinct
-        j = 0
-        while f[j] == prev[j]:  # the shared prefix has its nodes already
-            j += 1
-        for j in range(j, n):
-            node = path[j]
-            mask[node] |= 1 << f[j]
-            if j + 1 < n:
-                path[j + 1] = child[node * n + f[j]] = len(mask)
+    _fill(checks, [0] * n, 0, 0, mask, child)
+    return tuple(mask), tuple(child)
+
+
+def _fill(checks, f, u, node, mask, child):
+    """Fill the subtree of node, the prefix f[:u], and return whether it has a completion.
+    A child node is made before the search descends, so nodes come in preorder, and is
+    deleted with every node made under it if it has none.  A module function, not a
+    closure over itself, so that a call leaves no reference cycle behind."""
+    n = len(f)
+    for v in range(n):
+        f[u] = v
+        for x, T in checks[u]:
+            if f[T[x]] != T[f[x]]:
+                break
+        else:
+            if u + 1 < n:
+                k = len(mask)
                 mask.append(0)
                 child += [0] * n
-        prev = f
-    return tuple(mask), tuple(child)
+                if not _fill(checks, f, u + 1, k, mask, child):
+                    del mask[k:], child[k * n:]
+                    continue
+                child[node * n + v] = k
+            mask[node] |= 1 << v
+    return mask[node] != 0
 
 
 @lru_cache(maxsize=None)

@@ -14,13 +14,13 @@ Import with `tests/` on the path (pytest puts it there; scripts set
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from math import factorial
 from unittest import mock
 
 from dimonoids import classify, enumeration
 from dimonoids.axioms import DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS, identity_witness
-from dimonoids.doppel import transpose_partners, transposed_right_tables
+from dimonoids.doppel import commutant_masks, transpose_partners, transposed_right_tables
 from dimonoids.enumeration import _reps, _search, enumerate_structures
 from dimonoids.iso import (CanonicalKey, GroupId, _least, _matches, _perm_data, _perm_order,
                            automorphisms, canonical_form, distructure_from_key, identify_group)
@@ -158,6 +158,64 @@ def check_transposed(n, step=1):
                 raise AssertionError(f"order-{n} {kind} representative {le}: the right tables "
                                      f"transposed from {partner} by {q[0]} differ from a search")
     return len(reps) - len(derived), len(derived)
+
+
+def brute_force_translations(le, n):
+    """(rows, columns) a right table may have under D2 and D4, from all n^n maps: the maps
+    commuting with every u -> L[u][z], and those commuting with every u -> L[x][u]."""
+    maps = list(product(range(n), repeat=n))
+    return ([f for f in maps
+             if all(f[le[u * n + z]] == le[f[u] * n + z] for u in range(n) for z in range(n))],
+            [f for f in maps
+             if all(f[le[x * n + u]] == le[x * n + f[u]] for x in range(n) for u in range(n))])
+
+
+def trie_paths(mask, child, n):
+    """The complete maps of a `commutant_masks` tree (mask, child), in lexicographic order."""
+    level = [((), 0)]
+    for j in range(n):
+        level = [(f + (v,), child[node * n + v] if j + 1 < n else None)
+                 for f, node in level for v in range(n) if mask[node] >> v & 1]
+    return [f for f, _ in level]
+
+
+def check_translation_trees(le, n):
+    """(rows, columns) of `brute_force_translations(le, n)`, once the trees the
+    doppelsemigroup search takes from L's columns and rows hold exactly those maps, and
+    each prefix's mask exactly the values that continue it to one of them."""
+    sets = brute_force_translations(le, n)
+    for maps, expected in zip(({le[z::n] for z in range(n)},
+                               {le[x * n:x * n + n] for x in range(n)}), sets):
+        mask, child = commutant_masks(frozenset(maps), n)
+        continued = {}
+        for f in expected:
+            for j in range(n):
+                continued[f[:j]] = continued.get(f[:j], 0) | 1 << f[j]
+        if trie_paths(mask, child, n) != expected:
+            raise AssertionError(f"order-{n} left table {le}: the tree's maps differ from "
+                                 f"the brute-force filter")
+        for f in expected:
+            node = 0
+            for j in range(n):
+                if mask[node] != continued[f[:j]]:
+                    raise AssertionError(f"order-{n} left table {le}: the mask of prefix "
+                                         f"{f[:j]} differs from the values that continue it")
+                node = child[node * n + f[j]] if j + 1 < n else None
+    return sets
+
+
+def check_translations(n, step=1):
+    """How many order-n representatives were checked, once every step-th one's translation
+    trees pass `check_translation_trees` and its sets hold L's own rows and columns, which
+    commute with the translations since L is associative."""
+    checked = _reps(n)[::step]
+    for le, _ in checked:
+        rows, cols = check_translation_trees(le, n)
+        if not ({le[x * n:x * n + n] for x in range(n)} <= set(rows)
+                and {le[z::n] for z in range(n)} <= set(cols)):
+            raise AssertionError(f"order-{n} representative {le}: its own rows or columns "
+                                 f"are missing from its translations")
+    return len(checked)
 
 
 def check_census_classes(result, step=1):
