@@ -88,32 +88,36 @@ def classify(result: EnumerationResult) -> ClassificationReport:
     """Name, flag, and group every class of an enumeration result, read from its key.
 
     Each distinct automorphism group is named once, and each dual key is
-    found once per dual pair and given to both classes.
+    found once per dual pair and given to both classes.  The name map, the
+    groups, the dual keys and the rows are each logged as a stage.
     """
-    start = time.perf_counter()
-    n = result.order
+    n, kind = result.order, result.kind
     nn = n * n
-    names = _name_map(n, result.kind)
+    start = time.perf_counter()
+    names = _name_map(n, kind)
+    start = log_info(__name__, start, "order %d: %s name map of %d names", n, kind, len(names))
+    groups = {aut: identify_group([Permutation(p) for p, _ in aut])
+              for aut in dict.fromkeys(result.auts)}  # Aut(D) -> its GroupId
+    start = log_info(__name__, start, "order %d: %d distinct Aut groups named", n, len(groups))
+    flags = []
+    dual_keys: dict = {}  # key -> dual key, the partner's filled with its own
+    for key in result.keys:
+        *flag, lt, rt = _pair_flags(key[:nn], key[nn:], n)
+        flags.append(flag)
+        if key not in dual_keys:
+            dual_key = dual_keys[key] = bytes(_coset_reach(rt, lt, n)[0])
+            dual_keys[dual_key] = key
+    start = log_info(__name__, start, "order %d: dual keys of %d classes", n, len(flags))
     rows = []
     unnamed_seq = 0
-    groups: dict = {}  # Aut(D) -> its GroupId
-    dual_keys: dict = {}  # key -> dual key, filled from the partner
-    for key, aut in zip(result.keys, result.auts):
-        trivial, commutative, abelian, lt, rt = _pair_flags(key[:nn], key[nn:], n)
+    for key, aut, (trivial, commutative, abelian) in zip(result.keys, result.auts, flags):
         name = names.get(key)
         if name is None:
             unnamed_seq += 1
             name = f"unnamed-{n}-{unnamed_seq}"
-        group = groups.get(aut)
-        if group is None:
-            group = groups[aut] = identify_group([Permutation(p) for p, _ in aut])
-        dual_key = dual_keys.get(key)
-        if dual_key is None:
-            dual_key = bytes(_coset_reach(rt, lt, n)[0])
-            dual_keys[dual_key] = key
         rows.append(ClassRow(key=key.hex(), name=name, trivial=trivial,
                              commutative=commutative, abelian=abelian,
-                             aut=group, dual_key=dual_key.hex()))
+                             aut=groups[aut], dual_key=dual_keys[key].hex()))
     rows = tuple(rows)
     _check_census(result, rows)
     nonabelian = sum(1 for r in rows if not r.abelian)
@@ -130,10 +134,8 @@ def classify(result: EnumerationResult) -> ClassificationReport:
         "nonabelian_self_paired": self_paired_nonabelian,
         "unnamed": sum(1 for r in rows if r.name.startswith("unnamed-")),
     }
-    log_info(__name__, "order %d: %d %s classes classified in %.2f s",
-             result.order, len(rows), result.kind, time.perf_counter() - start)
-    return ClassificationReport(order=result.order, kind=result.kind,
-                                rows=rows, summary=summary)
+    log_info(__name__, start, "order %d: %d %s rows built and checked", n, len(rows), kind)
+    return ClassificationReport(order=n, kind=kind, rows=rows, summary=summary)
 
 
 def classify_order(n: int, kind: str = DIMONOID) -> ClassificationReport:
@@ -230,4 +232,7 @@ def render_report(report: ClassificationReport, fmt: str = "markdown") -> str:
         renderer = _RENDERERS[fmt]
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_RENDERERS)}")
-    return renderer(report)
+    start = time.perf_counter()
+    text = renderer(report)
+    log_info(__name__, start, "order %d: %s report rendered as %s", report.order, report.kind, fmt)
+    return text

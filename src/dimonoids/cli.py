@@ -8,13 +8,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from itertools import chain
 
 from . import catalog
 from .classify import classify_order, render_report, solve_problem1
 from .axioms import (DIMONOID, DOPPELSEMIGROUP, check_structure,
                      dimonoid_profile, is_associative, semigroup_profile)
-from .enumeration import (ENUM_KINDS, SEMIGROUP, enumerate_structures,
-                          write_classes_jsonl)
+from .enumeration import ENUM_KINDS, SEMIGROUP, class_lines, enumerate_structures
 from .iso import are_isomorphic, automorphisms, canonical_form, identify_group
 from .tables import (DiStructure, OpTable, format_distructure, format_table, log_info,
                      parse_structure)
@@ -33,19 +34,16 @@ def _as_pair(obj) -> DiStructure:
     return obj
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
-
-
-def _emit(text: str, out_path):
-    stream = _open_out(out_path)
-    try:
-        stream.write(text)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+def _emit(chunks, out_path):
+    """Write the text chunks, an iterable of strings, to out_path or, if None, to stdout;
+    log the write as a stage."""
+    start = time.perf_counter()
+    if out_path is None:
+        sys.stdout.writelines(chunks)
+    else:
+        with open(out_path, "w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
+    log_info("dimonoids", start, "output written to %s", out_path or "stdout")
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +83,7 @@ def _cmd_check(args) -> int:
         code = 0 if verdicts[args.kind].ok else 1
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n" if args.json \
         else "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit([text], args.out)
     return code
 
 
@@ -96,11 +94,11 @@ def _cmd_catalog(args) -> int:
         except catalog.ParameterError:
             pass  # a pair name, or a name build_structure refuses with the message
         else:
-            _emit(format_table(table) + "\n", args.out)
+            _emit([format_table(table) + "\n"], args.out)
             return 0
         kind = None if args.kind == "any" else args.kind
         d = catalog.build_structure(args.name, kind=kind)
-        _emit(format_distructure(d) + "\n", args.out)
+        _emit([format_distructure(d) + "\n"], args.out)
         return 0
     # list
     orders = [1, 2, 3] if args.order is None else [args.order]
@@ -112,7 +110,7 @@ def _cmd_catalog(args) -> int:
         if args.kind in (DIMONOID, DOPPELSEMIGROUP):
             for name, d in catalog.named_structures(n, args.kind):
                 chunks.append(f"# {name}\n{format_distructure(d)}\n")
-    _emit("\n".join(chunks), args.out)
+    _emit(["\n".join(chunks)], args.out)
     return 0
 
 
@@ -120,13 +118,13 @@ def _cmd_iso(args) -> int:
     d1 = _as_pair(_read_structure(args.file1))
     d2 = _as_pair(_read_structure(args.file2))
     if d1.order != d2.order:
-        _emit("not isomorphic (different orders)\n", args.out)
+        _emit(["not isomorphic (different orders)\n"], args.out)
         return 1
     perm = are_isomorphic(d1, d2)
     if perm is None:
-        _emit("not isomorphic\n", args.out)
+        _emit(["not isomorphic\n"], args.out)
         return 1
-    _emit("isomorphic via " + " ".join(map(str, perm.images)) + "\n", args.out)
+    _emit(["isomorphic via " + " ".join(map(str, perm.images)) + "\n"], args.out)
     return 0
 
 
@@ -137,35 +135,29 @@ def _cmd_aut(args) -> int:
     lines = [" ".join(map(str, p.images)) for p in auts]
     lines.append(f"group: {group.name} (order {group.order})")
     lines.append(f"canonical key: {canonical_form(d).hex}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
 def _cmd_dual(args) -> int:
     obj = _read_structure(args.file)
     if isinstance(obj, OpTable):
-        _emit(format_table(obj.transpose()) + "\n", args.out)
+        _emit([format_table(obj.transpose()) + "\n"], args.out)
     else:
-        _emit(format_distructure(obj.dual()) + "\n", args.out)
+        _emit([format_distructure(obj.dual()) + "\n"], args.out)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    log_info("dimonoids", "enumerating %s classes of order %d", args.kind, args.order)
     result = enumerate_structures(args.order, args.kind)
-    stream = _open_out(args.out)
-    try:
-        write_classes_jsonl(result, stream)
-        stream.write(json.dumps(result.summary(), sort_keys=True) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    lines = chain(class_lines(result), [json.dumps(result.summary(), sort_keys=True)])
+    _emit((line + "\n" for line in lines), args.out)
     return 0
 
 
 def _cmd_classify(args) -> int:
     report = classify_order(args.order, args.kind)
-    _emit(render_report(report, args.format), args.out)
+    _emit([render_report(report, args.format)], args.out)
     return 0
 
 
@@ -175,7 +167,7 @@ def _cmd_problem1(args) -> int:
     if args.format == "markdown":
         text = (f"Noncommutative nonabelian nontrivial dimonoid classes of order 3: "
                 f"{report.summary['total']}\n\n") + text
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0
 
 

@@ -297,16 +297,21 @@ def _reps(n: int):
 
     Raises RuntimeError unless the classes and orbit sizes match the OEIS counts.
     """
-    start = time.perf_counter()
     perms = _perm_data(n)
     reps = tuple((t, (perms[0], *aut)) for t, aut in _search(None, n, SEMIGROUP, perms[1:]))
     counts = (len(reps), sum(factorial(n) // len(aut) for _, aut in reps))
     if counts != _SEMIGROUP_COUNTS[n]:
         raise RuntimeError(f"order-{n} semigroup search found {counts[0]} classes of "
                            f"{counts[1]} tables, expected {_SEMIGROUP_COUNTS[n]}")
-    log_info(__name__, "order %d: %d semigroup classes (%d tables) in %.2f s",
-             n, *counts, time.perf_counter() - start)
     return reps
+
+
+def _logged_reps(n: int):
+    """(`_reps(n)`, the clock after its stage line): the census's first stage."""
+    start = time.perf_counter()
+    reps = _reps(n)
+    return reps, log_info(__name__, start, "order %d: %d semigroup representatives",
+                          n, len(reps))
 
 
 class EnumerationResult(Record):
@@ -362,25 +367,20 @@ def _pool_size(n: int) -> int:
     return max(1, min(cpus or 1, _SEMIGROUP_COUNTS[n][0] // 128))
 
 
-def _result(n: int, kind: str, classes, start=None) -> EnumerationResult:
-    """One class per (key, Aut) item, sorted by key; logs a pair search begun at start, if any."""
+def _result(n: int, kind: str, classes, start: float) -> EnumerationResult:
+    """One class per (key, Aut) item, sorted by key; logs this keying stage, begun at start."""
     labeled = sum(factorial(n) // len(aut) for _, aut in classes)
-    if start is not None:
-        log_info(__name__, "order %d: %s pair search found %d labeled in %.2f s",
-                 n, kind, labeled, time.perf_counter() - start)
-    start = time.perf_counter()
     keys, auts = zip(*sorted(classes))  # keys are distinct, so no group is compared
-    log_info(__name__, "order %d: %d %s classes keyed in %.2f s",
-             n, len(keys), kind, time.perf_counter() - start)
+    log_info(__name__, start, "order %d: %d %s classes (%d labeled) keyed",
+             n, len(keys), kind, labeled)
     return EnumerationResult(order=n, kind=kind, labeled_count=labeled, keys=keys, auts=auts)
 
 
 def _enumerate_pairs(n: int, kind: str):
     _check_order(n)
-    reps = _reps(n)
-    start = time.perf_counter()
-    missing = [(le, aut) for le, aut in reps
-               if (le, kind) not in _RIGHT_TABLES and not _decided_by_d1(le, n, kind)]
+    reps, start = _logged_reps(n)
+    undecided = [(le, aut) for le, aut in reps if not _decided_by_d1(le, n, kind)]
+    missing = [item for item in undecided if (item[0], kind) not in _RIGHT_TABLES]
     partners = {}
     if kind == DOPPELSEMIGROUP:
         from .doppel import transpose_partners, transposed_right_tables
@@ -394,8 +394,6 @@ def _enumerate_pairs(n: int, kind: str):
         # imported here: a serial command should not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        log_info(__name__, "order %d: %d worker processes search %d representatives",
-                 n, workers, len(missing))
         lefts, auts = zip(*missing)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # 16 representatives a task: 4 and 64 ran no faster at order 5
@@ -411,13 +409,18 @@ def _enumerate_pairs(n: int, kind: str):
                 _RIGHT_TABLES[partner, kind], q, aut, n)
         head = bytes(le)
         classes += ((head + re, group) for re, group in _right_tables(le, aut, n, kind))
+    start = log_info(__name__, start, "order %d: %s pair search over %d representatives (%d "
+                     "searched by %d worker(s), %d decided by D1, %d derived by transposition)",
+                     n, kind, len(reps), len(missing), max(workers, 1),
+                     len(reps) - len(undecided), len(partners))
     return _result(n, kind, classes, start)
 
 
 def enumerate_semigroups(n: int) -> EnumerationResult:
     """Associative tables up to isomorphism, each the trivial pair (L, L) of a representative."""
     _check_order(n)
-    return _result(n, SEMIGROUP, [(bytes(le + le), aut) for le, aut in _reps(n)])
+    reps, start = _logged_reps(n)
+    return _result(n, SEMIGROUP, [(bytes(le + le), aut) for le, aut in reps], start)
 
 
 def enumerate_dimonoids(n: int) -> EnumerationResult:
@@ -449,8 +452,3 @@ def class_lines(result: EnumerationResult):
             "left": rows[:n],
             "right": rows[n:],
         }, sort_keys=True)
-
-
-def write_classes_jsonl(result: EnumerationResult, stream):
-    for line in class_lines(result):
-        stream.write(line + "\n")

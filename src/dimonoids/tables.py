@@ -13,20 +13,25 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import sys
+import time
 from itertools import chain, permutations
 from operator import itemgetter
 
 
-def log_info(name: str, msg: str, *args) -> None:
-    """Log msg % args at INFO through logger name, if `logging` is loaded.
+def log_info(name: str, start: float, msg: str, *args) -> float:
+    """Log a stage begun at start (a `time.perf_counter()` reading) and ended now as
+    `msg % args in <seconds> s` at INFO through logger name, if `logging` is loaded; return
+    now, where the next stage begins.
 
-    Until something imports `logging` no handler is configured, so an INFO
-    record would go nowhere; skipping it keeps the module out of a cold
-    start.  The CLI imports it under -v.
+    Every line the CLI logs under -v has this form, and `bench/search.py` reads the seconds
+    from its tail.  Until something imports `logging` no handler is configured, so an INFO
+    record would go nowhere; skipping it keeps the module out of a cold start.
     """
+    now = time.perf_counter()
     logging = sys.modules.get("logging")
     if logging is not None:
-        logging.getLogger(name).info(msg, *args)
+        logging.getLogger(name).info(msg + " in %.4f s", *args, now - start)
+    return now
 
 
 class TableFormatError(ValueError):

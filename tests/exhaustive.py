@@ -1,7 +1,8 @@
-"""Exhaustive references the tests, `.github/order5_census.py` and `bench/search.py`
-compare the package's searches, relabeling and group naming with, the
-case-by-case `+0`, `+1` and `~1` builders the tests compare the catalog's tables
-with, and the census checks built on them.  None of them runs in a command.
+"""Exhaustive references the tests and `.github/order5_census.py` compare the package's
+searches, relabeling and group naming with, the case-by-case `+0`, `+1` and `~1`
+builders the tests compare the catalog's tables with, and the census checks built on
+them.  None of them runs in a command.  Outside `tests/` this module is the one bridge
+to the package's private names: CI fails if a file under `bench/` or `.github/` names one.
 
 Each census check (`check_*`) has this one implementation: tier-1 runs it at
 orders 1-4 on every item, and `.github/order5_census.py` at order 5 on every

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -202,16 +203,48 @@ def test_classify_without_verbose_leaves_logging_unloaded():
     assert done.stdout == "False\n"
 
 
+# every stage each command logs under -v, in order, without its "in <seconds> s" tail
+STAGES = {
+    ("classify", "--order", "3", "--kind", "dimonoid", "--format", "json"): [
+        "order 3: 24 semigroup representatives",
+        "order 3: dimonoid pair search over 24 representatives (12 searched by 1 worker(s), "
+        "12 decided by D1, 0 derived by transposition)",
+        "order 3: 52 dimonoid classes (267 labeled) keyed",
+        "order 3: dimonoid name map of 47 names",
+        "order 3: 4 distinct Aut groups named",
+        "order 3: dual keys of 52 classes",
+        "order 3: 52 dimonoid rows built and checked",
+        "order 3: dimonoid report rendered as json",
+        "output written to stdout"],
+    ("classify", "--order", "3", "--kind", "semigroup"): [
+        "order 3: 24 semigroup representatives",
+        "order 3: 24 semigroup classes (113 labeled) keyed",
+        "order 3: semigroup name map of 24 names",
+        "order 3: 4 distinct Aut groups named",
+        "order 3: dual keys of 24 classes",
+        "order 3: 24 semigroup rows built and checked",
+        "order 3: semigroup report rendered as markdown",
+        "output written to stdout"],
+    ("enumerate", "--order", "3", "--kind", "doppelsemigroup"): [
+        "order 3: 24 semigroup representatives",
+        "order 3: doppelsemigroup pair search over 24 representatives (18 searched by 1 "
+        "worker(s), 0 decided by D1, 6 derived by transposition)",
+        "order 3: 77 doppelsemigroup classes (413 labeled) keyed",
+        "output written to stdout"],
+}
+
+
 def test_verbose_logs_each_stage():
-    done = _python(CLI, "-v", "classify", "--order", "3", "--kind", "dimonoid")
-    assert done.returncode == 0, done.stderr
-    assert [line.rsplit(" in ", 1)[0] for line in done.stderr.splitlines()] == [
-        "INFO order 3: 24 semigroup classes (113 tables)",
-        "INFO order 3: dimonoid pair search found 267 labeled",
-        "INFO order 3: 52 dimonoid classes keyed",
-        # the catalog's order-2 tier expands the leaders of the order-2 representatives
-        "INFO order 2: 5 semigroup classes (8 tables)",
-        "INFO order 3: 52 dimonoid classes classified"]
+    # bench/search.py reads each stage's seconds from the line's tail
+    for argv, stages in STAGES.items():
+        quiet = _python(CLI, *argv)
+        done = _python(CLI, "-v", *argv)
+        assert done.returncode == quiet.returncode == 0, done.stderr
+        assert done.stdout == quiet.stdout, argv  # -v writes to stderr alone
+        lines = [re.fullmatch(r"INFO (.+) in \d+\.\d{4} s", line)
+                 for line in done.stderr.splitlines()]
+        assert all(lines), done.stderr
+        assert [m[1] for m in lines] == stages
 
 
 def test_catalog_list(capsys):

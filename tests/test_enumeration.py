@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import gc
-import io
 import json
 import multiprocessing
 import os
@@ -25,7 +24,7 @@ from dimonoids import enumeration
 from dimonoids.axioms import assoc_witness, identity_witness
 from dimonoids.doppel import commutant_masks
 from dimonoids.enumeration import (ENUM_KINDS, _SEMIGROUP_DUAL_CLASSES, _reps, _search,
-                                   class_lines, write_classes_jsonl)
+                                   class_lines)
 from dimonoids.iso import _perm_data
 from exhaustive import (_min_key, _pair_axioms_hold, _stabilizer, check_burnside,
                         check_d1_decided, check_pool_sizes, check_rep_groups, check_transposed,
@@ -185,15 +184,6 @@ def test_class_lines_schema():
         assert obj["key"] == key.hex
         assert obj["left"] == [list(r) for r in rep.left.rows()]
         assert obj["right"] == [list(r) for r in rep.right.rows()]
-
-
-def test_write_classes_jsonl():
-    result = enumerate_semigroups(2)
-    buf = io.StringIO()
-    write_classes_jsonl(result, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == 5
-    assert all(json.loads(line)["kind"] == "semigroup" for line in lines)
 
 
 @pytest.mark.parametrize("kind", KINDS)
