@@ -36,12 +36,14 @@ classes up to duality against OEIS A001423, and the sum of 5!/|Aut(D)| against
 the labeled count.  The counts, the unnamed counts of the order-5 catalog, the
 sha256 of each kind's name map (its named rows' keys and names) and the sha256
 of each pair kind's JSON report, the bytes of `dimonoids classify --order 5
---kind K --format json`, are compared with the values pinned below: order 5 is
-the only order whose census runs in the pool, so `tests/cli_manifest.txt`,
-which stops at order 4, cannot pin it.  Spawned workers import this file
-again, which is why the work runs under the `__main__` guard.
+--kind K --format json`, are compared with the values pinned below, and that
+report, parsed, with its `to_json()`: order 5 is the only order whose census
+runs in the pool, so `tests/cli_manifest.txt`, which stops at order 4, cannot
+pin it.  Spawned workers import this file again, which is why the work runs
+under the `__main__` guard.
 """
 import hashlib
+import json
 import multiprocessing
 import time
 
@@ -66,8 +68,8 @@ NAME_MAP_SHA256 = {
 
 # sha256 of `dimonoids classify --order 5 --kind K --format json`
 REPORT_JSON_SHA256 = {
-    "dimonoid": "54de62119f2ff20666f2001c5395ffaf9dfee01c18c96354ac1cfc62d0bb03ed",
-    "doppelsemigroup": "5fed3d2e6485ef9b41856ff8b95aa5948f9c2e0ff062e5b1007c3c4bd3a5cc57",
+    "dimonoid": "77be88fed523c9eb52b2b02b58feef260c5ade5f138b88f49c68798a9c623b32",
+    "doppelsemigroup": "a42b3defc6de7a4b4f7d925897d01e47c2610ecda1f62a3d9b33662e0e80b7d8",
 }
 
 
@@ -85,12 +87,18 @@ def check_name_map(report):
     print(f"order-5 {report.kind} name map: {len(named)} names agree with the pinned sha256")
 
 
-def check_report_bytes(report):
-    """Compare the sha256 of report's JSON rendering with the pinned value."""
-    if sha256(render_report(report, "json")) != REPORT_JSON_SHA256[report.kind]:
+def check_report(report):
+    """Compare report's JSON rendering with the pinned sha256 and, parsed, with its
+    `to_json`."""
+    text = render_report(report, "json")
+    if sha256(text) != REPORT_JSON_SHA256[report.kind]:
         raise SystemExit(f"order-5 {report.kind}: the JSON report differs from the pinned "
                          f"sha256")
-    print(f"order-5 {report.kind} JSON report agrees with the pinned sha256")
+    if json.loads(text) != report.to_json():
+        raise SystemExit(f"order-5 {report.kind}: the JSON report does not parse to its "
+                         f"to_json()")
+    print(f"order-5 {report.kind} JSON report agrees with the pinned sha256 and parses to "
+          f"its to_json()")
 
 
 def main():
@@ -127,7 +135,7 @@ def main():
         check_name_map(report)
         if kind == "semigroup":
             continue
-        check_report_bytes(report)
+        check_report(report)
         if kind == "dimonoid":
             decided = check_d1_decided(5, DECIDED_STEP)
             print(f"order-5 {kind} representatives: {len(reps) - decided} searched, "

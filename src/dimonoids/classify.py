@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import io
 import json
-import re
 import time
 from functools import lru_cache
 from math import factorial
@@ -203,25 +202,12 @@ def render_csv(report: ClassificationReport) -> str:
 
 
 def render_json(report: ClassificationReport) -> str:
-    """`json.dumps(report.to_json(), sort_keys=True, indent=2)` and a newline, without the
-    pure-Python encoder that indent selects: the rows are one C-encoded dump whose separators
-    break the lines, each group's index then replaced by its Aut block, laid out once.  No JSON
-    string holds a line break or an unescaped quote, so '},' and a line break only end a row
-    and '"aut": ' only starts that field."""
-    groups: dict = {}  # GroupId -> its index; a row's JSON fields are its record fields
-    fields = [{**row.__dict__, "aut": groups.setdefault(row.aut, len(groups))}
-              for row in report.rows]
-    blocks = [json.dumps(json_fields(g), sort_keys=True, indent=2).replace("\n", "\n      ")
-              for g in groups]
-    text = json.dumps(ClassificationReport(report.order, report.kind, (), report.summary)
-                      .to_json(), sort_keys=True, indent=2)
-    if fields:
-        rows = json.dumps(fields, sort_keys=True, separators=(",\n      ", ": "))
-        rows = re.sub(r'"aut": (\d+)', lambda m: '"aut": ' + blocks[int(m[1])],
-                      rows[2:-2].replace("},\n      {", "\n    },\n    {\n      "))
-        text = text.replace('\n  "rows": []', '\n  "rows": [\n    {\n      ' + rows
-                            + "\n    }\n  ]", 1)
-    return text + "\n"
+    """`json.dumps(report.to_json(), sort_keys=True)` and a newline, with each distinct
+    group's JSON made once, so that the C encoder takes the rows' record fields as they are."""
+    groups = {aut: json_fields(aut) for aut in {row.aut for row in report.rows}}
+    rows = [{**row.__dict__, "aut": groups[row.aut]} for row in report.rows]
+    head = ClassificationReport(report.order, report.kind, (), report.summary).to_json()
+    return json.dumps({**head, "rows": rows}, sort_keys=True) + "\n"
 
 
 _RENDERERS = {"markdown": render_markdown, "csv": render_csv, "json": render_json}

@@ -132,15 +132,6 @@ class OpTable(Record):
         self.__dict__.update(order=order, entries=entries)
 
     @classmethod
-    def from_rows(cls, rows) -> "OpTable":
-        """The table with these rows; entries must be ints, and bools are refused."""
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("rows must form a square table")
-        return cls(n, tuple(v for r in rows for v in r))
-
-    @classmethod
     def from_function(cls, n: int, fn) -> "OpTable":
         return cls(n, tuple(fn(x, y) for x in range(n) for y in range(n)))
 

@@ -104,7 +104,7 @@ def test_trivial_dimonoid():
     d = trivial_dimonoid(cyclic(3))
     assert d.left == d.right == cyclic(3)
     with pytest.raises(NotAssociativeError):
-        trivial_dimonoid(OpTable.from_rows([(1, 0), (0, 0)]))
+        trivial_dimonoid(OpTable(2, (1, 0, 0, 0)))
 
 
 def test_adjoin_zero_dimonoid():

@@ -234,9 +234,17 @@ STAGES = {
 }
 
 
-def test_verbose_logs_each_stage():
+def test_verbose_logs_each_stage(tmp_path):
     # bench/search.py reads each stage's seconds from the line's tail
-    for argv, stages in STAGES.items():
+    pair = _write(tmp_path / "lo3ro3.txt", LO3_RO3)
+    f1 = _write(tmp_path / "a.txt", "0 0 0\n1 1 1\n0 0 0\n")
+    f2 = _write(tmp_path / "b.txt", "0 0 0\n0 0 0\n2 2 2\n")  # relabeled copy
+    commands = {**STAGES,
+                ("aut", pair): ["order 3: 6 automorphisms", "order 3: Aut group of order 6 named",
+                                "order 3: canonical key", "output written to stdout"],
+                ("iso", f1, f2): ["order 3: matcher search found an isomorphism",
+                                  "output written to stdout"]}
+    for argv, stages in commands.items():
         quiet = _python(CLI, *argv)
         done = _python(CLI, "-v", *argv)
         assert done.returncode == quiet.returncode == 0, done.stderr
@@ -367,12 +375,12 @@ def test_cli_manifest_bytes(tmp_path, monkeypatch):
                          f"manifest:\n" + "\n".join(changed[:20]))
 
 
-# sha256 of `classify --order 4 --kind K --format json`, pinned when the report was
-# first rendered by `json.dumps(..., indent=2)`, before `render_json` laid it out itself
+# sha256 of `classify --order 4 --kind K --format json`, pinned from the reference
+# `json.dumps(report.to_json(), sort_keys=True)` and a newline, the bytes `render_json` writes
 ORDER4_JSON_SHA256 = {
-    "dimonoid": "74ae419165191f227c178f317052c188e9ee70f417f68f5ed8a03117730b574e",
-    "doppelsemigroup": "de21d68bdcbddfd8e383acc8ddfafe7875e62b8c5ba88461bf495367e0e35d58",
-    "semigroup": "355f53dd00aa9e1dfdaf858f4d1d60b823b54deb13df02efa6d9f04e19f28701",
+    "dimonoid": "75e798e08e1996989a15d6f6e26509d4fe69bb51d8c5575750dee09863e0d4d0",
+    "doppelsemigroup": "b57ae1dbc4301087ea951cb0aabd49a588ccf7086b1d0d523ded512613e83d66",
+    "semigroup": "5e0bb830b1319dd44b4a5c94922b05a76accf87e47fae672bfa5bef371d7c347",
 }
 
 
