@@ -1,6 +1,6 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 37 s with two workers on a two-core machine):
+Run from the repository root (about 24-28 s with two workers on a two-core machine):
 
     PYTHONPATH=src:tests python -X dev -W error .github/order5_census.py
 

@@ -191,10 +191,10 @@ class DimonoidProfile(Record):
     to_json = json_fields
 
 
-def _pair_flags(le, re, n: int):
+def _pair_flags(le, re, n: int, lt=None):
     """(trivial, commutative, abelian, Lᵀ, Rᵀ) of the flat tables le and re, both bytes or
-    both tuples, with their transposes of the same type."""
-    lt, rt = _transposed(le, n), _transposed(re, n)
+    both tuples, with their transposes of the same type; lt, if given, is Lᵀ."""
+    lt, rt = _transposed(le, n) if lt is None else lt, _transposed(re, n)
     return le == re, le == lt and re == rt, le == rt, lt, rt
 
 

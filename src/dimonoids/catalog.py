@@ -31,11 +31,12 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
-from .axioms import (IDENTITIES, KIND_AXIOMS, NotAssociativeError, _pair_flags, assoc_witness,
-                     check_structure, identity_witness, DIMONOID, DOPPELSEMIGROUP)
+from .axioms import (NotAssociativeError, assoc_witness, check_structure, DIMONOID,
+                     DOPPELSEMIGROUP)
 from .enumeration import MAX_ORDER, _check_order, _reps, _right_tables
-from .iso import _coset_reach, _perm_data, canonical_form
-from .tables import DiStructure, OpTable, Permutation, _inverse, _relabeling, apply_permutation
+from .iso import _coset_reach, _perm_data
+from .tables import (DiStructure, OpTable, Permutation, _inverse, _relabeling, _table,
+                     _transposed, apply_permutation)
 
 
 class ParameterError(ValueError):
@@ -46,7 +47,7 @@ class ParameterError(ValueError):
 # relabelings (order 7 takes about 2 s), and order 7 has 2,254 named semigroups
 MAX_RELABEL_ORDER = 7
 # Caps on names, checked before anything is built: the length bounds the nesting,
-# and +0, +1 and ~1 check associativity in O(n³) (order 64 takes about 0.3 s)
+# and the order the size of the n² tables built
 MAX_NAME_LENGTH = 256
 MAX_NAME_ORDER = 64
 
@@ -156,15 +157,9 @@ def _require(cond: bool, message: str):
         raise ParameterError(message)
 
 
-def _assert_assoc_preserved(src: OpTable, out: OpTable):
-    w = assoc_witness(out.entries, out.order)  # src only if out fails: one table checked
-    if w is not None and assoc_witness(src.entries, src.order) is None:
-        raise RuntimeError(f"construction broke associativity, witness (x, y, z) = {w}")
-    return out
-
-
 def _adjoin(t: OpTable, absorbing: bool, square: int) -> OpTable:
-    """t with a fresh element u at index n: u*s = s*u = u if absorbing, else s, and u*u = square."""
+    """t with a fresh element u at index n: u*s = s*u = u if absorbing, else s, and u*u = square,
+    associative if t is (for ~1, square is t's identity e, and each product is t's with u as e)."""
     n, e = t.order, t.entries
     out = []
     for x in range(n):
@@ -172,7 +167,7 @@ def _adjoin(t: OpTable, absorbing: bool, square: int) -> OpTable:
         out.append(n if absorbing else x)
     out += [n] * n if absorbing else range(n)
     out.append(square)
-    return _assert_assoc_preserved(t, OpTable(n + 1, out))
+    return _table(n + 1, tuple(out))
 
 
 def adjoin_zero(t: OpTable) -> OpTable:
@@ -230,16 +225,9 @@ def dual_dimonoid(d: DiStructure) -> DiStructure:
 
 
 def adjoin_zero_dimonoid(d: DiStructure) -> DiStructure:
-    """Adjoin one shared absorbing element to both tables."""
-    out = DiStructure(adjoin_zero(d.left), adjoin_zero(d.right))
-    # adjoin_zero keeps associativity, and a shared zero keeps each identity d satisfies
-    broken = {a for a, letters in IDENTITIES.items()
-              if identity_witness(letters, out.left.entries, out.right.entries, out.order)
-              and not identity_witness(letters, d.left.entries, d.right.entries, d.order)}
-    for kind in (DIMONOID, DOPPELSEMIGROUP):
-        if broken.intersection(KIND_AXIOMS[kind]):
-            raise RuntimeError(f"adjoining a zero broke the {kind} axioms")
-    return out
+    """Adjoin one shared absorbing element to both tables.  Each identity d satisfies holds
+    in the result, associativity too: both sides are the zero if x, y or z is, else d's."""
+    return DiStructure(adjoin_zero(d.left), adjoin_zero(d.right))
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +478,14 @@ def named_semigroups(n: int):
 
 
 @lru_cache(maxsize=32)
-def _semigroup_classes(n: int):
-    """(name, table, key, p) for the first named table of each semigroup class at order n.
-
-    key is the canonical key of (table, table), a tuple; p carries the table onto its left block.
-    """
-    classes: dict = {}
+def _semigroup_keys(n: int):
+    """(name, table, key, p) for each of `named_semigroups(n)`: key is the canonical key of
+    (table, table), a tuple, and p carries the table onto its left block."""
+    out = []
     for name, t in named_semigroups(n):
         key, reach = _coset_reach(t.entries, t.entries, n)
-        classes.setdefault(key, (name, t, key, reach[0][0]))
-    return tuple(classes.values())
+        out.append((name, t, key, reach[0][0]))
+    return tuple(out)
 
 
 def _special_pair_names(n: int):
@@ -510,11 +496,13 @@ def _special_pair_names(n: int):
 
 
 def _right_tables_of(key, p, aut, n: int, kind: str, positions):
-    """Right tables in positions of the table t whose relabeling by p is key's left block.
+    """(right table, its leader) for the right tables in positions of the table t whose
+    relabeling by p is key's left block.
 
     That block is the first table of t's relabeling orbit, the census's
     representative L of t's class, with Aut(L) given as aut, so t's right
-    tables are the Aut(L)-orbits of L's leaders, relabeled by p⁻¹.
+    tables are the Aut(L)-orbits of L's leaders, relabeled by p⁻¹, and the
+    canonical key of (t, R) is L followed by the leader of R's orbit.
     `enumeration._right_tables` holds the leaders after a census of this
     order and kind, and searches them only when none ran.  positions holds
     whole relabeling orbits, so a leader outside it is skipped with its orbit.
@@ -524,11 +512,10 @@ def _right_tables_of(key, p, aut, n: int, kind: str, positions):
     for re, _ in _right_tables(key[:n * n], aut, n, kind):
         if tuple(re) in positions:
             orbit = {tuple([q[re[j]] for j in g]) for q, g in aut}
-            out += (tuple([pinv[r[j]] for j in gather]) for r in orbit)
+            out += ((tuple([pinv[r[j]] for j in gather]), re) for r in orbit)
     return out
 
 
-@lru_cache(maxsize=32)
 def named_structures(n: int, kind: str):
     """(name, pair) candidates at order n for one kind, priority first.
 
@@ -547,29 +534,35 @@ def named_structures(n: int, kind: str):
     Raises ParameterError for a kind other than dimonoid or doppelsemigroup
     and ValueError for an order the enumeration does not support.
     """
+    return tuple(item[:2] for item in _named_candidates(n, kind))
+
+
+@lru_cache(maxsize=32)
+def _named_candidates(n: int, kind: str):
+    """`named_structures(n, kind)` with each pair's canonical key as bytes: the trivial
+    pairs' from `_semigroup_keys`, and the direct pairs' from the census's leaders."""
     if kind not in (DIMONOID, DOPPELSEMIGROUP):
         raise ParameterError(f"unknown pair kind {kind!r}; expected {DIMONOID!r} "
                              f"or {DOPPELSEMIGROUP!r}")
     _check_order(n)
-    out = [(name, DiStructure(t, t)) for name, t in named_semigroups(n)]
+    out = [(name, DiStructure(t, t), bytes(key)) for name, t, key, _ in _semigroup_keys(n)]
     if n >= 2:
-        seen_inner = set()
-        for name, d in named_structures(n - 1, kind):
-            if d.left == d.right:
-                continue
-            key = canonical_form(d).key
-            if key in seen_inner:
-                continue
-            seen_inner.add(key)
-            out.append((f"({name})+0", adjoin_zero_dimonoid(d)))
-        for name, d in _special_pair_names(n):
-            if check_structure(d, kind).ok:
-                out.append((name, d))
-        distinct = _semigroup_classes(n)
-        for _, t, _, _ in distinct:
-            w = assoc_witness(t.entries, n)
-            if w is not None:
-                raise NotAssociativeError(w)
+        seen_inner, keyless = set(), []
+        for name, d, key in _named_candidates(n - 1, kind):
+            if d.left != d.right and key not in seen_inner:
+                seen_inner.add(key)
+                keyless.append((f"({name})+0", adjoin_zero_dimonoid(d)))
+        keyless += ((name, d) for name, d in _special_pair_names(n) if check_structure(d, kind).ok)
+        out += ((name, d, bytes(_coset_reach(d.left.entries, d.right.entries, n)[0]))
+                for name, d in keyless)
+        classes: dict = {}  # the first named table of each semigroup class, by its key
+        for item in _semigroup_keys(n):
+            classes.setdefault(item[2], item)
+        distinct = tuple(classes.values())
+        left_auts = dict(_reps(n))
+        for _, t, key, _ in distinct:  # t is associative iff key's left block is a census table
+            if key[:n * n] not in left_auts:
+                raise NotAssociativeError(assoc_witness(t.entries, n))
         # index every relabeling of every distinct table by its entries, at the first
         # (table, relabeling) giving it
         positions: dict = {}
@@ -580,15 +573,15 @@ def named_structures(n: int, kind: str):
         # both components are (relabeled) associative tables checked above, so
         # the right tables are exactly the relabelings that pass the pair
         # axioms; the trivial pair is already named by the bare tier
-        left_auts = dict(_reps(n))
         for lname, lt, key, p in distinct:
+            head = bytes(key[:n * n])
             rights = _right_tables_of(key, p, left_auts[key[:n * n]], n, kind, positions)
-            hits = sorted((*positions[rt], rt) for rt in rights if rt != lt.entries)
-            abelian = lt.transpose().entries
+            hits = sorted((*positions[rt], rt, re) for rt, re in rights if rt != lt.entries)
+            abelian = _transposed(lt.entries, n)
             for ri, group in groupby(hits, key=itemgetter(0)):
-                block = sorted((rt for _, _, rt in group), key=lambda rt: rt != abelian)
-                out.extend((f"{lname}|{distinct[ri][0]}", DiStructure(lt, OpTable(n, rt)))
-                           for rt in block)
+                block = sorted((hit[2:] for hit in group), key=lambda hit: hit[0] != abelian)
+                out.extend((f"{lname}|{distinct[ri][0]}", DiStructure(lt, _table(n, rt)),
+                            head + re) for rt, re in block)
     return tuple(out)
 
 
@@ -604,18 +597,14 @@ def named_class_map(n: int, kind: str):
     """
     by_name: dict = {}
     by_key: dict = {}
-    for name, d in named_structures(n, kind):
-        if name in by_name:
-            continue
-        key = bytes(_coset_reach(d.left.entries, d.right.entries, n)[0])  # canonical_form(d).key
-        if key in by_key:
+    for name, d, key in _named_candidates(n, kind):
+        if name in by_name or key in by_key:
             continue
         by_key[key] = name
         by_name[name] = d
-        *_, lt, rt = _pair_flags(d.left.entries, d.right.entries, n)  # the dual is (Rᵀ, Lᵀ)
-        dual_key = bytes(_coset_reach(rt, lt, n)[0])
-        dual_name = structure_dual_name(name)
-        if dual_key not in by_key and dual_name not in by_name:
+        lt, rt = _transposed(d.left.entries, n), _transposed(d.right.entries, n)
+        dual_key = bytes(_coset_reach(rt, lt, n)[0])  # the dual is (Rᵀ, Lᵀ)
+        if dual_key not in by_key and (dual_name := structure_dual_name(name)) not in by_name:
             by_key[dual_key] = dual_name
             by_name[dual_name] = d.dual()
     return by_name, by_key

@@ -7,12 +7,12 @@ import time
 from functools import lru_cache
 from math import factorial
 
-from .catalog import _semigroup_classes, named_class_map
+from .catalog import _semigroup_keys, named_class_map
 from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES,
                           enumerate_dimonoids, enumerate_structures)
 from .axioms import DIMONOID, _pair_flags
 from .iso import GroupId, _coset_reach, identify_group
-from .tables import Permutation, Record, json_fields, log_info
+from .tables import Permutation, Record, _transposed, json_fields, log_info
 
 
 class ClassRow(Record):
@@ -23,6 +23,11 @@ class ClassRow(Record):
     abelian: bool
     aut: GroupId
     dual_key: str
+
+    def __init__(self, key, name, trivial, commutative, abelian, aut, dual_key):
+        # the fields in sorted order, the order of the JSON report's keys
+        self.__dict__.update(abelian=abelian, aut=aut, commutative=commutative,
+                             dual_key=dual_key, key=key, name=name, trivial=trivial)
 
     to_json = json_fields
 
@@ -45,9 +50,9 @@ class ClassificationReport(Record):
 
 @lru_cache(maxsize=32)
 def _name_map(order: int, kind: str) -> dict:
-    """Canonical key bytes -> display name; first (highest priority) name wins."""
+    """Canonical key bytes -> display name; the first (highest priority) name wins, written last."""
     if kind == SEMIGROUP:
-        return {bytes(key): name for name, _, key, _ in _semigroup_classes(order)}
+        return {bytes(key): name for name, _, key, _ in reversed(_semigroup_keys(order))}
     return named_class_map(order, kind)[1]
 
 
@@ -100,8 +105,12 @@ def classify(result: EnumerationResult) -> ClassificationReport:
     start = log_info(__name__, start, "order %d: %d distinct Aut groups named", n, len(groups))
     flags = []
     dual_keys: dict = {}  # key -> dual key, the partner's filled with its own
+    le = None
     for key in result.keys:
-        *flag, lt, rt = _pair_flags(key[:nn], key[nn:], n)
+        if key[:nn] != le:  # sorted keys bring each left table's classes together
+            le = key[:nn]
+            lt = _transposed(le, n)
+        *flag, _, rt = _pair_flags(le, key[nn:], n, lt)
         flags.append(flag)
         if key not in dual_keys:
             dual_key = dual_keys[key] = bytes(_coset_reach(rt, lt, n)[0])
@@ -114,25 +123,17 @@ def classify(result: EnumerationResult) -> ClassificationReport:
         if name is None:
             unnamed_seq += 1
             name = f"unnamed-{n}-{unnamed_seq}"
-        rows.append(ClassRow(key=key.hex(), name=name, trivial=trivial,
-                             commutative=commutative, abelian=abelian,
-                             aut=groups[aut], dual_key=dual_keys[key].hex()))
+        rows.append(ClassRow(key.hex(), name, trivial, commutative, abelian, groups[aut],
+                             dual_keys[key].hex()))
     rows = tuple(rows)
     _check_census(result, rows)
-    nonabelian = sum(1 for r in rows if not r.abelian)
-    self_paired_nonabelian = sum(1 for r in rows
-                                 if not r.abelian and r.dual_key == r.key)
-    summary = {
-        "total": len(rows),
-        "labeled": result.labeled_count,
-        "trivial": sum(1 for r in rows if r.trivial),
-        "commutative": sum(1 for r in rows if r.commutative),
-        "abelian": sum(1 for r in rows if r.abelian),
-        "nonabelian": nonabelian,
-        "nonabelian_dual_pairs": (nonabelian - self_paired_nonabelian) // 2,
-        "nonabelian_self_paired": self_paired_nonabelian,
-        "unnamed": sum(1 for r in rows if r.name.startswith("unnamed-")),
-    }
+    trivial, commutative, abelian = map(sum, zip((0, 0, 0), *flags))  # columns of flags
+    nonabelian = len(rows) - abelian
+    self_paired = sum(1 for r in rows if not r.abelian and r.dual_key == r.key)
+    summary = {"total": len(rows), "labeled": result.labeled_count, "trivial": trivial,
+               "commutative": commutative, "abelian": abelian, "nonabelian": nonabelian,
+               "nonabelian_dual_pairs": (nonabelian - self_paired) // 2,
+               "nonabelian_self_paired": self_paired, "unnamed": unnamed_seq}
     log_info(__name__, start, "order %d: %d %s rows built and checked", n, len(rows), kind)
     return ClassificationReport(order=n, kind=kind, rows=rows, summary=summary)
 
@@ -202,12 +203,15 @@ def render_csv(report: ClassificationReport) -> str:
 
 
 def render_json(report: ClassificationReport) -> str:
-    """`json.dumps(report.to_json(), sort_keys=True)` and a newline, with each distinct
-    group's JSON made once, so that the C encoder takes the rows' record fields as they are."""
-    groups = {aut: json_fields(aut) for aut in {row.aut for row in report.rows}}
-    rows = [{**row.__dict__, "aut": groups[row.aut]} for row in report.rows]
-    head = ClassificationReport(report.order, report.kind, (), report.summary).to_json()
-    return json.dumps({**head, "rows": rows}, sort_keys=True) + "\n"
+    """`json.dumps(report.to_json(), sort_keys=True)` and a newline, from dicts already in
+    sorted key order: each row's fields as `ClassRow` keeps them, each distinct group's JSON
+    made once, and the report's head (its summary holds no dict), so the C encoder sorts none."""
+    distinct = {id(r.aut): r.aut for r in report.rows}  # by identity: a group's hash is slow
+    groups = {i: dict(sorted(json_fields(aut).items())) for i, aut in distinct.items()}
+    head = ClassificationReport(report.order, report.kind, (),
+                                dict(sorted(report.summary.items()))).to_json()
+    return json.dumps(dict(sorted({**head, "rows": report.rows}.items())), check_circular=False,
+                      default=lambda v: groups[id(v)] if type(v) is GroupId else v.__dict__) + "\n"
 
 
 _RENDERERS = {"markdown": render_markdown, "csv": render_csv, "json": render_json}

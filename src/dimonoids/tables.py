@@ -143,7 +143,7 @@ class OpTable(Record):
         return tuple(self.entries[i * n:(i + 1) * n] for i in range(n))
 
     def transpose(self) -> "OpTable":
-        return OpTable(self.order, _transposed(self.entries, self.order))
+        return _table(self.order, _transposed(self.entries, self.order))
 
     def __str__(self):
         return format_table(self)
@@ -215,6 +215,13 @@ class Permutation(Record):
         return Permutation(tuple(self.images[v] for v in other.images))
 
 
+def _table(n: int, entries: tuple) -> OpTable:
+    """OpTable(n, entries) without its check of each entry, for a tuple known valid."""
+    t = object.__new__(OpTable)
+    t.__dict__.update(order=n, entries=entries)
+    return t
+
+
 def _inverse(p) -> tuple:
     """The images of p⁻¹, for p the images of a permutation."""
     inv = [0] * len(p)
@@ -244,7 +251,7 @@ def apply_permutation(t: OpTable, p: Permutation) -> OpTable:
         raise OrderMismatchError(f"table order {n}, permutation degree {p.degree}")
     img, gather = _relabeling(p.images)
     e = t.entries
-    return OpTable(n, tuple([img[e[j]] for j in gather]))
+    return _table(n, tuple([img[e[j]] for j in gather]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,7 @@ def _parse_block(lines, first_line_no: int, n: int) -> OpTable:
             entries.append(v)
     if len(lines) != n:
         raise TableFormatError(f"expected {n} rows, got {len(lines)}", row=first_line_no)
-    return OpTable(n, entries)
+    return _table(n, tuple(entries))
 
 
 def _blocks(text: str):

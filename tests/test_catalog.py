@@ -19,6 +19,7 @@ from dimonoids import (DIMONOID, DOPPELSEMIGROUP, DiStructure, NotAssociativeErr
                        named_semigroups, named_structures, null_semigroup,
                        right_zero, semigroup_dual_name, shifted_cyclic,
                        structure_dual_name, trivial_dimonoid)
+from dimonoids.axioms import IDENTITIES, identity_witness
 from exhaustive import adjoined_reference
 
 
@@ -115,13 +116,26 @@ def test_adjoin_zero_dimonoid():
     assert check_structure(d, DIMONOID).ok
 
 
-def test_constructions_raise_when_they_break_an_axiom(monkeypatch):
-    broken = OpTable(3, (1, 0, 0) + (0,) * 6)  # (0*0)*1 = 0 but 0*(0*1) = 1
-    with pytest.raises(RuntimeError, match="associativity"):
-        catalog._assert_assoc_preserved(cyclic(2), broken)
-    monkeypatch.setattr(catalog, "adjoin_zero", lambda t: broken)
-    with pytest.raises(RuntimeError, match="dimonoid"):
-        adjoin_zero_dimonoid(DiStructure(left_zero(2), right_zero(2)))
+def test_constructions_keep_what_their_inputs_satisfy():
+    # the constructions run no check of their own: +0, +1 and ~1 keep associativity, and a
+    # shared zero keeps every identity of axioms.IDENTITIES and each table's associativity
+    for n in (1, 2, 3, 4):
+        for name, t in named_semigroups(n):
+            assert is_associative(t)[0], name
+            for suffix in ("+0", "+1", "~1"):
+                try:
+                    out = derive_semigroup(t, suffix)
+                except ParameterError:
+                    assert suffix == "~1"  # t is no monoid
+                    continue
+                assert is_associative(out) == (True, None), name + suffix
+        for kind in (DIMONOID, DOPPELSEMIGROUP):
+            for name, d in named_structures(n, kind):
+                out = adjoin_zero_dimonoid(d)
+                for letters in (*IDENTITIES.values(), "LLLL", "RRRR"):
+                    if identity_witness(letters, d.left.entries, d.right.entries, n) is None:
+                        assert identity_witness(letters, out.left.entries, out.right.entries,
+                                                n + 1) is None, (name, letters)
 
 
 def test_build_semigroup_round_trips_every_name():
@@ -265,14 +279,17 @@ def test_build_structure_prefers_abelian_twin():
 
 
 def test_named_class_map_is_injective_both_ways():
+    # pins the map however it finds its keys (the direct pairs' come from the census
+    # leaders): each key is the canonical form of a pair of the kind that it names
     for kind in ("dimonoid", "doppelsemigroup"):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             by_name, by_key = named_class_map(n, kind)
             assert len(by_name) == len(by_key)
             keys = {canonical_form(d).key for d in by_name.values()}
             assert keys == set(by_key)
             for name, d in by_name.items():
                 assert by_key[canonical_form(d).key] == name
+                assert check_structure(d, kind).ok, name
 
 
 def test_build_structure_agrees_with_named_class_map():
@@ -404,19 +421,22 @@ def test_relabeled_census_right_tables_equal_a_search(n, kind):
         e = t.entries
         key, p = _min_key(e, e, n)
         rights = catalog._right_tables_of(key, p, left_auts[key[:n * n]], n, kind, tables)
-        assert sorted(rights) == list(_search(e, n, kind)), name
+        assert sorted(rt for rt, _ in rights) == list(_search(e, n, kind)), name
+        for rt, leader in rights:  # the pair's key is L followed by its right table's leader
+            assert canonical_form(DiStructure(t, OpTable(n, rt))).key == \
+                bytes(key[:n * n]) + leader, name
 
 
 @pytest.mark.parametrize("kind", ["dimonoid", "doppelsemigroup"])
 def test_catalog_reuses_the_census_right_tables(kind, monkeypatch):
     from dimonoids import enumerate_structures, enumeration
     enumeration._RIGHT_TABLES.clear()
-    named_structures.cache_clear()
+    catalog._named_candidates.cache_clear()
     cold = named_structures(4, kind)  # searches each named table's class representative
     search = enumeration._search
     for workers in (1, 2):  # a serial census and one whose pool fills the store
         enumeration._RIGHT_TABLES.clear()
-        named_structures.cache_clear()
+        catalog._named_candidates.cache_clear()
         named_structures(3, kind)
         monkeypatch.setattr(enumeration, "_pool_size", lambda n: workers)
         enumerate_structures(4, kind)
