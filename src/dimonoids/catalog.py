@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
 
 from .axioms import (NotAssociativeError, assoc_witness, check_structure, DIMONOID,
                      DOPPELSEMIGROUP)
@@ -240,17 +238,11 @@ _BASE_PATTERNS = (
     (re.compile(r"^O(\d+)$"), null_semigroup, lambda n: n),
     (re.compile(r"^L(\d+)$"), linear_semilattice, lambda n: n),
     (re.compile(r"^LO(\d+)$"), left_zero, lambda n: n),
-    (re.compile(r"^RO(\d+)$"), right_zero, lambda n: n),
     (re.compile(r"^LOB(\d+)$"), left_zero_band, lambda n: n),
-    (re.compile(r"^ROB(\d+)$"), lambda n: left_zero_band(n).transpose(), lambda n: n),
     (re.compile(r"^M\((\d+),(\d+)\)$"), monogenic, lambda r, m: r + m - 1),
     (re.compile(r"^O\((\d+),(\d+)\)$"), idempotent_diagonal, lambda n, m: n),
     (re.compile(r"^LO\((\d+)<-(\d+)\)$"), left_zero_collapse, lambda m, n: n),
-    (re.compile(r"^RO\((\d+)<-(\d+)\)$"), lambda m, n: left_zero_collapse(m, n).transpose(),
-     lambda m, n: n),
     (re.compile(r"^LOt0\((\d+)<-(\d+)\)$"), masked_left_zero, lambda m, s: s + 1),
-    (re.compile(r"^ROt0\((\d+)<-(\d+)\)$"), lambda m, s: masked_left_zero(m, s).transpose(),
-     lambda m, s: s + 1),
 )
 
 _SUFFIXES = ("+0", "+1", "~1")
@@ -302,12 +294,13 @@ def _build_semigroup(name: str, extra: int = 0) -> OpTable:
             return derive_semigroup(_build_semigroup(inner, extra + 1), suffix)
     if (inner := _inner(name, "dual(", ")")) is not None:
         return dual_table(_build_semigroup(inner, extra))
+    twin = name.startswith("RO")  # each RO family is the transpose of its LO twin
     for pattern, builder, order in _BASE_PATTERNS:
-        m = pattern.match(name)
+        m = pattern.match("L" + name[1:] if twin else name)
         if m:
             args = [int(g) for g in m.groups()]
             _require_cap(name, extra, max(args + [order(*args) + extra]))
-            return builder(*args)
+            return builder(*args).transpose() if twin else builder(*args)
     raise ParameterError(f"unknown semigroup name {name!r}")
 
 
@@ -576,12 +569,11 @@ def _named_candidates(n: int, kind: str):
         for lname, lt, key, p in distinct:
             head = bytes(key[:n * n])
             rights = _right_tables_of(key, p, left_auts[key[:n * n]], n, kind, positions)
-            hits = sorted((*positions[rt], rt, re) for rt, re in rights if rt != lt.entries)
             abelian = _transposed(lt.entries, n)
-            for ri, group in groupby(hits, key=itemgetter(0)):
-                block = sorted((hit[2:] for hit in group), key=lambda hit: hit[0] != abelian)
-                out.extend((f"{lname}|{distinct[ri][0]}", DiStructure(lt, _table(n, rt)),
-                            head + re) for rt, re in block)
+            hits = sorted((positions[rt][0], rt != abelian, positions[rt][1], rt, re)
+                          for rt, re in rights if rt != lt.entries)
+            out.extend((f"{lname}|{distinct[ri][0]}", DiStructure(lt, _table(n, rt)), head + re)
+                       for ri, _, _, rt, re in hits)
     return tuple(out)
 
 

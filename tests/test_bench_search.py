@@ -1,0 +1,64 @@
+"""Tests for `bench/search.py`'s A/B rows, with its subprocess runner replaced by a fake."""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "search.py"
+ARGS = ["-c", "main", "-v", "classify", "--order", "4"]
+# wall seconds of each tree's timed command runs, in pair order
+WALLS = {"P": [1.0, 1.4, 1.1, 1.3, 1.2], "C": [0.9, 1.5, 1.0, 1.1, 1.25]}
+IMPORTS = {"P": [0.10, 0.30, 0.20, 0.50, 0.40], "C": [0.20, 0.10, 0.30, 0.20, 0.10]}
+
+
+@pytest.fixture
+def search(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_search", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+    timed = {tree: iter(walls) for tree, walls in WALLS.items()}
+    imports = {tree: iter(walls) for tree, walls in IMPORTS.items()}
+
+    def fake_run(args, cwd, src):
+        if args == module.IMPORT:
+            calls.append((src, "import"))
+            return next(imports[src]), ""
+        if (src, "warm-up") not in calls:  # each tree's first command run
+            calls.append((src, "warm-up"))
+            return 99.0, "INFO warm-up stage in 9.0000 s\n"
+        calls.append((src, "timed"))
+        wall = next(timed[src])
+        # two stage lines, then an INFO line with no timing tail and a WARNING: no stages
+        return wall, (f"INFO order 4: name map of 12 names in {wall / 10:.4f} s\n"
+                      "INFO order 4: a line with no tail\nWARNING slow in 1.0000 s\n"
+                      f"INFO output written to out in {wall / 100:.4f} s\n")
+
+    monkeypatch.setattr(module, "run", fake_run)
+    return module, calls
+
+
+def test_row_warms_up_each_tree_then_alternates_pairs(search):
+    module, calls = search
+    module.timed(ARGS, "tmp", ["P", "C"])
+    pairs = [("P", "C"), ("C", "P")] * 2 + [("P", "C")]
+    expected = [("P", "warm-up"), ("C", "warm-up")]
+    for first, second in pairs:
+        expected += [(first, "timed"), (first, "import"), (second, "timed"), (second, "import")]
+    assert calls == expected
+    assert module.REPEATS == len(pairs)
+
+
+def test_row_holds_each_trees_medians_and_the_changes_wins(search):
+    module, _ = search
+    row = module.timed(ARGS, "tmp", ["P", "C"])
+    assert row["command"] == "-v classify --order 4"
+    assert row["wins"] == 3  # 0.9 < 1.0, 1.0 < 1.1, 1.1 < 1.3
+    for tree, side in (("parent", "P"), ("change", "C")):
+        wall, start_up = sorted(WALLS[side])[2], sorted(IMPORTS[side])[2]
+        stages = [["order 4: name map of 12 names", round(wall / 10, 4)],
+                  ["output written to out", round(wall / 100, 4)]]
+        assert row[tree] == {"wall_s": wall, "stages": stages, "import_s": start_up,
+                             "share": round((wall / 10 + wall / 100) / (wall - start_up), 3)}

@@ -247,6 +247,19 @@ def test_build_semigroup_caps_names(name):
         build_semigroup(name)
 
 
+# an RO name is read as its LO twin and the table transposed; its errors quote it as given,
+# and ROB1 fails with left_zero_band(1)'s message
+@pytest.mark.parametrize("name, message", [
+    ("RO", "unknown semigroup name 'RO'"), ("ROX3", "unknown semigroup name 'ROX3'"),
+    ("RO(2<-65)", "'RO(2<-65)' reaches 65 (adjoined elements: 0); catalog names are capped"),
+    ("ROt0(1<-64)", "'ROt0(1<-64)' reaches 65 (adjoined elements: 0); catalog names are capped"),
+    ("ROB1", "order must be >= 2, got 1")])
+def test_build_semigroup_quotes_ro_names_as_given(name, message):
+    with pytest.raises(ParameterError) as error:
+        build_semigroup(name)
+    assert str(error.value).startswith(message)
+
+
 def test_build_semigroup_at_the_caps():
     assert build_semigroup("M(32,33)").order == 64
     assert build_semigroup("LOt0(1<-63)").order == 64
