@@ -21,10 +21,11 @@ Each stderr line ending `in <seconds> s` is one stage, named by the text
 before that tail, and each run is followed by a cold `import dimonoids.cli`
 on its tree, the start-up every command pays.  Per tree, a row holds the
 median wall time, the median of each stage, the median import as `import_s`,
-and `share`, the summed stages over `wall_s` less `import_s`: the part of the
-command's own time that its stage lines account for.  `wins` counts the pairs
-the change ran faster.  OUT.json adds the parent commit, each tree's sha256
-over the path and bytes of its `.py` files, the Python version and the CPU count.
+and `share`, the median over the runs of each run's summed stages over its
+wall time less its own import: the part of the command's own time that its
+stage lines account for.  `wins` counts the pairs the change ran faster.
+OUT.json adds the parent commit, each tree's sha256 over the path and bytes of
+its `.py` files, the Python version and the CPU count.
 """
 import hashlib
 import io
@@ -63,11 +64,13 @@ def run(args, cwd, src):
 def summary(runs):
     """The medians of one tree's runs, each (wall, [[stage, seconds], ...], import)."""
     walls, stage_lists, imports = zip(*runs)
-    wall, start_up = median(walls), median(imports)
     stages = [[column[0][0], round(median(s for _, s in column), 4)]
               for column in zip(*stage_lists)]
-    return {"wall_s": round(wall, 4), "stages": stages, "import_s": round(start_up, 4),
-            "share": round(sum(s for _, s in stages) / (wall - start_up), 3)}
+    # each run's share against its own import: medians of separate series can exceed 1
+    shares = [sum(s for _, s in run_stages) / (wall - start_up)
+              for wall, run_stages, start_up in runs]
+    return {"wall_s": round(median(walls), 4), "stages": stages,
+            "import_s": round(median(imports), 4), "share": round(median(shares), 3)}
 
 
 def timed(args, cwd, srcs):
@@ -132,7 +135,7 @@ def main(argv):
             print(f"    {ps:8.4f} s {cs:8.4f} s  {name}")
     if argv:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        report = {"schema": "dimonoids.bench-search/7", "parent": commit, "src_sha256": sha256,
+        report = {"schema": "dimonoids.bench-search/8", "parent": commit, "src_sha256": sha256,
                   "python": platform.python_version(), "cpus": cpus, "repeats": REPEATS,
                   "rows": rows}
         Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -6,9 +6,12 @@ Exit codes: 0 success, 1 negative verdict (axioms failed, not isomorphic),
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 import time
+from functools import cache
 from itertools import chain
 
 from . import catalog
@@ -258,7 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache  # once per process: an in-process caller may run main thousands of times
+def _freeze_at_exit():
+    """Have `gc.freeze` run at interpreter exit, so that the final collections find no
+    object of the command's to walk; until then the caller's collections are untouched."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_at_exit()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verbose:

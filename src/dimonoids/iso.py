@@ -73,8 +73,10 @@ def _least(e, perms):
 
 @lru_cache(maxsize=1024)
 def _left_coset(le, n):
-    """`_least(le, _perm_data(n))`: le's least relabeling and the coset reaching it."""
-    best, coset = _least(le, _perm_data(n))
+    """`_least(le, _perm_data(n))`: le's least relabeling and the coset reaching it.  Above
+    order 6 the relabelings stream past once instead: `_perm_data(8)` is 28 MB."""
+    perms = _perm_data(n) if n <= 6 else map(_relabeling, permutations(range(n)))
+    best, coset = _least(le, perms)
     return best, tuple(coset)
 
 

@@ -60,5 +60,19 @@ def test_row_holds_each_trees_medians_and_the_changes_wins(search):
         wall, start_up = sorted(WALLS[side])[2], sorted(IMPORTS[side])[2]
         stages = [["order 4: name map of 12 names", round(wall / 10, 4)],
                   ["output written to out", round(wall / 100, 4)]]
+        # each run's two stages over its own wall time less its own import
+        shares = sorted((round(w / 10, 4) + round(w / 100, 4)) / (w - i)
+                        for w, i in zip(WALLS[side], IMPORTS[side]))
         assert row[tree] == {"wall_s": wall, "stages": stages, "import_s": start_up,
-                             "share": round((wall / 10 + wall / 100) / (wall - start_up), 3)}
+                             "share": round(shares[2], 3)}
+
+
+def test_share_stays_at_most_1_when_the_imports_differ_between_runs(search):
+    module, _ = search
+    # each run's one stage is 95% of its wall time less its own import, but the imports
+    # differ, so the stage median over wall_s less import_s would read 0.855 / 0.8 > 1
+    runs = [(1.0, [["stage", 0.475]], 0.5), (1.1, [["stage", 0.95]], 0.1),
+            (1.2, [["stage", 0.855]], 0.3)]
+    row = module.summary(runs)
+    assert (row["wall_s"], row["stages"], row["import_s"]) == (1.1, [["stage", 0.855]], 0.3)
+    assert row["share"] == 0.95

@@ -1,6 +1,8 @@
 """End-to-end tests for the command line interface, run in process."""
 from __future__ import annotations
 
+import atexit
+import gc
 import hashlib
 import io
 import json
@@ -29,10 +31,11 @@ def _write(path, text):
     return str(path)
 
 
-def _python(code, *argv, timeout=20):
-    """Run code in a fresh interpreter; a hang fails the test instead of stalling the run."""
+def _python(code, *argv, flags=(), timeout=20):
+    """Run code in a fresh interpreter started with flags; a hang fails the test instead
+    of stalling the run."""
     env = {**os.environ, "PYTHONPATH": str(Path(dimonoids.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True,
                           text=True, timeout=timeout, env=env)
 
 
@@ -201,6 +204,45 @@ def test_classify_without_verbose_leaves_logging_unloaded():
                    "print('logging' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_main_freezes_the_objects_only_at_exit(tmp_path):
+    # atexit handlers run last in, first out, so one registered before main runs after
+    # the gc.freeze that main registers
+    done = _python("import atexit, gc, sys\n"
+                   "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
+                   "from dimonoids.cli import main\n"
+                   "main(sys.argv[1:])\n"
+                   "print('after main', gc.get_freeze_count() > 0)",
+                   "classify", "--order", "3", "--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "after main False\nat exit True\n"
+
+
+def test_main_registers_one_exit_callback_per_process(tmp_path):
+    out = ["classify", "--order", "2", "--out", str(tmp_path / "out")]
+    assert main(out) == 0
+    callbacks = atexit._ncallbacks()
+    assert main(out) == 0
+    assert atexit._ncallbacks() == callbacks
+    assert gc.get_freeze_count() == 0
+
+
+def test_import_registers_no_exit_callback():
+    done = _python("import atexit; before = atexit._ncallbacks(); import dimonoids.cli; "
+                   "print(atexit._ncallbacks() - before)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+
+
+def test_cold_run_in_dev_mode_writes_the_manifest_bytes():
+    argv = ["classify", "--order", "3", "--kind", "doppelsemigroup", "--format", "json"]
+    done = _python(CLI, *argv, flags=("-X", "dev", "-W", "error"))
+    assert done.stderr == ""
+    code, out, _ = next(want for a, want in cli_manifest.parse(
+        cli_manifest.MANIFEST.read_text(encoding="utf-8")) if a == argv)
+    assert (done.returncode, hashlib.sha256(done.stdout.encode("utf-8")).hexdigest()) == \
+        (code, out)
 
 
 # every stage each command logs under -v, in order, without its "in <seconds> s" tail

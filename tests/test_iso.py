@@ -142,6 +142,21 @@ def test_automorphisms_equal_the_matcher():
         assert automorphisms(d) == tuple(iso._matches(d, d))
 
 
+def test_left_coset_streams_the_relabelings_above_order_6():
+    # above order 6 the scan reads each relabeling once and caches no table of all n!,
+    # and finds what the scan over that table finds
+    rng = random.Random(35)
+    tables = [null_semigroup(7).entries, left_zero(7).entries,
+              tuple(rng.randrange(7) for _ in range(49))]
+    iso._perm_data.cache_clear()
+    iso._left_coset.cache_clear()
+    streamed = [iso._left_coset(le, 7) for le in tables]
+    assert iso._perm_data.cache_info().currsize == 0
+    for le, (best, coset) in zip(tables, streamed):
+        assert (best, list(coset)) == iso._least(le, iso._perm_data(7))
+    assert [len(coset) for _, coset in streamed] == [720, 5040, 1]
+
+
 def test_public_entry_points_refuse_orders_above_8():
     d = DiStructure(null_semigroup(9), null_semigroup(9))
     for entry in (canonical_form, automorphisms, lambda d: are_isomorphic(d, d)):
