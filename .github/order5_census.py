@@ -1,6 +1,6 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 24-28 s with two workers on a two-core machine):
+Run from the repository root (about 22 s with two workers on a two-core machine):
 
     PYTHONPATH=src:tests python -X dev -W error .github/order5_census.py
 
@@ -27,6 +27,13 @@ runs at orders 1-4:
   Burnside's lemma over the unpruned right tables, a second count that shares
   neither the leader test on right tables nor the D1 shortcut, transposition
   or pool with the census;
+- `check_identity_intersection` searches every representative under D1-D4
+  together, which no shipped kind does, and compares the 48,572 classes found
+  with the keys the dimonoid and doppelsemigroup censuses share;
+- `check_monoid_variants` compares the unpruned doppelsemigroup search of each
+  of the 228 representatives with an identity with its 5 variants
+  R[x][z] = L[L[x][a]][z], and the census's 1,008 classes over them with the
+  orbits of their groups;
 - `check_pool_sizes` repeats both pair censuses with a pool of spawned workers
   and serially; both must agree with the first census, which ran in a pool
   started the platform's default way.
@@ -49,11 +56,15 @@ import time
 
 from dimonoids import enumerate_structures, render_report
 from exhaustive import (check_burnside, check_census_classes, check_d1_decided,
-                        check_pool_sizes, check_rep_groups, check_translations,
-                        check_transposed)
+                        check_identity_intersection, check_monoid_variants, check_pool_sizes,
+                        check_rep_groups, check_translations, check_transposed)
 
 EXPECTED = {"semigroup": (183732, 1915), "dimonoid": (6488383, 55883),
             "doppelsemigroup": (7855432, 68177)}
+# (classes, trivial ones) of the pairs that satisfy D1-D4: dimonoids and doppelsemigroups
+SHARED = (48572, 1915)
+# (representatives with an identity, and their doppelsemigroup classes)
+MONOIDS = (228, 1008)
 UNNAMED = {"dimonoid": 55609, "doppelsemigroup": 67442}
 SAMPLE_STEP = 97
 DECIDED_STEP = 50
@@ -149,6 +160,21 @@ def main():
             searched, derived = check_transposed(5, SAMPLE_STEP)
             print(f"order-5 {kind} representatives: {searched} searched, {derived} derived "
                   f"by transposition; every {SAMPLE_STEP}th agrees with a search")
+    start = time.perf_counter()
+    shared = check_identity_intersection(5)
+    print(f"order 5: the D1-D4 search finds {shared[0]} classes ({shared[1]} trivial), the "
+          f"keys the dimonoid and doppelsemigroup censuses share, in "
+          f"{time.perf_counter() - start:.2f} s")
+    if shared != SHARED:
+        raise SystemExit(f"order 5: D1-D4 gives {shared}, expected {SHARED}")
+    start = time.perf_counter()
+    monoids = check_monoid_variants(5)
+    print(f"order 5: {monoids[0]} monoid representatives carry {monoids[1]} doppelsemigroup "
+          f"classes, their right tables the variants L[L[x][a]][z], in "
+          f"{time.perf_counter() - start:.2f} s")
+    if monoids != MONOIDS:
+        raise SystemExit(f"order 5: the monoid representatives give {monoids}, expected "
+                         f"{MONOIDS}")
     multiprocessing.set_start_method("spawn", force=True)
     for kind in UNNAMED:
         result = censuses[kind]

@@ -6,7 +6,10 @@ Run from a git checkout, optionally naming a JSON file to write:
 
 The change is the `src/` next to this script, as it stands in the working
 tree; the parent is HEAD's `src/`, unpacked from `git archive` into a
-temporary directory.  On a clean tree both are HEAD, and the output reads the
+temporary directory.  Each tree writes its bytecode to its own
+`PYTHONPYCACHEPREFIX` under a temporary directory, and PYTHONDONTWRITEBYTECODE
+is not passed on, so neither tree reads a `__pycache__` the other or an
+earlier run left.  On a clean tree both are HEAD, and the output reads the
 harness's own noise.  Each row runs one command line in fresh interpreters:
 - `-v classify --order n --kind k --format json` for n = 3, 4, 5 and each kind;
 - `-v problem1` and `-v enumerate --order 4`;
@@ -14,18 +17,18 @@ harness's own noise.  Each row runs one command line in fresh interpreters:
   semigroup LO_n (Aut(LO_n) is S_n), n = 6, 7, 8, each written once by the
   change's `catalog build`.
 Each command writes its output with `--out` to a temporary file.  A row runs
-one untimed warm-up per tree, which also fills its bytecode cache, then REPEATS
-pairs of runs, the parent first in the first pair and the trees taking turns
-to go first after that, so that both see the same drift of the host's speed.
-Each stderr line ending `in <seconds> s` is one stage, named by the text
-before that tail, and each run is followed by a cold `import dimonoids.cli`
-on its tree, the start-up every command pays.  Per tree, a row holds the
+one untimed warm-up per tree, which also fills that tree's bytecode cache,
+then REPEATS pairs of runs, the parent first in the first pair and the trees
+taking turns to go first after that, so that both see the same drift of the
+host's speed.  Each stderr line ending `in <seconds> s` is one stage, named by
+the text before that tail, and each run is followed by a cold
+`import dimonoids.cli` on its tree, the start-up every command pays.  Per tree, a row holds the
 median wall time, the median of each stage, the median import as `import_s`,
 and `share`, the median over the runs of each run's summed stages over its
 wall time less its own import: the part of the command's own time that its
 stage lines account for.  `wins` counts the pairs the change ran faster.
 OUT.json adds the parent commit, each tree's sha256 over the path and bytes of
-its `.py` files, the Python version and the CPU count.
+its `.py` files, the bytecode condition, the Python version and the CPU count.
 """
 import hashlib
 import io
@@ -48,12 +51,24 @@ KINDS = ("semigroup", "dimonoid", "doppelsemigroup")
 CLI = "import sys; from dimonoids.cli import main; sys.exit(main(sys.argv[1:]))"
 IMPORT = ["-c", "import dimonoids.cli"]
 STAGE = re.compile(r"INFO (.+) in (\d+\.\d+) s")
+BYTECODE = "written to a PYTHONPYCACHEPREFIX per tree, filled by the warm-up"
 
 
-def run(args, cwd, src):
-    """(wall seconds, stderr) of one fresh interpreter run of args in cwd on the package in src."""
+def trees(parent, tmp):
+    """(src, bytecode cache) of the parent and the change, in TREES order: the parent's
+    `src/` under parent, the change's next to this script, each cache its own under tmp."""
+    return [(str(Path(parent) / "src"), str(Path(tmp) / "pycache-parent")),
+            (str(ROOT / "src"), str(Path(tmp) / "pycache-change"))]
+
+
+def run(args, cwd, tree):
+    """(wall seconds, stderr) of one fresh interpreter run of args in cwd on the package in
+    tree's src, writing and reading its bytecode in tree's cache."""
+    src, cache = tree
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+    done = subprocess.run([sys.executable, *args], cwd=cwd,
+                          env={**env, "PYTHONPATH": src, "PYTHONPYCACHEPREFIX": cache},
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     wall = time.perf_counter() - start
     if done.returncode != 0:
@@ -73,21 +88,21 @@ def summary(runs):
             "import_s": round(median(imports), 4), "share": round(median(shares), 3)}
 
 
-def timed(args, cwd, srcs):
-    """A row for args run in cwd on the parent and the change, srcs in TREES order."""
-    for src in srcs:
-        run(args, cwd, src)
+def timed(args, cwd, pair):
+    """A row for args run in cwd on the parent and the change, pair in TREES order."""
+    for tree in pair:
+        run(args, cwd, tree)
     runs = ([], [])
     for i in range(REPEATS):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
-            wall, err = run(args, cwd, srcs[side])
+            wall, err = run(args, cwd, pair[side])
             stages = [[m[1], float(m[2])] for m in map(STAGE.fullmatch, err.splitlines()) if m]
-            runs[side].append((wall, stages, run(IMPORT, cwd, srcs[side])[0]))
+            runs[side].append((wall, stages, run(IMPORT, cwd, pair[side])[0]))
     return {"command": " ".join(args[2:]), "wins": sum(c[0] < p[0] for p, c in zip(*runs)),
             **{tree: summary(tree_runs) for tree, tree_runs in zip(TREES, runs)}}
 
 
-def commands(tmp, src):
+def commands(tmp, tree):
     """The command line of each row after `dimonoids`, run in tmp, the outputs going there."""
     out = ["--out", "out"]
     for n in (3, 4, 5):
@@ -98,7 +113,7 @@ def commands(tmp, src):
     for n in (6, 7, 8):
         for name in (f"O{n}", f"LO{n}"):
             table = f"{name}.txt"
-            run(["-c", CLI, "catalog", "build", name, "--out", table], tmp, src)
+            run(["-c", CLI, "catalog", "build", name, "--out", table], tmp, tree)
             yield ["-v", "aut", table, *out]
             yield ["-v", "iso", table, table, *out]
 
@@ -123,9 +138,9 @@ def source_sha256(src):
 
 def main(argv):
     with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as tmp:
-        commit, srcs = unpack_head(parent), [str(Path(parent) / "src"), str(ROOT / "src")]
-        sha256 = dict(zip(TREES, map(source_sha256, srcs)))
-        rows = [timed(["-c", CLI, *cli_argv], tmp, srcs) for cli_argv in commands(tmp, srcs[1])]
+        commit, pair = unpack_head(parent), trees(parent, tmp)
+        sha256 = {name: source_sha256(src) for name, (src, _) in zip(TREES, pair)}
+        rows = [timed(["-c", CLI, *cli_argv], tmp, pair) for cli_argv in commands(tmp, pair[1])]
     for row in rows:
         p, c = row["parent"], row["change"]
         print(f"{row['command']:<70}{p['wall_s']:8.4f} s parent {c['wall_s']:8.4f} s change, "
@@ -135,9 +150,9 @@ def main(argv):
             print(f"    {ps:8.4f} s {cs:8.4f} s  {name}")
     if argv:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        report = {"schema": "dimonoids.bench-search/8", "parent": commit, "src_sha256": sha256,
-                  "python": platform.python_version(), "cpus": cpus, "repeats": REPEATS,
-                  "rows": rows}
+        report = {"schema": "dimonoids.bench-search/9", "parent": commit, "src_sha256": sha256,
+                  "bytecode": BYTECODE, "python": platform.python_version(), "cpus": cpus,
+                  "repeats": REPEATS, "rows": rows}
         Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 

@@ -8,8 +8,8 @@ R[L[x][y]][z] = L[x][R[y][z]], holds iff every column x -> R[x][z] commutes
 with each left translation u -> L[x][u]: it is a right translation.
 `commutant_masks` finds either set as a prefix tree, by one depth-first
 search over a map's positions that decides each commutation check at the
-last position it reads; `enumeration._search` takes each cell's values from
-the trees, so a kind with both identities checks neither per cell.
+last position it reads; `enumeration._search` narrows each cell's mask of
+values by the trees, so a kind with both identities checks neither per cell.
 Dimonoids keep D2 as a checked identity: there the row sets cut few nodes
 and cost more than they save.
 
@@ -72,18 +72,6 @@ def _fill(checks, f, u, node, mask, child):
                 child[node * n + v] = k
             mask[node] |= 1 << v
     return mask[node] != 0
-
-
-@lru_cache(maxsize=None)
-def mask_nexts(n: int):
-    """Per bitmask of values, the least value in it at or after each start value (n: none)."""
-    nexts = []
-    for m in range(1 << n):
-        row = [n] * (n + 1)
-        for w in reversed(range(n)):
-            row[w] = w if m >> w & 1 else row[w + 1]
-        nexts.append(tuple(row))
-    return tuple(nexts)
 
 
 def transpose_partners(reps, n: int):

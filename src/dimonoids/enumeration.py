@@ -5,21 +5,23 @@ order against a fixed left table.  It checks the identities of
 `axioms.IDENTITIES` and associativity, each of the form A[B[x][y]][z] =
 C[x][D[y][z]] over the left (L) and right (R) tables.  After each cell
 only the triples that look that cell up are checked, and a branch is cut
-at the first identity a filled cell breaks.  A triple whose only empty
-lookup is an outer R cell (A or C) forces that cell's value, so a
-conflicting second value cuts the branch before the cell is reached, and a
-forced cell is tried with that value alone.  D1 looks R up once, so it
-becomes a domain per cell, read from an index of L's columns before the
-search.  With the right table as its own left table and associativity
-alone, the search yields the labeled associative tables; cutting also
-every branch that some relabeling makes lexicographically smaller
-(lex-leader symmetry breaking) leaves one table L per semigroup class, the
-first of its n!/|Aut(L)|-table orbit.  Each live relabeling waits, with
-its first position not yet shown equal, for the depth that decides that
-position, so the test resumes where it stopped, and the survivors at a
-leaf are Aut(L).  Every pair is isomorphic to one whose left table is such
-an L, so right tables are searched only for those, under associativity
-with D1, D2 and D3 for dimonoids or D2 and D4 for doppelsemigroups.  With
+at the first identity a filled cell breaks.  Each cell keeps one mask of
+the values it may still take, and every source of values narrows it: D1
+looks R up once, so it gives each cell its starting mask, read from an
+index of L's columns before the search, and a triple whose only empty
+lookup is an outer R cell (A or C) forces that cell's value, so a value
+outside the mask cuts the branch before the cell is reached, and a forced
+cell is tried with that value alone.  With the right table as its own left
+table and associativity alone, the search yields the labeled associative
+tables; cutting also every branch that some relabeling makes
+lexicographically smaller (lex-leader symmetry breaking) leaves one table
+L per semigroup class, the first of its n!/|Aut(L)|-table orbit.  Each
+live relabeling waits, with its first position not yet shown equal, for
+the depth that decides that position, so the test resumes where it
+stopped, and the survivors at a leaf are Aut(L).  Every pair is
+isomorphic to one whose left table is such an L, so right tables are
+searched only for those, under associativity with D1, D2 and D3 for
+dimonoids or D2 and D4 for doppelsemigroups.  With
 L associative, D1 gives L[x][R[y][z]] = L[L[x][y]][z] = L[x][L[y][z]] for
 every x, so where L's columns are pairwise distinct, R = L is the only
 dimonoid right table, and none is searched.  Aut(L) fixes L, so it carries
@@ -31,8 +33,8 @@ R; classes of different L never share a key, each class is found once, and
 the labeled count is the sum of n!/|Aut(D)|.  The result keeps each group
 beside its key, and `classify` names them.  Doppelsemigroups use two
 more facts (see `doppel`): D2 and D4 confine the rows and the columns of R
-to the translations of L, so the search takes each cell's values from
-those and checks neither identity per cell, and (L, R) is a
+to the translations of L, so the search narrows each cell's mask by those
+and checks neither identity per cell, and (L, R) is a
 doppelsemigroup iff (Lᵀ, Rᵀ) is one, so a representative whose transpose
 lies in the class of a smaller one is not searched.  The leaders of each L
 are searched once per process and kept, as bytes with their groups; the
@@ -88,6 +90,13 @@ _AXIOMS = {kind: tuple(IDENTITIES[a] for a in KIND_AXIOMS.get(kind, ())) + (ASSO
            for kind in ENUM_KINDS}
 
 
+@lru_cache(maxsize=None)
+def _mask_nexts(n: int):
+    """Per bitmask of values, the least value in it at or after each start value (n: none)."""
+    return tuple(tuple(next((w for w in range(start, n) if m >> w & 1), n)
+                       for start in range(n + 1)) for m in range(1 << n))
+
+
 def _search(le, n: int, kind: str, perms=None):
     """Yield every flat right table satisfying kind's axioms with left table le.
 
@@ -103,17 +112,21 @@ def _search(le, n: int, kind: str, perms=None):
     (a, b) is set, only the triples with that cell among their four lookups
     are checked; a triple becomes decided exactly when its last lookup is
     filled, so every triple is checked once all of its lookups are known.
-    A triple decided but for an outer lookup of R, A[u][z] or C[x][w], forces
-    that cell to the value of the other side: a second, different value fails
-    at once, and a forced cell is tried with its one value only.  D1 (LLLR)
-    looks R up only at R[y][z], so it confines each cell to a domain read
-    from an index of L's columns before the search and is not checked per
-    cell.  With both D2 and D4 (doppelsemigroups) each row of R must be a
-    left translation of L and each column a right translation (see `doppel`);
-    both sets are found before the search, and once a cell is set, the
-    domain of the next cell is what the prefix trees of its row and its
-    column allow, so neither identity is checked per cell and a row or
-    column that cannot be completed is never entered.  The leader test
+    Each cell has one bitmask of the values it may still take, and a cell is
+    tried with those alone; every source of values narrows that mask, so
+    they intersect.  D1 (LLLR) looks R up only at R[y][z], so it sets each
+    cell's starting mask from an index of L's columns before the search and
+    is not checked per cell; without D1 every value is allowed.  A triple
+    decided but for an outer lookup of R, A[u][z] or C[x][w], forces that
+    cell to the value of the other side: it fails unless the cell's mask
+    holds that value, and narrows the mask to it.  With both D2 and D4 each
+    row of R must be a left translation of L and each column a right
+    translation (see `doppel`); both sets are found before the search, and
+    once a cell is set, the next cell's mask is narrowed to what the prefix
+    trees of its row and its column allow, so neither identity is checked
+    per cell and a row or column that cannot be completed is never entered.
+    Each depth records every mask it narrows, as it was before, and restores
+    them in reverse order when its cell changes.  The leader test
     resumes where each relabeling stopped: a live one waits, with its first
     position not yet shown equal, for the depth that fills both cells that
     position compares; those left at a leaf, in perms' order, are Aut.
@@ -128,36 +141,36 @@ def _search(le, n: int, kind: str, perms=None):
     t_cells = [[] for _ in rng]
     le_cells = t_cells if le is t else [[(x, y) for x in rng for y in rng if le[x * n + y] == v]
                                         for v in rng]
-    # per cell, the least value at or after each start value it may take (n: none)
-    nxt = [tuple(range(n + 1))] * nn
+    mask = [(1 << n) - 1] * nn  # per cell, bit w set iff the cell may still take w
     axioms = _AXIOMS[kind]
     translations = IDENTITIES["d2"] in axioms and IDENTITIES["d4"] in axioms
     plan = []
     for axiom in axioms:
         if axiom == IDENTITIES["d1"]:  # L[L[x][y]][z] = L[x][R[y][z]] for every x
-            rows = {}  # per column of L, the least w at or after each start with that column
-            for w in reversed(rng):
-                rows.setdefault(tuple(le[w::n]), [n] * (n + 1))[:w + 1] = [w] * (w + 1)
-            nxt = [rows.get(tuple(map(le[z::n].__getitem__, le[y::n])), (n,) * (n + 1))
-                   for y in rng for z in rng]  # x -> L[L[x][y]][z]: L's column z at column y
+            columns = {}  # per column of L, the values w with that column, as a mask
+            for w in rng:
+                column = tuple(le[w::n])
+                columns[column] = columns.get(column, 0) | 1 << w
+            mask = [columns.get(tuple(map(le[z::n].__getitem__, le[y::n])), 0)
+                    for y in rng for z in rng]  # x -> L[L[x][y]][z]: L's column z at column y
             continue
         if translations and axiom in (IDENTITIES["d2"], IDENTITIES["d4"]):
             continue
         A, B, C, D = (t if c == "R" else le for c in axiom)
         plan.append((A, B, C, D, t_cells if B is t else le_cells, t_cells if D is t else le_cells))
-    forced = [-1] * nn
-    trails = [[] for _ in range(nn)]  # per depth, the cells it forced
+    nexts = _mask_nexts(n)
+    trails = [[] for _ in range(nn)]  # per depth, each (cell, mask before) it narrowed
 
     def force(c, w, trail):
-        """Force empty cell c to w; False if it is forced otherwise or w is outside its domain."""
-        f = forced[c]
-        if f < 0:
-            if nxt[c][w] != w:
+        """Narrow empty cell c's mask to w alone; False if w is not in it."""
+        m = mask[c]
+        bit = 1 << w
+        if m != bit:
+            if not m & bit:
                 return False
-            forced[c] = w
-            trail.append(c)
-            return True
-        return f == w
+            trail.append((c, m))
+            mask[c] = bit
+        return True
 
     def holds(a, b, v, trail):
         """Whether every decided triple that looks up the new cell (a, b) = v holds,
@@ -199,24 +212,21 @@ def _search(le, n: int, kind: str, perms=None):
                             return False
         return True
 
-    # the values each cell may take: fixed per cell, or set for the next cell by holds
-    dom = nxt
     if translations:
-        from .doppel import commutant_masks, mask_nexts
+        from .doppel import commutant_masks
 
         # rows commute with every right translation u -> L[u][z], the columns of L, and
         # columns with every left translation u -> L[x][u], the rows of L
         rmask, rchild = commutant_masks(frozenset(le[z::n] for z in rng), n)
         cmask, cchild = commutant_masks(frozenset(le[x * n:x * n + n] for x in rng), n)
-        nexts = mask_nexts(n)
         rnode = [0] * nn  # per cell, the trie node of its row's and its column's prefix
         cnode = [0] * nn
-        dom = [nexts[rmask[0] & cmask[0]]] * nn
+        mask[0] &= rmask[0] & cmask[0]
         identities = holds
 
         def holds(a, b, v, trail):
-            """The identities' `holds`, then the domain of the next cell: False if it is
-            empty or leaves out the value forced there."""
+            """The identities' `holds`, then the next cell's mask narrowed to what the trees
+            of its row and its column allow: False if no value is left."""
             if not identities(a, b, v, trail):
                 return False
             k = a * n + b + 1
@@ -224,9 +234,10 @@ def _search(le, n: int, kind: str, perms=None):
                 return True
             rn = rnode[k] = rchild[rnode[k - 1] * n + v] if b + 1 < n else 0
             cn = cnode[k] = cchild[cnode[k - n] * n + t[k - n]] if k >= n else 0
-            d = dom[k] = nexts[rmask[rn] & cmask[cn]]
-            f = forced[k]
-            return d[0] < n if f < 0 else d[f] == f
+            m = mask[k]
+            trail.append((k, m))
+            mask[k] = m = m & rmask[rn] & cmask[cn]
+            return m != 0
 
     # per depth d, each live relabeling whose next position needs cell d, as (index in perms,
     # images, gather, first position not yet shown equal); at nn, the indices of those left
@@ -262,14 +273,13 @@ def _search(le, n: int, kind: str, perms=None):
         filing = filed[k]
         while filing:
             wake[filing.pop()].pop()
-        for c in trail:
-            forced[c] = -1
-        trail.clear()
+        while trail:
+            c, m = trail.pop()
+            mask[c] = m
         old = t[k]
         if old >= 0:
             t_cells[old].pop()
-        f = forced[k]
-        v = dom[k][old + 1] if f < 0 else n if old >= 0 else f
+        v = nexts[mask[k]][old + 1]
         if v == n:
             t[k] = -1
             k -= 1

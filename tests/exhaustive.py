@@ -20,7 +20,8 @@ from math import factorial
 from unittest import mock
 
 from dimonoids import classify, enumeration
-from dimonoids.axioms import DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS, identity_witness
+from dimonoids.axioms import (ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS,
+                              identity_witness)
 from dimonoids.doppel import commutant_masks, transpose_partners, transposed_right_tables
 from dimonoids.enumeration import _reps, _search, enumerate_structures
 from dimonoids.iso import (CanonicalKey, GroupId, _least, _matches, _perm_data, _perm_order,
@@ -159,6 +160,60 @@ def check_transposed(n, step=1):
                 raise AssertionError(f"order-{n} {kind} representative {le}: the right tables "
                                      f"transposed from {partner} by {q[0]} differ from a search")
     return len(reps) - len(derived), len(derived)
+
+
+# a kind no command searches: D1-D4 with associativity, the pairs that are both dimonoids
+# and doppelsemigroups; `all_identities` adds it to `enumeration._AXIOMS`
+D1_D4 = "d1-d4"
+
+
+def all_identities():
+    """A context in which `_search` knows the kind D1_D4."""
+    axioms = tuple(IDENTITIES[a] for a in ("d1", "d2", "d3", "d4")) + (ASSOCIATIVITY,)
+    return mock.patch.dict(enumeration._AXIOMS, {D1_D4: axioms})
+
+
+def check_identity_intersection(n):
+    """(classes, trivial ones) of the order-n pairs that satisfy D1-D4, once the keys of one
+    search of every representative under all four identities are found equal to the keys
+    the dimonoid and the doppelsemigroup census share.  No shipped kind has D1, D2 and D4,
+    so only this search narrows a cell by D1's columns and the translation trees at once."""
+    with all_identities():
+        keys = {bytes(le) + bytes(re) for le, aut in _reps(n)
+                for re, _ in _search(le, n, D1_D4, aut[1:])}
+    shared = (set(enumerate_structures(n, DIMONOID).keys)
+              & set(enumerate_structures(n, DOPPELSEMIGROUP).keys))
+    if keys != shared:
+        raise AssertionError(f"order {n}: the D1-D4 search finds {len(keys)} classes, "
+                             f"{len(keys - shared)} of them outside the {len(shared)} the "
+                             f"dimonoid and doppelsemigroup censuses share")
+    return len(keys), sum(key[:n * n] == key[n * n:] for key in keys)
+
+
+def check_monoid_variants(n):
+    """(representatives with an identity, their doppelsemigroup classes) at order n, once
+    the unpruned doppelsemigroup search of each such L is found to yield exactly the n
+    variants R[x][z] = L[L[x][a]][z], and the census to hold as many classes over them as
+    Aut(L) has orbits on L's elements.  By D4 and D2 with the identity e,
+    x⊢z = x⊣(e⊢z) = x⊣(e⊢e)⊣z (Boyd, Gould and Nelson, "Interassociativity of
+    semigroups", 1997); a = e⊢e tells the variants apart, and every variant is a pair."""
+    monoids, classes = set(), 0
+    for le, aut in _reps(n):
+        if not any(all(le[e * n + x] == x == le[x * n + e] for x in range(n))
+                   for e in range(n)):
+            continue
+        variants = sorted({tuple(le[le[x * n + a] * n + z] for x in range(n) for z in range(n))
+                           for a in range(n)})
+        if len(variants) != n or list(_search(le, n, DOPPELSEMIGROUP)) != variants:
+            raise AssertionError(f"order-{n} monoid representative {le}: its right tables "
+                                 f"differ from its {n} variants")
+        monoids.add(bytes(le))
+        classes += len({min(p[a] for p, _ in aut) for a in range(n)})
+    census = sum(key[:n * n] in monoids for key in enumerate_structures(n, DOPPELSEMIGROUP).keys)
+    if census != classes:
+        raise AssertionError(f"order {n}: the census holds {census} doppelsemigroup classes "
+                             f"over the monoid representatives, not the {classes} orbits")
+    return len(monoids), classes
 
 
 def brute_force_translations(le, n):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ ARGS = ["-c", "main", "-v", "classify", "--order", "4"]
 # wall seconds of each tree's timed command runs, in pair order
 WALLS = {"P": [1.0, 1.4, 1.1, 1.3, 1.2], "C": [0.9, 1.5, 1.0, 1.1, 1.25]}
 IMPORTS = {"P": [0.10, 0.30, 0.20, 0.50, 0.40], "C": [0.20, 0.10, 0.30, 0.20, 0.10]}
+PAIR = [("P", "P-cache"), ("C", "C-cache")]  # (src, bytecode cache) per tree
 
 
 @pytest.fixture
@@ -22,7 +24,8 @@ def search(monkeypatch):
     timed = {tree: iter(walls) for tree, walls in WALLS.items()}
     imports = {tree: iter(walls) for tree, walls in IMPORTS.items()}
 
-    def fake_run(args, cwd, src):
+    def fake_run(args, cwd, tree):
+        src, _ = tree
         if args == module.IMPORT:
             calls.append((src, "import"))
             return next(imports[src]), ""
@@ -42,7 +45,7 @@ def search(monkeypatch):
 
 def test_row_warms_up_each_tree_then_alternates_pairs(search):
     module, calls = search
-    module.timed(ARGS, "tmp", ["P", "C"])
+    module.timed(ARGS, "tmp", PAIR)
     pairs = [("P", "C"), ("C", "P")] * 2 + [("P", "C")]
     expected = [("P", "warm-up"), ("C", "warm-up")]
     for first, second in pairs:
@@ -53,7 +56,7 @@ def test_row_warms_up_each_tree_then_alternates_pairs(search):
 
 def test_row_holds_each_trees_medians_and_the_changes_wins(search):
     module, _ = search
-    row = module.timed(ARGS, "tmp", ["P", "C"])
+    row = module.timed(ARGS, "tmp", PAIR)
     assert row["command"] == "-v classify --order 4"
     assert row["wins"] == 3  # 0.9 < 1.0, 1.0 < 1.1, 1.1 < 1.3
     for tree, side in (("parent", "P"), ("change", "C")):
@@ -76,3 +79,26 @@ def test_share_stays_at_most_1_when_the_imports_differ_between_runs(search):
     row = module.summary(runs)
     assert (row["wall_s"], row["stages"], row["import_s"]) == (1.1, [["stage", 0.855]], 0.3)
     assert row["share"] == 0.95
+
+
+def test_each_tree_writes_its_bytecode_to_its_own_cache(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_search", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    envs = []
+
+    def fake_subprocess_run(argv, cwd, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(argv, 0, stderr="")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    pair = module.trees("parent-dir", "tmp-dir")
+    for tree in pair:
+        module.run(module.IMPORT, "tmp", tree)
+    assert [env["PYTHONPATH"] for env in envs] == [str(Path("parent-dir") / "src"),
+                                                   str(module.ROOT / "src")]
+    caches = [Path(env["PYTHONPYCACHEPREFIX"]) for env in envs]
+    assert caches[0] != caches[1] and all(cache.parent == Path("tmp-dir") for cache in caches)
+    # a warm-up that writes no bytecode would leave every timed run compiling from source
+    assert not any("PYTHONDONTWRITEBYTECODE" in env for env in envs)

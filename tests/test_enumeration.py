@@ -26,9 +26,11 @@ from dimonoids.doppel import commutant_masks
 from dimonoids.enumeration import (ENUM_KINDS, _SEMIGROUP_DUAL_CLASSES, _reps, _search,
                                    class_lines)
 from dimonoids.iso import _perm_data
-from exhaustive import (_min_key, _pair_axioms_hold, _stabilizer, check_burnside,
-                        check_d1_decided, check_pool_sizes, check_rep_groups, check_transposed,
-                        check_translation_trees, check_translations, class_reps)
+from exhaustive import (D1_D4, _min_key, _pair_axioms_hold, _stabilizer, all_identities,
+                        check_burnside, check_d1_decided, check_identity_intersection,
+                        check_monoid_variants, check_pool_sizes, check_rep_groups,
+                        check_transposed, check_translation_trees, check_translations,
+                        class_reps)
 
 KINDS = ("dimonoid", "doppelsemigroup")
 
@@ -256,15 +258,17 @@ ARBITRARY_LEFTS = ([(2, le) for le in product(range(2), repeat=4)]
                       for seed in range(20)])
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + (D1_D4,))
 def test_search_matches_filtering_every_right_table_for_arbitrary_left_tables(kind):
-    # forced cells and the D1 domains must agree with the plain identities even where L
-    # breaks them itself, e.g. a value forced outside a cell's D1 domain is refused
-    for n, le in ARBITRARY_LEFTS:
-        expected = [re for re in product(range(n), repeat=n * n)
-                    if all(identity_witness(letters, le, re, n) is None
-                           for letters in enumeration._AXIOMS[kind])]
-        assert list(_search(le, n, kind)) == expected, le
+    # forced cells, D1's masks and the translation trees must agree with the plain
+    # identities even where L breaks them itself, e.g. a value forced outside the values
+    # D1 allows a cell is refused; D1-D4 narrows cells by D1 and the trees together
+    with all_identities():
+        for n, le in ARBITRARY_LEFTS:
+            expected = [re for re in product(range(n), repeat=n * n)
+                        if all(identity_witness(letters, le, re, n) is None
+                               for letters in enumeration._AXIOMS[kind])]
+            assert list(_search(le, n, kind)) == expected, le
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -326,6 +330,18 @@ def test_pool_sizes_agree(n, kind):
     ("doppelsemigroup", 3, 77, 413), ("doppelsemigroup", 4, 1217, 26028)])
 def test_burnside_counts_equal_the_census(kind, n, classes, labeled):
     assert check_burnside(enumerate_structures(n, kind)) == (classes, labeled)
+
+
+@pytest.mark.parametrize("n, classes, trivial", [(1, 1, 1), (2, 5, 5), (3, 26, 24),
+                                                  (4, 327, 188)])
+def test_identity_intersection_equals_the_shared_census_keys(n, classes, trivial):
+    assert check_identity_intersection(n) == (classes, trivial)
+
+
+@pytest.mark.parametrize("n, monoids, classes", [(1, 1, 1), (2, 2, 4), (3, 7, 18),
+                                                 (4, 35, 121)])
+def test_monoid_right_tables_are_the_variants(n, monoids, classes):
+    assert check_monoid_variants(n) == (monoids, classes)
 
 
 # sets the start method, then checks a census with the pool forced against a serial one,
