@@ -32,7 +32,7 @@ from functools import lru_cache
 from .axioms import (NotAssociativeError, assoc_witness, check_structure, DIMONOID,
                      DOPPELSEMIGROUP)
 from .enumeration import MAX_ORDER, _check_order, _reps, _right_tables
-from .iso import _coset_reach, _perm_data
+from .iso import _coset_reach, _left_coset, _perm_data
 from .tables import (DiStructure, OpTable, Permutation, _inverse, _relabeling, _table,
                      _transposed, apply_permutation)
 
@@ -266,10 +266,11 @@ def _inner(name: str, prefix: str, suffix: str):
 
 
 def _checked_name(name: str) -> str:
+    """name within the length cap, without whitespace: no catalog name holds any."""
     name = name.strip()
     _require(len(name) <= MAX_NAME_LENGTH, f"the name has {len(name)} characters; catalog "
                                            f"names are capped at {MAX_NAME_LENGTH}")
-    return name
+    return "".join(name.split())
 
 
 def _require_cap(name: str, extra: int, n: int):
@@ -280,15 +281,15 @@ def _require_cap(name: str, extra: int, n: int):
 def build_semigroup(name: str) -> OpTable:
     """Build the standard table for a semigroup name.
 
-    A name longer than MAX_NAME_LENGTH, or with a parameter or an order
-    above MAX_NAME_ORDER, raises ParameterError before any table is built.
+    Whitespace is ignored.  A name longer than MAX_NAME_LENGTH, or with a
+    parameter or an order above MAX_NAME_ORDER, raises ParameterError before
+    any table is built.
     """
     return _build_semigroup(_checked_name(name))
 
 
 def _build_semigroup(name: str, extra: int = 0) -> OpTable:
-    """build_semigroup of a name within the length cap, to be grown by extra adjoined elements."""
-    name = name.strip()
+    """build_semigroup of a checked name, to be grown by extra adjoined elements."""
     for suffix in _SUFFIXES:
         if (inner := _inner(name, "", suffix)) is not None:
             return derive_semigroup(_build_semigroup(inner, extra + 1), suffix)
@@ -377,8 +378,7 @@ def build_structure(name: str, kind: str | None = None) -> DiStructure:
 
 
 def _build_structure(name: str, kind: str | None, extra: int) -> DiStructure:
-    """build_structure of a name within the length cap, to be grown by extra adjoined zeros."""
-    name = name.strip()
+    """build_structure of a checked name, to be grown by extra adjoined zeros."""
     for prefix, suffix in (("(", ")+0"), ("plus0(", ")")):
         if (inner := _inner(name, prefix, suffix)) is not None:
             return adjoin_zero_dimonoid(_build_structure(inner, kind, extra + 1))
@@ -408,15 +408,15 @@ def _build_structure(name: str, kind: str | None, extra: int) -> DiStructure:
                              f"the catalog are resolved by trying every relabeling, which "
                              f"is capped at order {MAX_RELABEL_ORDER}")
     for k in kinds:
-        valid = []
+        first = None
         for p in Permutation.all_of_degree(left.order):
             d = DiStructure(left, apply_permutation(right, p))
             if d.left != d.right and check_structure(d, k).ok:
                 if d.right == d.left.transpose():
                     return d
-                valid.append(d)
-        if valid:
-            return valid[0]
+                first = first or d
+        if first:
+            return first
     raise ParameterError(f"no relabeling makes {name!r} a valid nontrivial pair")
 
 
@@ -472,12 +472,12 @@ def named_semigroups(n: int):
 
 @lru_cache(maxsize=32)
 def _semigroup_keys(n: int):
-    """(name, table, key, p) for each of `named_semigroups(n)`: key is the canonical key of
-    (table, table), a tuple, and p carries the table onto its left block."""
+    """(name, table, key, p) for each of `named_semigroups(n)`: key, a tuple, is the canonical
+    key of (table, table), the table's least relabeling twice, and p carries it onto that."""
     out = []
     for name, t in named_semigroups(n):
-        key, reach = _coset_reach(t.entries, t.entries, n)
-        out.append((name, t, key, reach[0][0]))
+        left, coset = _left_coset(t.entries, n)
+        out.append((name, t, left + left, coset[0][0]))
     return tuple(out)
 
 

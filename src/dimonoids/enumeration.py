@@ -1,9 +1,10 @@
 """Exhaustive enumeration of semigroups, dimonoids, and doppelsemigroups.
 
 One search core, `_search`, fills a right table cell by cell in row-major
-order against a fixed left table.  It checks the identities of
-`axioms.IDENTITIES` and associativity, each of the form A[B[x][y]][z] =
-C[x][D[y][z]] over the left (L) and right (R) tables.  After each cell
+order against a fixed left table.  It takes the identities it enforces, each
+of the form A[B[x][y]][z] = C[x][D[y][z]] over the left (L) and right (R)
+tables (`_AXIOMS` per kind), and yields each table with its automorphisms
+among the relabelings it is given.  After each cell
 only the triples that look that cell up are checked, and a branch is cut
 at the first identity a filled cell breaks.  Each cell keeps one mask of
 the values it may still take, and every source of values narrows it: D1
@@ -97,16 +98,15 @@ def _mask_nexts(n: int):
                        for start in range(n + 1)) for m in range(1 << n))
 
 
-def _search(le, n: int, kind: str, perms=None):
-    """Yield every flat right table satisfying kind's axioms with left table le.
+def _search(le, n: int, identities, perms=()):
+    """Yield (flat right table, its automorphisms among perms) per table satisfying the
+    identities, letter strings of `axioms.IDENTITIES`, with left table le.
 
-    Tables come in lexicographic order.  With le None (kind SEMIGROUP) the
-    left table is the right table itself, so they are the associative tables.
-    Given perms, a sequence of relabelings (images, gather), possibly empty as
-    at order 1, the search cuts every branch that one of them makes smaller
-    and yields (table, the list of its automorphisms among perms) instead;
-    with le given, the relabelings must fix le, so that they act on the
-    right tables alone.
+    Tables come in lexicographic order.  With le None the left table is the
+    right table itself, so under associativity alone they are the associative
+    tables.  Given perms, relabelings (images, gather), the search cuts every
+    branch that one of them makes smaller; with le given, they must fix le,
+    so that they act on the right tables alone.  With no perms each group is [].
 
     Cells are filled in row-major order; -1 marks an empty cell.  After cell
     (a, b) is set, only the triples with that cell among their four lookups
@@ -122,14 +122,15 @@ def _search(le, n: int, kind: str, perms=None):
     holds that value, and narrows the mask to it.  With both D2 and D4 each
     row of R must be a left translation of L and each column a right
     translation (see `doppel`); both sets are found before the search, and
-    once a cell is set, the next cell's mask is narrowed to what the prefix
-    trees of its row and its column allow, so neither identity is checked
-    per cell and a row or column that cannot be completed is never entered.
-    Each depth records every mask it narrows, as it was before, and restores
-    them in reverse order when its cell changes.  The leader test
-    resumes where each relabeling stopped: a live one waits, with its first
-    position not yet shown equal, for the depth that fills both cells that
-    position compares; those left at a leaf, in perms' order, are Aut.
+    once a cell is set and its triples hold, the next cell's mask is
+    narrowed to what the prefix trees of its row and its column allow, so
+    neither identity is checked per cell and a row or column that cannot be
+    completed is never entered.  Each depth records every mask it narrows,
+    as it was before, and restores them in reverse order when its cell
+    changes.  The leader test resumes where each relabeling stopped: a live
+    one waits, with its first position not yet shown equal, for the depth
+    that fills both cells that position compares; those left at a leaf, in
+    perms' order, are Aut.
     """
     nn = n * n
     rng = range(n)
@@ -142,10 +143,9 @@ def _search(le, n: int, kind: str, perms=None):
     le_cells = t_cells if le is t else [[(x, y) for x in rng for y in rng if le[x * n + y] == v]
                                         for v in rng]
     mask = [(1 << n) - 1] * nn  # per cell, bit w set iff the cell may still take w
-    axioms = _AXIOMS[kind]
-    translations = IDENTITIES["d2"] in axioms and IDENTITIES["d4"] in axioms
+    translations = IDENTITIES["d2"] in identities and IDENTITIES["d4"] in identities
     plan = []
-    for axiom in axioms:
+    for axiom in identities:
         if axiom == IDENTITIES["d1"]:  # L[L[x][y]][z] = L[x][R[y][z]] for every x
             columns = {}  # per column of L, the values w with that column, as a mask
             for w in rng:
@@ -158,6 +158,16 @@ def _search(le, n: int, kind: str, perms=None):
             continue
         A, B, C, D = (t if c == "R" else le for c in axiom)
         plan.append((A, B, C, D, t_cells if B is t else le_cells, t_cells if D is t else le_cells))
+    if translations:
+        from .doppel import commutant_masks
+
+        # rows commute with every right translation u -> L[u][z], the columns of L, and
+        # columns with every left translation u -> L[x][u], the rows of L
+        rmask, rchild = commutant_masks(frozenset(le[z::n] for z in rng), n)
+        cmask, cchild = commutant_masks(frozenset(le[x * n:x * n + n] for x in rng), n)
+        rnode = [0] * nn  # per cell, the trie node of its row's and its column's prefix
+        cnode = [0] * nn
+        mask[0] &= rmask[0] & cmask[0]
     nexts = _mask_nexts(n)
     trails = [[] for _ in range(nn)]  # per depth, each (cell, mask before) it narrowed
 
@@ -174,7 +184,8 @@ def _search(le, n: int, kind: str, perms=None):
 
     def holds(a, b, v, trail):
         """Whether every decided triple that looks up the new cell (a, b) = v holds,
-        forcing the cell each triple decided but for an outer lookup needs."""
+        forcing the cell each triple decided but for an outer lookup needs; then, with
+        the translation trees, whether the next cell keeps a value they allow."""
         an, bn, vn = a * n, b * n, v * n
         for A, B, C, D, b_cells, d_cells in plan:
             if B is t:  # B[a][b]: triples (a, b, z)
@@ -210,38 +221,21 @@ def _search(le, n: int, kind: str, perms=None):
                         u = A[xy * n + z]
                         if u != v and not (u < 0 and force(xy * n + z, v, trail)):
                             return False
-        return True
-
-    if translations:
-        from .doppel import commutant_masks
-
-        # rows commute with every right translation u -> L[u][z], the columns of L, and
-        # columns with every left translation u -> L[x][u], the rows of L
-        rmask, rchild = commutant_masks(frozenset(le[z::n] for z in rng), n)
-        cmask, cchild = commutant_masks(frozenset(le[x * n:x * n + n] for x in rng), n)
-        rnode = [0] * nn  # per cell, the trie node of its row's and its column's prefix
-        cnode = [0] * nn
-        mask[0] &= rmask[0] & cmask[0]
-        identities = holds
-
-        def holds(a, b, v, trail):
-            """The identities' `holds`, then the next cell's mask narrowed to what the trees
-            of its row and its column allow: False if no value is left."""
-            if not identities(a, b, v, trail):
-                return False
-            k = a * n + b + 1
-            if k == nn:
-                return True
-            rn = rnode[k] = rchild[rnode[k - 1] * n + v] if b + 1 < n else 0
-            cn = cnode[k] = cchild[cnode[k - n] * n + t[k - n]] if k >= n else 0
-            m = mask[k]
-            trail.append((k, m))
-            mask[k] = m = m & rmask[rn] & cmask[cn]
-            return m != 0
+        if not translations:
+            return True
+        k = an + b + 1
+        if k == nn:
+            return True
+        rn = rnode[k] = rchild[rnode[k - 1] * n + v] if b + 1 < n else 0
+        cn = cnode[k] = cchild[cnode[k - n] * n + t[k - n]] if k >= n else 0
+        m = mask[k]
+        trail.append((k, m))
+        mask[k] = m = m & rmask[rn] & cmask[cn]
+        return m != 0
 
     # per depth d, each live relabeling whose next position needs cell d, as (index in perms,
     # images, gather, first position not yet shown equal); at nn, the indices of those left
-    wake = [[(j, p, g, 0) for j, (p, g) in enumerate(perms or ())]] + [[] for _ in range(nn)]
+    wake = [[(j, p, g, 0) for j, (p, g) in enumerate(perms)]] + [[] for _ in range(nn)]
     filed = [[] for _ in range(nn)]  # per depth, the depths its leads filed relabelings under
 
     def leads(k):
@@ -289,8 +283,7 @@ def _search(le, n: int, kind: str, perms=None):
         t_cells[v].append((a, b))
         if holds(a, b, v, trail) and (not perms or leads(k)):
             if k == last:
-                yield tuple(t) if perms is None else (
-                    tuple(t), [perms[j] for j in sorted(wake[nn])])
+                yield tuple(t), [perms[j] for j in sorted(wake[nn])]
             else:
                 k += 1
 
@@ -298,7 +291,7 @@ def _search(le, n: int, kind: str, perms=None):
 def enumerate_associative_tables(n: int):
     """All labeled associative tables of order n, in lexicographic order."""
     _check_order(n)
-    return tuple(OpTable(n, e) for e in _search(None, n, SEMIGROUP))
+    return tuple(OpTable(n, e) for e, _ in _search(None, n, _AXIOMS[SEMIGROUP]))
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +301,8 @@ def _reps(n: int):
     Raises RuntimeError unless the classes and orbit sizes match the OEIS counts.
     """
     perms = _perm_data(n)
-    reps = tuple((t, (perms[0], *aut)) for t, aut in _search(None, n, SEMIGROUP, perms[1:]))
+    found = _search(None, n, _AXIOMS[SEMIGROUP], perms[1:])
+    reps = tuple((t, (perms[0], *aut)) for t, aut in found)
     counts = (len(reps), sum(factorial(n) // len(aut) for _, aut in reps))
     if counts != _SEMIGROUP_COUNTS[n]:
         raise RuntimeError(f"order-{n} semigroup search found {counts[0]} classes of "
@@ -362,7 +356,8 @@ def _right_tables(le, aut, n: int, kind: str):
     if rights is None:
         rights = _RIGHT_TABLES[le, kind] = (
             ((bytes(le), aut),) if _decided_by_d1(le, n, kind) else
-            tuple((bytes(re), (aut[0], *group)) for re, group in _search(le, n, kind, aut[1:])))
+            tuple((bytes(re), (aut[0], *group))
+                  for re, group in _search(le, n, _AXIOMS[kind], aut[1:])))
     return rights
 
 

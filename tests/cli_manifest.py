@@ -10,10 +10,11 @@ the repository root and names the lines that changed:
 
 The commands cover `classify`, `enumerate` and `catalog list` at orders 1-4
 for each kind and format, `problem1` in each format, `catalog build` on
-every name the catalog lists at orders 1-4, on wrapped and malformed names, and
-`check`, `check --json`, `aut`, `dual` and `iso` on the structure files that
-`write_inputs` makes from fixed seeds: built from catalog names, relabeled
-copies of those, random tables and pairs of orders 2-6, and malformed text.
+every name the catalog lists at orders 1-4, on wrapped, spaced and malformed
+names, and `check`, `check --json`, `aut`, `dual` and `iso` on the structure
+files that `write_inputs` makes from fixed seeds: built from catalog names,
+relabeled copies of those, random tables and pairs of orders 2-6, and
+malformed text.
 """
 from __future__ import annotations
 
@@ -115,6 +116,9 @@ def commands(files: dict) -> list:
     # relabeling makes valid, both refused with exit 2
     argvs += [["catalog", "build", name] for name in ("dual(LO3)", "triv(C3)", "plus0(LO2|RO2)",
                                                       "dual(LO3|O3)", "C2|C3", "C2|O2")]
+    # pair names spaced around their bars, which build what the unspaced names build
+    argvs += [["catalog", "build", name]
+              for name in ("LO3 | RO3", "(LO2 | RO2)+0", "O(3,1)a | O(3,1)b")]
     for f, text in files.items():
         if f.startswith("relabeled"):  # the same class as its built file: same key and group
             argvs += [["aut", f], ["iso", "built" + f[len("relabeled"):], f]]

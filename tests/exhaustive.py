@@ -23,7 +23,7 @@ from dimonoids import classify, enumeration
 from dimonoids.axioms import (ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS,
                               identity_witness)
 from dimonoids.doppel import commutant_masks, transpose_partners, transposed_right_tables
-from dimonoids.enumeration import _reps, _search, enumerate_structures
+from dimonoids.enumeration import _AXIOMS, _reps, _search, enumerate_structures
 from dimonoids.iso import (CanonicalKey, GroupId, _least, _matches, _perm_data, _perm_order,
                            automorphisms, canonical_form, distructure_from_key, identify_group)
 from dimonoids.tables import OpTable, Permutation
@@ -121,7 +121,7 @@ def check_d1_decided(n, step=1):
         for le, aut in decided[::step]:
             # D1 with L associative: L[x][R[y][z]] = L[x][L[y][z]] for every x, so R[y][z]
             # and L[y][z] label equal columns of L
-            if list(_search(le, n, DIMONOID)) != [le]:
+            if [re for re, _ in _search(le, n, _AXIOMS[DIMONOID])] != [le]:
                 raise AssertionError(f"order-{n} representative {le}: its columns are "
                                      f"distinct, but R = L is not its only right table")
             with mock.patch.object(enumeration, "_search", refuse):
@@ -147,7 +147,8 @@ def check_transposed(n, step=1):
     def searched(le):
         """le's leaders with their groups, as `_right_tables` keeps them, from a search."""
         aut = auts[le]
-        return tuple((bytes(re), (aut[0], *group)) for re, group in _search(le, n, kind, aut[1:]))
+        return tuple((bytes(re), (aut[0], *group))
+                     for re, group in _search(le, n, _AXIOMS[kind], aut[1:]))
 
     perms = _perm_data(n)
     for le, aut in dict.fromkeys((*reps[::step], *derived[::step])):
@@ -162,15 +163,9 @@ def check_transposed(n, step=1):
     return len(reps) - len(derived), len(derived)
 
 
-# a kind no command searches: D1-D4 with associativity, the pairs that are both dimonoids
-# and doppelsemigroups; `all_identities` adds it to `enumeration._AXIOMS`
-D1_D4 = "d1-d4"
-
-
-def all_identities():
-    """A context in which `_search` knows the kind D1_D4."""
-    axioms = tuple(IDENTITIES[a] for a in ("d1", "d2", "d3", "d4")) + (ASSOCIATIVITY,)
-    return mock.patch.dict(enumeration._AXIOMS, {D1_D4: axioms})
+# identities no command searches: D1-D4 with associativity, the pairs that are both
+# dimonoids and doppelsemigroups
+D1_D4 = tuple(IDENTITIES[a] for a in ("d1", "d2", "d3", "d4")) + (ASSOCIATIVITY,)
 
 
 def check_identity_intersection(n):
@@ -178,9 +173,8 @@ def check_identity_intersection(n):
     search of every representative under all four identities are found equal to the keys
     the dimonoid and the doppelsemigroup census share.  No shipped kind has D1, D2 and D4,
     so only this search narrows a cell by D1's columns and the translation trees at once."""
-    with all_identities():
-        keys = {bytes(le) + bytes(re) for le, aut in _reps(n)
-                for re, _ in _search(le, n, D1_D4, aut[1:])}
+    keys = {bytes(le) + bytes(re) for le, aut in _reps(n)
+            for re, _ in _search(le, n, D1_D4, aut[1:])}
     shared = (set(enumerate_structures(n, DIMONOID).keys)
               & set(enumerate_structures(n, DOPPELSEMIGROUP).keys))
     if keys != shared:
@@ -204,7 +198,8 @@ def check_monoid_variants(n):
             continue
         variants = sorted({tuple(le[le[x * n + a] * n + z] for x in range(n) for z in range(n))
                            for a in range(n)})
-        if len(variants) != n or list(_search(le, n, DOPPELSEMIGROUP)) != variants:
+        rights = [re for re, _ in _search(le, n, _AXIOMS[DOPPELSEMIGROUP])]
+        if len(variants) != n or rights != variants:
             raise AssertionError(f"order-{n} monoid representative {le}: its right tables "
                                  f"differ from its {n} variants")
         monoids.add(bytes(le))
@@ -333,7 +328,7 @@ def check_burnside(result):
     n, kind = result.order, result.kind
     classes = labeled = 0
     for le, aut in _reps(n):
-        rights = list(_search(le, n, kind))
+        rights = [re for re, _ in _search(le, n, _AXIOMS[kind])]
         fixed = len(rights) + sum(1 for p, gather in aut[1:] for re in rights
                                   if tuple(p[re[j]] for j in gather) == re)
         orbits, rest = divmod(fixed, len(aut))

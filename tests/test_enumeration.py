@@ -23,14 +23,13 @@ from dimonoids import (DIMONOID, DOPPELSEMIGROUP, canonical_form, check_structur
 from dimonoids import enumeration
 from dimonoids.axioms import assoc_witness, identity_witness
 from dimonoids.doppel import commutant_masks
-from dimonoids.enumeration import (ENUM_KINDS, _SEMIGROUP_DUAL_CLASSES, _reps, _search,
-                                   class_lines)
+from dimonoids.enumeration import (_AXIOMS, ENUM_KINDS, _SEMIGROUP_DUAL_CLASSES, _reps,
+                                   _search, class_lines)
 from dimonoids.iso import _perm_data
-from exhaustive import (D1_D4, _min_key, _pair_axioms_hold, _stabilizer, all_identities,
-                        check_burnside, check_d1_decided, check_identity_intersection,
-                        check_monoid_variants, check_pool_sizes, check_rep_groups,
-                        check_transposed, check_translation_trees, check_translations,
-                        class_reps)
+from exhaustive import (D1_D4, _min_key, _pair_axioms_hold, _stabilizer, check_burnside,
+                        check_d1_decided, check_identity_intersection, check_monoid_variants,
+                        check_pool_sizes, check_rep_groups, check_transposed,
+                        check_translation_trees, check_translations, class_reps)
 
 KINDS = ("dimonoid", "doppelsemigroup")
 
@@ -219,7 +218,7 @@ def test_right_table_leaders_and_their_groups(n, kind, monkeypatch):
     monkeypatch.setattr(enumeration, "_RIGHT_TABLES", {})
     for le, aut in _reps(n):
         leaders = sorted({min(tuple(p[re[j]] for j in g) for p, g in aut)
-                          for re in _search(le, n, kind)})
+                          for re, _ in _search(le, n, _AXIOMS[kind])})
         kept = enumeration._right_tables(le, aut, n, kind)
         assert [tuple(re) for re, _ in kept] == leaders
         assert [group for _, group in kept] == [_stabilizer(re, aut) for re in leaders]
@@ -249,7 +248,7 @@ def test_order4_search_matches_filtering_every_right_table(kind):
     tables = all_tables(4)
     for le, _ in _reps(4)[::10]:
         expected = [re for re in tables if _pair_axioms_hold(le, re, 4, kind)]
-        assert list(_search(le, 4, kind)) == expected
+        assert [re for re, _ in _search(le, 4, _AXIOMS[kind])] == expected
 
 
 # every order-2 left table and 20 seeded order-3 ones, associative or not
@@ -258,17 +257,17 @@ ARBITRARY_LEFTS = ([(2, le) for le in product(range(2), repeat=4)]
                       for seed in range(20)])
 
 
-@pytest.mark.parametrize("kind", KINDS + (D1_D4,))
-def test_search_matches_filtering_every_right_table_for_arbitrary_left_tables(kind):
+@pytest.mark.parametrize("identities", [_AXIOMS[kind] for kind in KINDS] + [D1_D4],
+                         ids=KINDS + ("d1-d4",))
+def test_search_matches_filtering_every_right_table_for_arbitrary_left_tables(identities):
     # forced cells, D1's masks and the translation trees must agree with the plain
     # identities even where L breaks them itself, e.g. a value forced outside the values
     # D1 allows a cell is refused; D1-D4 narrows cells by D1 and the trees together
-    with all_identities():
-        for n, le in ARBITRARY_LEFTS:
-            expected = [re for re in product(range(n), repeat=n * n)
-                        if all(identity_witness(letters, le, re, n) is None
-                               for letters in enumeration._AXIOMS[kind])]
-            assert list(_search(le, n, kind)) == expected, le
+    for n, le in ARBITRARY_LEFTS:
+        expected = [re for re in product(range(n), repeat=n * n)
+                    if all(identity_witness(letters, le, re, n) is None
+                           for letters in identities)]
+        assert [re for re, _ in _search(le, n, identities)] == expected, le
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
