@@ -1,6 +1,6 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 22 s with two workers on a two-core machine):
+Run from the repository root (about 23 s with two workers on a two-core machine):
 
     PYTHONPATH=src:tests python -X dev -W error .github/order5_census.py
 
@@ -34,6 +34,12 @@ runs at orders 1-4:
   of the 228 representatives with an identity with its 5 variants
   R[x][z] = L[L[x][a]][z], and the census's 1,008 classes over them with the
   orbits of their groups;
+- `check_dual_names` checks each kind's report: its names are distinct, and
+  dual partners are both unnamed or carry each other's dual names;
+- `check_names_spelled` checks that each name of both pair kinds' name maps
+  maps to a pair that spells it: a `left|right` pair has left's table on the
+  left and a relabeling of right's on the right, and `(X)+0` adjoins its zero
+  last to a pair that spells X;
 - `check_pool_sizes` repeats both pair censuses with a pool of spawned workers
   and serially; both must agree with the first census, which ran in a pool
   started the platform's default way.
@@ -56,8 +62,9 @@ import time
 
 from dimonoids import enumerate_structures, render_report
 from exhaustive import (check_burnside, check_census_classes, check_d1_decided,
-                        check_identity_intersection, check_monoid_variants, check_pool_sizes,
-                        check_rep_groups, check_translations, check_transposed)
+                        check_dual_names, check_identity_intersection, check_monoid_variants,
+                        check_names_spelled, check_pool_sizes, check_rep_groups,
+                        check_translations, check_transposed)
 
 EXPECTED = {"semigroup": (183732, 1915), "dimonoid": (6488383, 55883),
             "doppelsemigroup": (7855432, 68177)}
@@ -144,9 +151,14 @@ def main():
             raise SystemExit(f"order-5 {kind}: {summary['unnamed']} unnamed, "
                              f"expected {UNNAMED[kind]}")
         check_name_map(report)
+        named = check_dual_names(report)
+        print(f"order-5 {kind}: {named} names are distinct and dual partners carry each "
+              f"other's dual names")
         if kind == "semigroup":
             continue
         check_report(report)
+        print(f"order-5 {kind}: each of {check_names_spelled(5, kind)} names maps to a pair "
+              f"that spells it")
         if kind == "dimonoid":
             decided = check_d1_decided(5, DECIDED_STEP)
             print(f"order-5 {kind} representatives: {len(reps) - decided} searched, "

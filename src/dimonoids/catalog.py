@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .axioms import (NotAssociativeError, assoc_witness, check_structure, DIMONOID,
                      DOPPELSEMIGROUP)
-from .enumeration import MAX_ORDER, _check_order, _reps, _right_tables
+from .enumeration import ENUM_KINDS, MAX_ORDER, SEMIGROUP, _check_order, _reps, _right_tables
 from .iso import _coset_reach, _left_coset, _perm_data
 from .tables import (DiStructure, OpTable, Permutation, _inverse, _relabeling, _table,
                      _transposed, apply_permutation)
@@ -318,13 +318,17 @@ def _split_pair(name: str):
     return None
 
 
+# the curated pair names, matched without building: Cn|Cn^-1 (n in group 1), O(3,1)a|O(3,1)b
+_SPECIAL_PAIR = re.compile(r"^C(\d+)\|C\1\^-1$|^O\(3,1\)a\|O\(3,1\)b$")
+
+
 def _special_pair(name: str, extra: int = 0):
-    m = re.match(r"^C(\d+)\|C(\d+)\^-1$", name)
-    if m and m.group(1) == m.group(2):
+    m = _SPECIAL_PAIR.match(name)
+    if m and m.group(1):
         n = int(m.group(1))
         _require_cap(name, extra, n + extra)
         return DiStructure(cyclic(n), shifted_cyclic(n, n - 1))
-    if name == "O(3,1)a|O(3,1)b":
+    if m:
         return DiStructure(idempotent_diagonal_at(3, (0,), 2),
                            idempotent_diagonal_at(3, (1,), 2))
     return None
@@ -354,7 +358,7 @@ def structure_dual_name(name: str) -> str:
         return f"triv({semigroup_dual_name(inner)})"
     if (inner := _inner(name, "dual(", ")")) is not None:
         return inner
-    if _special_pair(name) is not None:
+    if _SPECIAL_PAIR.match(name):
         return name  # curated specials denote classes isomorphic to their dual
     split = _split_pair(name)
     if split is None:
@@ -523,9 +527,10 @@ def named_structures(n: int, kind: str):
     the transpose of the left) come first, then relabeling order; each
     right table appears once.  Only candidates satisfying the kind's axioms
     appear.  One name can reach several isomorphism classes;
-    `named_class_map` resolves that.
-    Raises ParameterError for a kind other than dimonoid or doppelsemigroup
-    and ValueError for an order the enumeration does not support.
+    `named_class_map` resolves that.  The semigroup kind lists the trivial
+    pairs alone: a semigroup class is its pair (L, L).
+    Raises ParameterError for a kind outside `ENUM_KINDS` and ValueError for
+    an order the enumeration does not support.
     """
     return tuple(item[:2] for item in _named_candidates(n, kind))
 
@@ -533,13 +538,13 @@ def named_structures(n: int, kind: str):
 @lru_cache(maxsize=32)
 def _named_candidates(n: int, kind: str):
     """`named_structures(n, kind)` with each pair's canonical key as bytes: the trivial
-    pairs' from `_semigroup_keys`, and the direct pairs' from the census's leaders."""
-    if kind not in (DIMONOID, DOPPELSEMIGROUP):
-        raise ParameterError(f"unknown pair kind {kind!r}; expected {DIMONOID!r} "
-                             f"or {DOPPELSEMIGROUP!r}")
+    pairs' from `_semigroup_keys`, the +0 and curated pairs' from a coset scan, and the
+    direct pairs' from the census's leaders."""
+    if kind not in ENUM_KINDS:
+        raise ParameterError(f"unknown kind {kind!r}; expected one of {ENUM_KINDS}")
     _check_order(n)
     out = [(name, DiStructure(t, t), bytes(key)) for name, t, key, _ in _semigroup_keys(n)]
-    if n >= 2:
+    if n >= 2 and kind != SEMIGROUP:
         seen_inner, keyless = set(), []
         for name, d, key in _named_candidates(n - 1, kind):
             if d.left != d.right and key not in seen_inner:
@@ -581,22 +586,17 @@ def _named_candidates(n: int, kind: str):
 def named_class_map(n: int, kind: str):
     """Resolve names to classes: (name -> pair, canonical key -> name).
 
-    Each isomorphism class takes at most one name and each name lands on at
-    most one class, in `named_structures` priority order.  Assigning a name
-    also assigns the dual name to the dual class, so named dual partners
-    always carry each other's dual name.  Classes left over (two classes
-    sharing every applicable name) stay out of the maps.
+    Each name lands on its first candidate in `named_structures` priority
+    order whose class no earlier name took, so each class takes its first
+    name and each name maps to a pair whose tables spell it.  No dual step
+    is needed: the candidate order already gives named dual partners each
+    other's dual names, which the tests check at orders 1-5.  Classes left
+    over (two classes sharing every applicable name) stay out of the maps.
     """
     by_name: dict = {}
     by_key: dict = {}
     for name, d, key in _named_candidates(n, kind):
-        if name in by_name or key in by_key:
-            continue
-        by_key[key] = name
-        by_name[name] = d
-        lt, rt = _transposed(d.left.entries, n), _transposed(d.right.entries, n)
-        dual_key = bytes(_coset_reach(rt, lt, n)[0])  # the dual is (Rᵀ, Lᵀ)
-        if dual_key not in by_key and (dual_name := structure_dual_name(name)) not in by_name:
-            by_key[dual_key] = dual_name
-            by_name[dual_name] = d.dual()
+        if name not in by_name and key not in by_key:
+            by_key[key] = name
+            by_name[name] = d
     return by_name, by_key

@@ -4,10 +4,9 @@ from __future__ import annotations
 import io
 import json
 import time
-from functools import lru_cache
 from math import factorial
 
-from .catalog import _semigroup_keys, named_class_map
+from .catalog import named_class_map
 from .enumeration import (EnumerationResult, SEMIGROUP, _SEMIGROUP_DUAL_CLASSES,
                           enumerate_dimonoids, enumerate_structures)
 from .axioms import DIMONOID, _pair_flags
@@ -46,14 +45,6 @@ class ClassificationReport(Record):
 
     def to_json(self) -> dict:
         return {"schema": "dimonoids.report/1", **json_fields(self)}
-
-
-@lru_cache(maxsize=32)
-def _name_map(order: int, kind: str) -> dict:
-    """Canonical key bytes -> display name; the first (highest priority) name wins, written last."""
-    if kind == SEMIGROUP:
-        return {bytes(key): name for name, _, key, _ in reversed(_semigroup_keys(order))}
-    return named_class_map(order, kind)[1]
 
 
 def _check_census(result: EnumerationResult, rows) -> None:
@@ -98,7 +89,7 @@ def classify(result: EnumerationResult) -> ClassificationReport:
     n, kind = result.order, result.kind
     nn = n * n
     start = time.perf_counter()
-    names = _name_map(n, kind)
+    names = named_class_map(n, kind)[1]
     start = log_info(__name__, start, "order %d: %s name map of %d names", n, kind, len(names))
     groups = {aut: identify_group([Permutation(p) for p, _ in aut])
               for aut in dict.fromkeys(result.auts)}  # Aut(D) -> its GroupId

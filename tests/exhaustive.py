@@ -22,11 +22,13 @@ from unittest import mock
 from dimonoids import classify, enumeration
 from dimonoids.axioms import (ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS,
                               identity_witness)
+from dimonoids.catalog import (adjoin_zero_dimonoid, build_semigroup, build_structure,
+                               named_class_map, structure_dual_name)
 from dimonoids.doppel import commutant_masks, transpose_partners, transposed_right_tables
 from dimonoids.enumeration import _AXIOMS, _reps, _search, enumerate_structures
 from dimonoids.iso import (CanonicalKey, GroupId, _least, _matches, _perm_data, _perm_order,
                            automorphisms, canonical_form, distructure_from_key, identify_group)
-from dimonoids.tables import OpTable, Permutation
+from dimonoids.tables import DiStructure, OpTable, Permutation
 
 
 def _pair_axioms_hold(le, re, n, kind) -> bool:
@@ -292,6 +294,65 @@ def check_census_classes(result, step=1):
             raise AssertionError(f"order-{n} {result.kind} class {key.hex()}: "
                                  f"{', '.join(failed)} differ from the references")
     return report
+
+
+def check_dual_names(report):
+    """How many rows of report are named, once the names are found distinct, each row's
+    dual partner to take the row's key as its own dual key, and the two to be both
+    unnamed or named by `structure_dual_name` of each other."""
+    by_key = {r.key: r for r in report.rows}
+    if len({r.name for r in report.rows}) != len(report.rows):
+        raise AssertionError(f"order-{report.order} {report.kind}: two classes share a name")
+    for r in report.rows:
+        partner = by_key[r.dual_key]
+        unnamed = r.name.startswith("unnamed-")
+        if (partner.dual_key != r.key or unnamed != partner.name.startswith("unnamed-")
+                or not unnamed and partner.name != structure_dual_name(r.name)):
+            raise AssertionError(f"order-{report.order} {report.kind} class {r.name!r}: its "
+                                 f"dual class is {partner.name!r}")
+    return sum(not r.name.startswith("unnamed-") for r in report.rows)
+
+
+def _spelling_fault(name, d):
+    """Why the pair d does not spell the catalog name, or None if it does: a curated
+    special is its build, `(X)+0` adjoins a zero to a pair spelling X, `left|right` has
+    left's table on the left and a relabeling of right's on the right, and a bare name
+    is the pair (t, t) of its table."""
+    n = d.order
+    if name in (f"C{n}|C{n}^-1", "O(3,1)a|O(3,1)b"):
+        return None if d == build_structure(name) else "it differs from the curated pair"
+    if name.startswith("(") and name.endswith(")+0"):
+        blocks = [tuple(t.entries[x * n + y] for x in range(n - 1) for y in range(n - 1))
+                  for t in (d.left, d.right)]
+        if n - 1 in blocks[0] + blocks[1]:
+            return "its last element is not an adjoined zero"
+        inner = DiStructure(OpTable(n - 1, blocks[0]), OpTable(n - 1, blocks[1]))
+        if adjoin_zero_dimonoid(inner) != d:
+            return "its last element is not an adjoined zero"
+        fault = _spelling_fault(name[1:-3], inner)
+        return fault and f"its pair without the zero does not spell {name[1:-3]!r}: {fault}"
+    left, bar, right = name.partition("|")
+    if not bar:
+        t = build_semigroup(name)
+        return None if d == DiStructure(t, t) else "it is not the trivial pair of the name"
+    if d.left != build_semigroup(left):
+        return f"its left table is not {left}"
+    perms = _perm_data(n)
+    if _least(d.right.entries, perms)[0] != _least(build_semigroup(right).entries, perms)[0]:
+        return f"its right table is no relabeling of {right}"
+    return None
+
+
+def check_names_spelled(n, kind):
+    """How many names `named_class_map(n, kind)` holds, once each is found to map to a
+    pair that spells it, as `_spelling_fault` reads the name."""
+    by_name = named_class_map(n, kind)[0]
+    faults = {name: fault for name, d in by_name.items() if (fault := _spelling_fault(name, d))}
+    if faults:
+        name, fault = next(iter(faults.items()))
+        raise AssertionError(f"order-{n} {kind}: {len(faults)} names map to pairs that do not "
+                             f"spell them; first {name!r}: {fault}")
+    return len(by_name)
 
 
 def check_pool_sizes(n, kind, sizes):

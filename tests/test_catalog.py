@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import hashlib
-import importlib
 from itertools import product
 
 import pytest
@@ -21,7 +20,8 @@ from dimonoids import (DIMONOID, DOPPELSEMIGROUP, DiStructure, NotAssociativeErr
                        right_zero, semigroup_dual_name, shifted_cyclic,
                        structure_dual_name, trivial_dimonoid)
 from dimonoids.axioms import IDENTITIES, identity_witness
-from exhaustive import adjoined_reference
+from dimonoids.enumeration import ENUM_KINDS
+from exhaustive import adjoined_reference, check_names_spelled
 
 
 def test_base_family_tables():
@@ -203,7 +203,7 @@ def test_named_semigroups_and_their_name_map_are_pinned(n):
         expected: dict = {}
         for name, t in named:
             expected.setdefault(canonical_form(DiStructure(t, t)).key, name)
-        assert importlib.import_module("dimonoids.classify")._name_map(n, "semigroup") == expected
+        assert named_class_map(n, "semigroup")[1] == expected
 
 
 def test_named_semigroups_cover_all_order3_classes():
@@ -306,6 +306,14 @@ def test_named_class_map_is_injective_both_ways():
                 assert check_structure(d, kind).ok, name
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("kind", ENUM_KINDS)
+def test_each_name_maps_to_a_pair_that_spells_it(kind, n):
+    # the first candidate of each name spells it: the left table is the named one, the
+    # right a relabeling, and a +0 element comes last
+    check_names_spelled(n, kind)
+
+
 def test_build_structure_agrees_with_named_class_map():
     # a pair name spaced around its bars builds the same class: its whitespace must not
     # send it past the map to the relabeling fallback
@@ -339,6 +347,8 @@ def test_structure_dual_name():
     assert structure_dual_name("plus0(LO3|O3)") == "plus0(O3|RO3)"
     assert structure_dual_name("dual(LO3|O3)") == "LO3|O3"
     assert structure_dual_name("triv(dual(LO3))") == "triv(LO3)"
+    # the curated specials are recognized by name, without building them, past the order cap
+    assert structure_dual_name("C65|C65^-1") == "C65|C65^-1"
 
 
 def test_dual_name_matches_dual_table():
@@ -467,5 +477,5 @@ def test_catalog_reuses_the_census_right_tables(kind, monkeypatch):
 
 
 def test_named_structures_rejects_a_non_pair_kind():
-    with pytest.raises(ParameterError, match="unknown pair kind 'semigroup'"):
-        named_structures(3, "semigroup")
+    with pytest.raises(ParameterError, match="unknown kind 'monoid'"):
+        named_structures(3, "monoid")

@@ -19,10 +19,10 @@ from dimonoids import (DiStructure, EnumerationResult, Permutation,
                        automorphisms, canonical_form, classify, classify_order, cyclic,
                        enumerate_dimonoids, enumerate_semigroups, enumerate_structures,
                        identify_group, left_zero, left_zero_collapse, render_report,
-                       right_zero, solve_problem1, structure_dual_name)
+                       right_zero, solve_problem1)
 from dimonoids import enumeration, iso
 from dimonoids.enumeration import ENUM_KINDS
-from exhaustive import check_census_classes, class_reps
+from exhaustive import check_census_classes, check_dual_names, class_reps
 
 # the package's `classify` attribute is the function, which hides the module
 classify_module = importlib.import_module("dimonoids.classify")
@@ -136,18 +136,12 @@ def test_order3_dimonoid_report():
             assert not r.trivial and not r.commutative and not r.abelian
 
 
-def test_order3_dimonoid_names_are_unique_and_dual_consistent():
-    report = classify_order(3)
-    names = [r.name for r in report.rows]
-    assert len(set(names)) == len(names)
-    by_key = {r.key: r for r in report.rows}
-    for r in report.rows:
-        partner = by_key[r.dual_key]
-        assert partner.dual_key == r.key
-        unnamed = r.name.startswith("unnamed-")
-        assert unnamed == partner.name.startswith("unnamed-")
-        if not unnamed:
-            assert partner.name == structure_dual_name(r.name)
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("kind", ENUM_KINDS)
+def test_names_are_unique_and_dual_consistent(kind, n):
+    # the name map's candidate order alone gives named dual partners each other's dual names
+    report = classify_order(n, kind)
+    assert check_dual_names(report) == len(report.rows) - report.summary["unnamed"]
 
 
 def test_order3_orbit_sizes_sum_to_labeled_count():
