@@ -1,6 +1,6 @@
 """Check the order-5 census counts of all three kinds against their known values.
 
-Run from the repository root (about 23 s with two workers on a two-core machine):
+Run from the repository root (about 26 s with two workers on a two-core machine):
 
     PYTHONPATH=src:tests python -X dev -W error .github/order5_census.py
 
@@ -23,6 +23,12 @@ runs at orders 1-4:
 - `check_transposed` compares every 97th doppelsemigroup representative, and
   every 97th one that takes its right tables from its transpose's instead of a
   search, with a direct search;
+- `check_transpose_closure` keys the two images of every class of each kind,
+  the transpose of both tables (τ) and the swap of the two (σ), by canonical
+  form: the doppelsemigroup census must be closed under both, with 19,635
+  ⟨σ, τ⟩-orbits and 2,917 σ-fixed classes, the semigroup census too, with its
+  1,160 classes up to duality, and 7,313 dimonoid classes have a τ-image
+  outside their census, which is closed under στ alone;
 - `check_burnside` counts each pair kind's classes and labeled pairs by
   Burnside's lemma over the unpruned right tables, a second count that shares
   neither the leader test on right tables nor the D1 shortcut, transposition
@@ -64,12 +70,16 @@ from dimonoids import enumerate_structures, render_report
 from exhaustive import (check_burnside, check_census_classes, check_d1_decided,
                         check_dual_names, check_identity_intersection, check_monoid_variants,
                         check_names_spelled, check_pool_sizes, check_rep_groups,
-                        check_translations, check_transposed)
+                        check_translations, check_transpose_closure, check_transposed)
 
 EXPECTED = {"semigroup": (183732, 1915), "dimonoid": (6488383, 55883),
             "doppelsemigroup": (7855432, 68177)}
 # (classes, trivial ones) of the pairs that satisfy D1-D4: dimonoids and doppelsemigroups
 SHARED = (48572, 1915)
+# (orbits under transposing and swapping the tables, classes the swap fixes, classes whose
+# transpose lies outside the census); orbits is None for a census that is not closed
+CLOSURE = {"semigroup": (1160, 1915, 0), "dimonoid": (None, 2248, 7313),
+           "doppelsemigroup": (19635, 2917, 0)}
 # (representatives with an identity, and their doppelsemigroup classes)
 MONOIDS = (228, 1008)
 UNNAMED = {"dimonoid": 55609, "doppelsemigroup": 67442}
@@ -139,6 +149,14 @@ def main():
             check_burnside(result)
             print(f"order-5 {kind}: Burnside's lemma gives the census counts, in "
                   f"{time.perf_counter() - start:.2f} s")
+        start = time.perf_counter()
+        closure = check_transpose_closure(result)
+        print(f"order-5 {kind}: {closure[0]} orbits under transposing and swapping the "
+              f"tables, {closure[1]} classes fixed by the swap, {closure[2]} whose transpose "
+              f"lies outside the census, in {time.perf_counter() - start:.2f} s")
+        if closure != CLOSURE[kind]:
+            raise SystemExit(f"order-5 {kind}: the closure check gives {closure}, expected "
+                             f"{CLOSURE[kind]}")
         report = check_census_classes(result, SAMPLE_STEP)
         print(kind, -(-len(report.rows) // SAMPLE_STEP), "sampled classes agree with the "
               "references")

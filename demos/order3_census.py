@@ -27,12 +27,10 @@ for key, value in answer.summary.items():
 self_paired = [r for r in answer.rows if r.dual_key == r.key]
 print("self-paired class key:", self_paired[0].key)
 
-from dimonoids import CanonicalKey, Permutation, format_distructure
+from dimonoids import format_distructure
 from dimonoids.iso import distructure_from_key
 
-row = self_paired[0]
-key = CanonicalKey(3, bytes.fromhex(row.key), Permutation.identity(3))
-print(format_distructure(distructure_from_key(key)))
+print(format_distructure(distructure_from_key(bytes.fromhex(self_paired[0].key))))
 
 # per-class details render as markdown, csv, or json
 print(render_report(answer, "markdown").splitlines()[0])

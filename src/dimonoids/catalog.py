@@ -34,7 +34,7 @@ from .axioms import (NotAssociativeError, assoc_witness, check_structure, DIMONO
 from .enumeration import ENUM_KINDS, MAX_ORDER, SEMIGROUP, _check_order, _reps, _right_tables
 from .iso import _coset_reach, _left_coset, _perm_data
 from .tables import (DiStructure, OpTable, Permutation, _inverse, _relabeling, _table,
-                     _transposed, apply_permutation)
+                     apply_permutation)
 
 
 class ParameterError(ValueError):
@@ -474,29 +474,11 @@ def named_semigroups(n: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
-def _semigroup_keys(n: int):
-    """(name, table, key, p) for each of `named_semigroups(n)`: key, a tuple, is the canonical
-    key of (table, table), the table's least relabeling twice, and p carries it onto that."""
-    out = []
-    for name, t in named_semigroups(n):
-        left, coset = _left_coset(t.entries, n)
-        out.append((name, t, left + left, coset[0][0]))
-    return tuple(out)
-
-
-def _special_pair_names(n: int):
-    names = [f"C{n}|C{n}^-1"] if n >= 2 else []
-    if n == 3:
-        names.append("O(3,1)a|O(3,1)b")
-    return [(name, _special_pair(name)) for name in names]
-
-
-def _right_tables_of(key, p, aut, n: int, kind: str, positions):
+def _right_tables_of(left, p, aut, n: int, kind: str, positions):
     """(right table, its leader) for the right tables in positions of the table t whose
-    relabeling by p is key's left block.
+    relabeling by p is left.
 
-    That block is the first table of t's relabeling orbit, the census's
+    left is the first table of t's relabeling orbit, the census's
     representative L of t's class, with Aut(L) given as aut, so t's right
     tables are the Aut(L)-orbits of L's leaders, relabeled by p⁻¹, and the
     canonical key of (t, R) is L followed by the leader of R's orbit.
@@ -506,7 +488,7 @@ def _right_tables_of(key, p, aut, n: int, kind: str, positions):
     """
     pinv, gather = _relabeling(_inverse(p))
     out = []
-    for re, _ in _right_tables(key[:n * n], aut, n, kind):
+    for re, _ in _right_tables(left, aut, n, kind):
         if tuple(re) in positions:
             orbit = {tuple([q[re[j]] for j in g]) for q, g in aut}
             out += ((tuple([pinv[r[j]] for j in gather]), re) for r in orbit)
@@ -523,9 +505,9 @@ def named_structures(n: int, kind: str):
     census, the Aut(L)-orbits of the leaders its class representative L
     keeps, relabeled onto it, and look them up among the relabeled named
     tables; a leader that is no relabeled named table is skipped unexpanded.
-    Within one `left|right` name, abelian candidates (right table equal to
-    the transpose of the left) come first, then relabeling order; each
-    right table appears once.  Only candidates satisfying the kind's axioms
+    Within one `left|right` name, candidates come in relabeling order (the
+    first relabeling of the right table that gives each); each right table
+    appears once.  Only candidates satisfying the kind's axioms
     appear.  One name can reach several isomorphism classes;
     `named_class_map` resolves that.  The semigroup kind lists the trivial
     pairs alone: a semigroup class is its pair (L, L).
@@ -537,52 +519,53 @@ def named_structures(n: int, kind: str):
 
 @lru_cache(maxsize=32)
 def _named_candidates(n: int, kind: str):
-    """`named_structures(n, kind)` with each pair's canonical key as bytes: the trivial
-    pairs' from `_semigroup_keys`, the +0 and curated pairs' from a coset scan, and the
-    direct pairs' from the census's leaders."""
+    """`named_structures(n, kind)` with each pair's canonical key as bytes: a trivial pair's
+    is its table's least relabeling L twice, the +0 and curated pairs' come from a coset
+    scan, and a direct pair's is L followed by its right table's leader in the census."""
     if kind not in ENUM_KINDS:
         raise ParameterError(f"unknown kind {kind!r}; expected one of {ENUM_KINDS}")
     _check_order(n)
-    out = [(name, DiStructure(t, t), bytes(key)) for name, t, key, _ in _semigroup_keys(n)]
+    out = []
+    classes: dict = {}  # (L, name, table, p carrying it onto L) of each class's first named table
+    for name, t in named_semigroups(n):
+        left, coset = _left_coset(t.entries, n)
+        classes.setdefault(left, (left, name, t, coset[0][0]))
+        out.append((name, DiStructure(t, t), bytes(left + left)))
     if n >= 2 and kind != SEMIGROUP:
         seen_inner, keyless = set(), []
         for name, d, key in _named_candidates(n - 1, kind):
             if d.left != d.right and key not in seen_inner:
                 seen_inner.add(key)
                 keyless.append((f"({name})+0", adjoin_zero_dimonoid(d)))
-        keyless += ((name, d) for name, d in _special_pair_names(n) if check_structure(d, kind).ok)
+        for name in [f"C{n}|C{n}^-1"] + (["O(3,1)a|O(3,1)b"] if n == 3 else []):
+            d = _special_pair(name)
+            if check_structure(d, kind).ok:
+                keyless.append((name, d))
         out += ((name, d, bytes(_coset_reach(d.left.entries, d.right.entries, n)[0]))
                 for name, d in keyless)
-        classes: dict = {}  # the first named table of each semigroup class, by its key
-        for item in _semigroup_keys(n):
-            classes.setdefault(item[2], item)
         distinct = tuple(classes.values())
         left_auts = dict(_reps(n))
-        for _, t, key, _ in distinct:  # t is associative iff key's left block is a census table
-            if key[:n * n] not in left_auts:
+        for left, _, t, _ in distinct:  # t is associative iff L is a census table
+            if left not in left_auts:
                 raise NotAssociativeError(assoc_witness(t.entries, n))
         # index every relabeling of every distinct table by its entries, at the first
         # (table, relabeling) giving it
         positions: dict = {}
-        for ri, (_, t, _, _) in enumerate(distinct):
+        for ri, (_, _, t, _) in enumerate(distinct):
             e = t.entries
             for pi, (p, gather) in enumerate(_perm_data(n)):
                 positions.setdefault(tuple([p[e[j]] for j in gather]), (ri, pi))
         # both components are (relabeled) associative tables checked above, so
         # the right tables are exactly the relabelings that pass the pair
         # axioms; the trivial pair is already named by the bare tier
-        for lname, lt, key, p in distinct:
-            head = bytes(key[:n * n])
-            rights = _right_tables_of(key, p, left_auts[key[:n * n]], n, kind, positions)
-            abelian = _transposed(lt.entries, n)
-            hits = sorted((positions[rt][0], rt != abelian, positions[rt][1], rt, re)
-                          for rt, re in rights if rt != lt.entries)
-            out.extend((f"{lname}|{distinct[ri][0]}", DiStructure(lt, _table(n, rt)), head + re)
-                       for ri, _, _, rt, re in hits)
+        for left, lname, lt, p in distinct:
+            rights = _right_tables_of(left, p, left_auts[left], n, kind, positions)
+            hits = sorted((positions[rt], rt, re) for rt, re in rights if rt != lt.entries)
+            out.extend((f"{lname}|{distinct[ri][1]}", DiStructure(lt, _table(n, rt)),
+                        bytes(left) + re) for (ri, _), rt, re in hits)
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
 def named_class_map(n: int, kind: str):
     """Resolve names to classes: (name -> pair, canonical key -> name).
 
@@ -592,6 +575,8 @@ def named_class_map(n: int, kind: str):
     is needed: the candidate order already gives named dual partners each
     other's dual names, which the tests check at orders 1-5.  Classes left
     over (two classes sharing every applicable name) stay out of the maps.
+    Each call builds both dicts afresh from the cached candidates, so a
+    caller may change what it is given.
     """
     by_name: dict = {}
     by_key: dict = {}

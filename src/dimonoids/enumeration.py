@@ -48,11 +48,11 @@ this process keeps as they come; it derives the rest.  Keys are then sorted
 once, in this process, so results do not depend on the pool, and the
 result keeps them as bytes: `classify` and the JSONL lines read each
 class's tables from its key, and a caller that wants pair objects
-decodes keys with `iso.distructure_from_key`.  Where workers are started
-by spawn or forkserver (macOS, Windows, Linux from Python 3.14), each one
-imports the caller's main module again, so a script must run an order-5
-census under `if __name__ == "__main__":`; one read from standard input
-(`python -`) fails with BrokenProcessPool.
+passes the key bytes to `iso.distructure_from_key`.  Where workers are
+started by spawn or forkserver (macOS, Windows, Linux from Python 3.14),
+each one imports the caller's main module again, so a script must run an
+order-5 census under `if __name__ == "__main__":`; one read from standard
+input (`python -`) fails with BrokenProcessPool.
 
 Orders 1..5 are supported; larger orders are refused.
 """

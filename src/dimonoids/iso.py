@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from math import lcm
+from math import isqrt, lcm
 
 from .tables import DiStructure, OpTable, Permutation, Record, _inverse, _relabeling
 
@@ -95,10 +95,12 @@ def canonical_form(d: DiStructure) -> CanonicalKey:
     return CanonicalKey(order=d.order, key=bytes(best), witness=Permutation(reach[0][0]))
 
 
-def distructure_from_key(key: CanonicalKey) -> DiStructure:
-    n = key.order
-    vals = list(key.key)
-    return DiStructure(OpTable(n, tuple(vals[:n * n])), OpTable(n, tuple(vals[n * n:])))
+def distructure_from_key(key: bytes) -> DiStructure:
+    """The pair whose key bytes are key: 2n² bytes, the left table then the right, row by row."""
+    n = isqrt(len(key) // 2)
+    if 2 * n * n != len(key):  # OpTable refuses the order 0 of an empty key
+        raise ValueError(f"a key holds 2n² bytes for its order n, got {len(key)}")
+    return DiStructure(OpTable(n, tuple(key[:n * n])), OpTable(n, tuple(key[n * n:])))
 
 
 def _matches(d1: DiStructure, d2: DiStructure):

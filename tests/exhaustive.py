@@ -89,8 +89,8 @@ def class_reps(result) -> tuple:
     """(CanonicalKey, DiStructure) per class of an EnumerationResult, decoded from its
     key; the witness is the identity, which reaches a canonical key."""
     identity = Permutation.identity(result.order)
-    keys = (CanonicalKey(order=result.order, key=k, witness=identity) for k in result.keys)
-    return tuple((key, distructure_from_key(key)) for key in keys)
+    return tuple((CanonicalKey(order=result.order, key=k, witness=identity),
+                  distructure_from_key(k)) for k in result.keys)
 
 
 def _exhaustive_hex(d):
@@ -163,6 +163,31 @@ def check_transposed(n, step=1):
                 raise AssertionError(f"order-{n} {kind} representative {le}: the right tables "
                                      f"transposed from {partner} by {q[0]} differ from a search")
     return len(reps) - len(derived), len(derived)
+
+
+def check_transpose_closure(result):
+    """(orbits, σ-fixed, τ-outside) of a census, where τ transposes both tables of a pair
+    and σ swaps them.  Each image is keyed by `canonical_form`, so unlike
+    `check_transposed` this covers every class and trusts neither the census's leaders nor
+    `transposed_right_tables`.  τ-outside counts the classes whose τ-image is no class of
+    the census and σ-fixed those whose σ-image is their own class.  A doppelsemigroup census
+    must be closed under σ and τ; orbits counts the ⟨σ, τ⟩-orbits of a closed census and is
+    None otherwise, as for dimonoids, which are closed under στ, the dual, alone (and
+    `classify` checks that)."""
+    n, keys = result.order, set(result.keys)
+    images = {}  # key -> (σ-image's key, τ-image's key)
+    for key in result.keys:
+        d = distructure_from_key(key)
+        images[key] = (canonical_form(DiStructure(d.right, d.left)).key,
+                       canonical_form(DiStructure(d.left.transpose(), d.right.transpose())).key)
+    unclosed = [key for key, pair in images.items() if not keys.issuperset(pair)]
+    if unclosed and result.kind == DOPPELSEMIGROUP:
+        raise AssertionError(f"order-{n} {result.kind} class {unclosed[0].hex()}: its σ- or "
+                             f"τ-image is not a class of the census")
+    orbits = None if unclosed else len({frozenset((key, s, t, images[t][0]))
+                                     for key, (s, t) in images.items()})
+    return (orbits, sum(s == key for key, (s, _) in images.items()),
+            sum(t not in keys for _, t in images.values()))
 
 
 # identities no command searches: D1-D4 with associativity, the pairs that are both
@@ -278,10 +303,9 @@ def check_census_classes(result, step=1):
     canonical form of its dual."""
     n = result.order
     report = classify(result)
-    identity = Permutation.identity(n)
     for key, aut, row in islice(zip(result.keys, result.auts, report.rows, strict=True),
                                 0, None, step):
-        rep = distructure_from_key(CanonicalKey(order=n, key=key, witness=identity))
+        rep = distructure_from_key(key)
         dual = rep.dual()
         matched = tuple(_matches(rep, rep))
         checks = {"census group": tuple(Permutation(p) for p, _ in aut) == matched,

@@ -10,8 +10,8 @@ from dimonoids import catalog
 from dimonoids import (DIMONOID, DOPPELSEMIGROUP, DiStructure, NotAssociativeError,
                        OpTable, ParameterError, adjoin_identity, adjoin_tilde1,
                        adjoin_zero, adjoin_zero_dimonoid, build_semigroup,
-                       build_structure, canonical_form, check_structure, cyclic,
-                       dimonoid_profile,
+                       build_structure, canonical_form, check_structure, classify_order,
+                       cyclic, dimonoid_profile,
                        dual_dimonoid, dual_table, derive_semigroup,
                        idempotent_diagonal, is_associative, left_zero,
                        left_zero_band, left_zero_collapse, linear_semilattice,
@@ -314,6 +314,15 @@ def test_each_name_maps_to_a_pair_that_spells_it(kind, n):
     check_names_spelled(n, kind)
 
 
+def test_each_call_returns_its_own_name_maps():
+    names = {r.key: r.name for r in classify_order(3).rows}
+    for mapping in named_class_map(3, "dimonoid"):
+        mapping.clear()  # a caller's change must not reach the next call
+    by_name, by_key = named_class_map(3, "dimonoid")
+    assert len(by_name) == len(by_key) == 47
+    assert {r.key: r.name for r in classify_order(3).rows} == names
+
+
 def test_build_structure_agrees_with_named_class_map():
     # a pair name spaced around its bars builds the same class: its whitespace must not
     # send it past the map to the relabeling fallback
@@ -394,7 +403,6 @@ def test_direct_pair_tier_matches_full_axiom_check(n, kind):
             block = [DiStructure(lt, apply_permutation(rt, p))
                      for p in Permutation.all_of_degree(n)]
             block = [d for d in block if d.left != d.right and check_structure(d, kind).ok]
-            block.sort(key=lambda d: d.right != d.left.transpose())
             expected.extend((f"{lname}|{rname}", d) for d in block)
     expected = tuple(dict.fromkeys(expected))  # each relabeling of rt once
     names = named_structures(n, kind)
@@ -416,7 +424,6 @@ def test_direct_pair_tier_matches_brute_force_at_order4(kind):
         for rname, rt in distinct.values():
             block = [DiStructure(lt, rtp) for rtp in (apply_permutation(rt, p) for p in perms)
                      if rtp != lt and _pair_axioms_hold(lt.entries, rtp.entries, 4, kind)]
-            block.sort(key=lambda d: d.right != d.left.transpose())
             expected.extend((f"{lname}|{rname}", d) for d in block)
     expected = tuple(dict.fromkeys(expected))  # each relabeling of rt once
     names = named_structures(4, kind)
@@ -447,7 +454,8 @@ def test_relabeled_census_right_tables_equal_a_search(n, kind):
     for name, t in named_semigroups(n):
         e = t.entries
         key, p = _min_key(e, e, n)
-        rights = catalog._right_tables_of(key, p, left_auts[key[:n * n]], n, kind, tables)
+        rights = catalog._right_tables_of(key[:n * n], p, left_auts[key[:n * n]], n, kind,
+                                          tables)
         assert sorted(rt for rt, _ in rights) == [
             re for re, _ in _search(e, n, _AXIOMS[kind])], name
         for rt, leader in rights:  # the pair's key is L followed by its right table's leader

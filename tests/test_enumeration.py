@@ -28,8 +28,9 @@ from dimonoids.enumeration import (_AXIOMS, ENUM_KINDS, _SEMIGROUP_DUAL_CLASSES,
 from dimonoids.iso import _perm_data
 from exhaustive import (D1_D4, _min_key, _pair_axioms_hold, _stabilizer, check_burnside,
                         check_d1_decided, check_identity_intersection, check_monoid_variants,
-                        check_pool_sizes, check_rep_groups, check_transposed,
-                        check_translation_trees, check_translations, class_reps)
+                        check_pool_sizes, check_rep_groups, check_transpose_closure,
+                        check_transposed, check_translation_trees, check_translations,
+                        class_reps)
 
 KINDS = ("dimonoid", "doppelsemigroup")
 
@@ -304,6 +305,22 @@ def test_transposed_right_tables_equal_a_search(n, monkeypatch):
     enumerate_structures(n, "doppelsemigroup")
     searched = _SEMIGROUP_DUAL_CLASSES[n]
     assert check_transposed(n) == (searched, len(_reps(n)) - searched)
+
+
+@pytest.mark.parametrize("kind, counts", [
+    # (⟨σ, τ⟩-orbits, σ-fixed classes, classes whose τ-image lies outside) at n = 1..4
+    ("semigroup", ((1, 1, 0), (4, 5, 0), (18, 24, 0), (126, 188, 0))),
+    ("dimonoid", ((1, 1, 0), (None, 5, 3), (None, 24, 26), (None, 195, 407))),
+    ("doppelsemigroup", ((1, 1, 0), (6, 6, 0), (41, 31, 0), (491, 267, 0))),
+])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_closure_under_transposing_and_swapping(n, kind, counts):
+    # τ transposes both tables and σ swaps them: doppelsemigroups are closed under both,
+    # semigroups too (their orbits are the classes up to duality, OEIS A001423), while
+    # dimonoids are closed under στ alone
+    assert check_transpose_closure(enumerate_structures(n, kind)) == counts[n - 1]
+    if kind == "semigroup":
+        assert counts[n - 1][0] == _SEMIGROUP_DUAL_CLASSES[n]
 
 
 @pytest.mark.parametrize("n, decided", [(1, 1), (2, 3), (3, 12), (4, 80)])

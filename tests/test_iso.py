@@ -12,6 +12,7 @@ from dimonoids import (DiStructure, OpTable, Permutation, are_isomorphic,
                        identify_group, left_zero, linear_semilattice,
                        null_semigroup, right_zero, shifted_cyclic)
 from dimonoids import iso
+from dimonoids.enumeration import ENUM_KINDS
 from dimonoids.iso import distructure_from_key
 from exhaustive import class_reps, identify_group_reference
 
@@ -86,7 +87,17 @@ def test_canonical_key_fields():
     assert key.order == 2
     assert len(key.key) == 8  # both flat tables
     assert key.hex == key.key.hex()
-    assert distructure_from_key(key) == d.relabel(key.witness)
+    assert distructure_from_key(key.key) == d.relabel(key.witness)
+
+
+def test_census_key_bytes_decode_to_their_pairs():
+    # a key's order is read from its length, 2n²
+    for n in (1, 2, 3):
+        for kind in ENUM_KINDS:
+            for key in enumerate_structures(n, kind).keys:
+                assert canonical_form(distructure_from_key(key)).key == key
+    with pytest.raises(ValueError, match="2n² bytes"):
+        distructure_from_key(bytes(7))
 
 
 def test_automorphisms_form_a_group():
