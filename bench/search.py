@@ -18,11 +18,13 @@ harness's own noise.  Each row runs one command line in fresh interpreters:
   change's `catalog build`.
 Each command writes its output with `--out` to a temporary file.  A row runs
 one untimed warm-up per tree, which also fills that tree's bytecode cache,
-then REPEATS pairs of runs, the parent first in the first pair and the trees
-taking turns to go first after that, so that both see the same drift of the
-host's speed.  Each stderr line ending `in <seconds> s` is one stage, named by
-the text before that tail, and each run is followed by a cold
-`import dimonoids.cli` on its tree, the start-up every command pays.  Per tree, a row holds the
+then REPEATS (10) pairs of runs, the fewest on which a gain may be claimed
+(9 wins of 10), the parent first in the first pair and the trees taking turns
+to go first after that, so that both see the same drift of the host's speed.
+A whole run took 199 s on a two-core host.  Each stderr line ending
+`in <seconds> s` is one stage, named by the text before that tail, and each
+run is followed by a cold `import dimonoids.cli` on its tree, the start-up
+every command pays.  Per tree, a row holds the
 median wall time, the median of each stage, the median import as `import_s`,
 and `share`, the median over the runs of each run's summed stages over its
 wall time less its own import: the part of the command's own time that its
@@ -45,7 +47,7 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
-REPEATS = 5
+REPEATS = 10
 TREES = ("parent", "change")
 KINDS = ("semigroup", "dimonoid", "doppelsemigroup")
 CLI = "import sys; from dimonoids.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -6,7 +6,10 @@ of the form A[B[x][y]][z] = C[x][D[y][z]] over the left (L) and right (R)
 tables (`_AXIOMS` per kind), and yields each table with its automorphisms
 among the relabelings it is given.  After each cell
 only the triples that look that cell up are checked, and a branch is cut
-at the first identity a filled cell breaks.  Each cell keeps one mask of
+at the first identity a filled cell breaks.  The check is generated once
+per process for each set of identities: straight-line code with one loop
+per lookup of R, where lookups of L, which is full, need no guard and are
+never forced.  Each cell keeps one mask of
 the values it may still take, and every source of values narrows it: D1
 looks R up once, so it gives each cell its starting mask, read from an
 index of L's columns before the search, and a triple whose only empty
@@ -98,6 +101,111 @@ def _mask_nexts(n: int):
                        for start in range(n + 1)) for m in range(1 << n))
 
 
+def _indent(lines, depth: int = 1):
+    """Each line indented by depth levels of four spaces."""
+    return ["    " * depth + line for line in lines]
+
+
+# Kernel code narrowing the mask of the empty cell at index {cell} to {value} alone, and
+# failing if {value} is not in it
+_FORCE = """\
+c = {cell}
+m = mask[c]
+bit = 1 << {value}
+if m != bit:
+    if not m & bit:
+        return False
+    trail.append((c, m))
+    mask[c] = bit"""
+
+
+def _agree(u: str, u_cell, w: str, w_cell):
+    """Kernel lines that fail unless u == w.  A side whose cell index is given, a lookup
+    of R, may be empty, and is then forced to the other; both empty would be equal."""
+    arms = [(side, cell, other) for side, cell, other in ((u, u_cell, w), (w, w_cell, u))
+            if cell]
+    lines = []
+    for i, (side, cell, other) in enumerate(arms):
+        lines += [f"{'el' * bool(i)}if {side} < 0:",
+                  *_indent(_FORCE.format(cell=cell, value=other).splitlines())]
+    lines += ["else:", "    return False"] if arms else ["return False"]
+    return [f"if {u} != {w}:", *_indent(lines)]
+
+
+def _branches(letters: str):
+    """Kernel lines checking the decided triples of the identity A[B[x][y]][z] =
+    C[x][D[y][z]] that look up the new cell (a, b) = v: one loop per letter that is R.
+    L is full, so its lookups are read without a guard and never forced."""
+    A, B, C, D = ("t" if c == "R" else "le" for c in letters)
+    in_r = dict(zip("ABCD", (c == "R" for c in letters)))
+
+    def lookup(value, letter, body):  # body, once value, a lookup of letter's table, is set
+        return [f"if {value} >= 0:", *_indent(body)] if in_r[letter] else body
+
+    lines = []
+    if in_r["B"]:  # B[a][b]: triples (a, b, z)
+        lines += ["for z in rng:", *_indent([f"yz = {D}[bn + z]", *lookup("yz", "D", [
+            f"u = {A}[vn + z]", f"w = {C}[an + yz]",
+            *_agree("u", in_r["A"] and "vn + z", "w", in_r["C"] and "an + yz")])])]
+    if in_r["D"]:  # D[a][b]: triples (x, a, b), x at row start xn = x * n
+        lines += ["for xn in starts:", *_indent([f"xy = {B}[xn + a]", *lookup("xy", "B", [
+            f"u = {A}[xy * n + b]", f"w = {C}[xn + v]",
+            *_agree("u", in_r["A"] and "xy * n + b", "w", in_r["C"] and "xn + v")])])]
+    if in_r["A"]:  # A[a][b]: triples (x, y, b) with B[x][y] = a
+        lines += [f"for x, y in {B}_cells[a]:", *_indent([f"yz = {D}[y * n + b]", *lookup(
+            "yz", "D", [f"w = {C}[x * n + yz]",
+                        *_agree("w", in_r["C"] and "x * n + yz", "v", None)])])]
+    if in_r["C"]:  # C[a][b]: triples (a, y, z) with D[y][z] = b
+        lines += [f"for y, z in {D}_cells[b]:", *_indent([f"xy = {B}[an + y]", *lookup(
+            "xy", "B", [f"u = {A}[xy * n + z]",
+                        *_agree("u", in_r["A"] and "xy * n + z", "v", None)])])]
+    return lines
+
+
+# Kernel code of the translation-tree step: narrow the next cell's mask to what the
+# prefix trees of its row and its column allow, and fail if nothing is left
+_TREE_STEP = """\
+k = an + b + 1
+if k == nn:
+    return True
+rn = rnode[k] = rchild[rnode[k - 1] * n + v] if b + 1 < n else 0
+cn = cnode[k] = cchild[cnode[k - n] * n + t[k - n]] if k >= n else 0
+m = mask[k]
+trail.append((k, m))
+mask[k] = m = m & rmask[rn] & cmask[cn]
+return m != 0"""
+
+_BIND = """\
+def bind(t, le, mask, t_cells, le_cells, n, trees):
+    rng, nn = range(n), n * n
+    starts = range(0, nn, n)
+    if trees is not None:
+        rnode, cnode, rchild, cchild, rmask, cmask = trees
+    def holds(a, b, v, trail):
+        an, bn, vn = a * n, b * n, v * n
+{body}
+    return holds"""
+
+
+@lru_cache(maxsize=None)
+def _kernel(plan: tuple, translations: bool):
+    """The check `holds` of `_search` for plan, the letter strings of the identities
+    checked per cell, ending with the translation-tree step if translations.
+
+    holds(a, b, v, trail) is straight-line code with one loop per lookup of R.  The
+    result is bind(t, le, mask, t_cells, le_cells, n, trees), which returns a holds over
+    those arrays of a search; trees is (rnode, cnode, rchild, cchild, rmask, cmask) with
+    translations, else None.
+    """
+    body = [line for letters in plan for line in _branches(letters)]
+    body += _TREE_STEP.splitlines() if translations else ["return True"]
+    source = _BIND.format(body="\n".join(_indent(body, 2)))
+    namespace = {}
+    exec(compile(source, f"<_search kernel {' '.join(plan)}{' trees' * translations}>",
+                 "exec"), namespace)
+    return namespace["bind"]
+
+
 def _search(le, n: int, identities, perms=()):
     """Yield (flat right table, its automorphisms among perms) per table satisfying the
     identities, letter strings of `axioms.IDENTITIES`, with left table le.
@@ -112,6 +220,10 @@ def _search(le, n: int, identities, perms=()):
     (a, b) is set, only the triples with that cell among their four lookups
     are checked; a triple becomes decided exactly when its last lookup is
     filled, so every triple is checked once all of its lookups are known.
+    That check, `holds`, is a kernel built by `_kernel` for the identities
+    checked per cell and kept per process: per identity it has one loop for
+    each letter that is R, reads the lookups of L, which is full, without a
+    guard, and forces only outer cells of R.
     Each cell has one bitmask of the values it may still take, and a cell is
     tried with those alone; every source of values narrows that mask, so
     they intersect.  D1 (LLLR) looks R up only at R[y][z], so it sets each
@@ -123,7 +235,8 @@ def _search(le, n: int, identities, perms=()):
     row of R must be a left translation of L and each column a right
     translation (see `doppel`); both sets are found before the search, and
     once a cell is set and its triples hold, the next cell's mask is
-    narrowed to what the prefix trees of its row and its column allow, so
+    narrowed to what the prefix trees of its row and its column allow (the
+    kernel's last step), so
     neither identity is checked per cell and a row or column that cannot be
     completed is never entered.  Each depth records every mask it narrows,
     as it was before, and restores them in reverse order when its cell
@@ -156,8 +269,7 @@ def _search(le, n: int, identities, perms=()):
             continue
         if translations and axiom in (IDENTITIES["d2"], IDENTITIES["d4"]):
             continue
-        A, B, C, D = (t if c == "R" else le for c in axiom)
-        plan.append((A, B, C, D, t_cells if B is t else le_cells, t_cells if D is t else le_cells))
+        plan.append(ASSOCIATIVITY if le is t else axiom)  # with le None every lookup is R
     if translations:
         from .doppel import commutant_masks
 
@@ -170,68 +282,9 @@ def _search(le, n: int, identities, perms=()):
         mask[0] &= rmask[0] & cmask[0]
     nexts = _mask_nexts(n)
     trails = [[] for _ in range(nn)]  # per depth, each (cell, mask before) it narrowed
-
-    def force(c, w, trail):
-        """Narrow empty cell c's mask to w alone; False if w is not in it."""
-        m = mask[c]
-        bit = 1 << w
-        if m != bit:
-            if not m & bit:
-                return False
-            trail.append((c, m))
-            mask[c] = bit
-        return True
-
-    def holds(a, b, v, trail):
-        """Whether every decided triple that looks up the new cell (a, b) = v holds,
-        forcing the cell each triple decided but for an outer lookup needs; then, with
-        the translation trees, whether the next cell keeps a value they allow."""
-        an, bn, vn = a * n, b * n, v * n
-        for A, B, C, D, b_cells, d_cells in plan:
-            if B is t:  # B[a][b]: triples (a, b, z)
-                for z in rng:
-                    yz = D[bn + z]
-                    if yz >= 0:
-                        u = A[vn + z]
-                        w = C[an + yz]
-                        if u != w and not (force(vn + z, w, trail) if u < 0 else
-                                           w < 0 and force(an + yz, u, trail)):
-                            return False
-            if D is t:  # D[a][b]: triples (x, a, b)
-                for x in rng:
-                    xn = x * n
-                    xy = B[xn + a]
-                    if xy >= 0:
-                        u = A[xy * n + b]
-                        w = C[xn + v]
-                        if u != w and not (force(xy * n + b, w, trail) if u < 0 else
-                                           w < 0 and force(xn + v, u, trail)):
-                            return False
-            if A is t:  # A[a][b]: triples (x, y, b) with B[x][y] = a
-                for x, y in b_cells[a]:
-                    yz = D[y * n + b]
-                    if yz >= 0:
-                        w = C[x * n + yz]
-                        if w != v and not (w < 0 and force(x * n + yz, v, trail)):
-                            return False
-            if C is t:  # C[a][b]: triples (a, y, z) with D[y][z] = b
-                for y, z in d_cells[b]:
-                    xy = B[an + y]
-                    if xy >= 0:
-                        u = A[xy * n + z]
-                        if u != v and not (u < 0 and force(xy * n + z, v, trail)):
-                            return False
-        if not translations:
-            return True
-        k = an + b + 1
-        if k == nn:
-            return True
-        rn = rnode[k] = rchild[rnode[k - 1] * n + v] if b + 1 < n else 0
-        cn = cnode[k] = cchild[cnode[k - n] * n + t[k - n]] if k >= n else 0
-        m = mask[k]
-        trail.append((k, m))
-        mask[k] = m = m & rmask[rn] & cmask[cn]
-        return m != 0
+    holds = _kernel(tuple(plan), translations)(t, le, mask, t_cells, le_cells, n, (
+        rnode, cnode, rchild, cchild, rmask, cmask) if translations else None)
+    cells = [divmod(k, n) for k in range(nn)]  # per depth, its cell (a, b)
 
     # per depth d, each live relabeling whose next position needs cell d, as (index in perms,
     # images, gather, first position not yet shown equal); at nn, the indices of those left
@@ -279,8 +332,8 @@ def _search(le, n: int, identities, perms=()):
             k -= 1
             continue
         t[k] = v
-        a, b = divmod(k, n)
-        t_cells[v].append((a, b))
+        a, b = cell = cells[k]
+        t_cells[v].append(cell)
         if holds(a, b, v, trail) and (not perms or leads(k)):
             if k == last:
                 yield tuple(t), [perms[j] for j in sorted(wake[nn])]

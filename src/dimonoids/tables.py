@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import sys
 import time
-from itertools import chain, permutations
+from functools import lru_cache
+from itertools import permutations
 from operator import itemgetter
 
 
@@ -230,10 +231,18 @@ def _inverse(p) -> tuple:
     return tuple(inv)
 
 
+@lru_cache(maxsize=None)
+def _column_major(n: int):
+    """A getter of a flat order-n table's cells in column-major order, as a tuple."""
+    if n == 1:  # itemgetter of one index returns the bare value
+        return lambda e: (e[0],)
+    return itemgetter(*[y * n + x for x in range(n) for y in range(n)])
+
+
 def _transposed(e, n: int):
     """The transpose of the flat order-n table e, a tuple or bytes, as the same type."""
-    cols = [e[x::n] for x in range(n)]  # column x of e
-    return b"".join(cols) if isinstance(e, bytes) else tuple(chain.from_iterable(cols))
+    cells = _column_major(n)(e)
+    return bytes(cells) if isinstance(e, bytes) else cells
 
 
 def _relabeling(p):

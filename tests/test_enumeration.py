@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from dimonoids import (DIMONOID, DOPPELSEMIGROUP, canonical_form, check_structur
                        enumerate_doppelsemigroups, enumerate_semigroups,
                        enumerate_structures, is_associative)
 from dimonoids import enumeration
-from dimonoids.axioms import assoc_witness, identity_witness
+from dimonoids.axioms import ASSOCIATIVITY, IDENTITIES, assoc_witness, identity_witness
 from dimonoids.doppel import commutant_masks
 from dimonoids.enumeration import (_AXIOMS, ENUM_KINDS, _SEMIGROUP_DUAL_CLASSES, _reps,
                                    _search, class_lines)
@@ -258,16 +258,33 @@ ARBITRARY_LEFTS = ([(2, le) for le in product(range(2), repeat=4)]
                       for seed in range(20)])
 
 
-@pytest.mark.parametrize("identities", [_AXIOMS[kind] for kind in KINDS] + [D1_D4],
-                         ids=KINDS + ("d1-d4",))
+# every subset of D1-D4, each with associativity: every kernel `_search` can build, e.g.
+# D4 without D2 checks D4 per cell, and D2 with D4 takes the translation trees instead
+SUBSETS = [names for size in range(5) for names in combinations(IDENTITIES, size)]
+PLAN_IDS = {_AXIOMS[kind]: kind for kind in KINDS} | {D1_D4: "d1-d4"}
+LETTERS = (*IDENTITIES.values(), ASSOCIATIVITY)
+
+
+@lru_cache(maxsize=None)
+def broken_identities(n, le):
+    """(every order-n table, per table a mask of the LETTERS that le and it break)."""
+    tables = list(product(range(n), repeat=n * n))
+    return tables, [sum(1 << i for i, letters in enumerate(LETTERS)
+                        if identity_witness(letters, le, re, n) is not None) for re in tables]
+
+
+@pytest.mark.parametrize("identities", [
+    pytest.param(plan, id=PLAN_IDS.get(plan, "+".join(names) or "associativity"))
+    for names in SUBSETS
+    for plan in [tuple(IDENTITIES[name] for name in names) + (ASSOCIATIVITY,)]])
 def test_search_matches_filtering_every_right_table_for_arbitrary_left_tables(identities):
     # forced cells, D1's masks and the translation trees must agree with the plain
     # identities even where L breaks them itself, e.g. a value forced outside the values
     # D1 allows a cell is refused; D1-D4 narrows cells by D1 and the trees together
+    needed = sum(1 << LETTERS.index(letters) for letters in identities)
     for n, le in ARBITRARY_LEFTS:
-        expected = [re for re in product(range(n), repeat=n * n)
-                    if all(identity_witness(letters, le, re, n) is None
-                           for letters in identities)]
+        tables, broken = broken_identities(n, le)
+        expected = [re for re, mask in zip(tables, broken) if not mask & needed]
         assert [re for re, _ in _search(le, n, identities)] == expected, le
 
 

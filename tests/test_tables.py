@@ -16,7 +16,7 @@ from dimonoids import (DIMONOID, AxiomVerdict, CanonicalKey, ClassificationRepor
                        dimonoid_profile, enumerate_dimonoids, format_distructure,
                        format_table, identify_group, left_zero, parse_structure,
                        parse_table, right_zero, semigroup_profile)
-from dimonoids.tables import _inverse, _relabeling
+from dimonoids.tables import _inverse, _relabeling, _transposed
 from exhaustive import relabel_reference
 
 
@@ -66,6 +66,15 @@ def test_transpose():
     for x in range(3):
         for y in range(3):
             assert tt.at(x, y) == t.at(y, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_transposed_keeps_tuples_and_bytes(n):
+    # at n = 1 the cached column-major getter must still give a table, not a bare entry
+    e = tuple(random.Random(n).choices(range(n), k=n * n))
+    expected = tuple(e[y * n + x] for x in range(n) for y in range(n))
+    assert _transposed(e, n) == expected
+    assert _transposed(bytes(e), n) == bytes(expected)
 
 
 def test_permutation_basics():
