@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 negative verdict (axioms failed, not isomorphic),
-2 usage or input errors.  Data goes to stdout (or --out); logs to stderr.
+Each `_cmd_*` maps its arguments to (text chunks, exit code); `main` alone writes the chunks,
+through `_emit`, to stdout or the --out file.  Logs go to stderr.  Exit codes: 0 success,
+1 negative verdict (axioms failed, not isomorphic), 2 usage or input errors.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ def _emit(chunks, out_path):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     obj = _read_structure(args.file)
     lines = []
     payload = {}
@@ -86,24 +87,19 @@ def _cmd_check(args) -> int:
         code = 0 if verdicts[args.kind].ok else 1
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n" if args.json \
         else "\n".join(lines) + "\n"
-    _emit([text], args.out)
-    return code
+    return [text], code
 
 
-def _cmd_catalog(args) -> int:
-    if args.catalog_command == "build":
-        try:
-            table = catalog.build_semigroup(args.name)
-        except catalog.ParameterError:
-            pass  # a pair name, or a name build_structure refuses with the message
-        else:
-            _emit([format_table(table) + "\n"], args.out)
-            return 0
-        kind = None if args.kind == "any" else args.kind
-        d = catalog.build_structure(args.name, kind=kind)
-        _emit([format_distructure(d) + "\n"], args.out)
-        return 0
-    # list
+def _cmd_build(args):
+    try:
+        return [format_table(catalog.build_semigroup(args.name)) + "\n"], 0
+    except catalog.ParameterError:
+        pass  # a pair name, or a name build_structure refuses with the message
+    kind = None if args.kind == "any" else args.kind
+    return [format_distructure(catalog.build_structure(args.name, kind=kind)) + "\n"], 0
+
+
+def _cmd_list(args):
     orders = [1, 2, 3] if args.order is None else [args.order]
     chunks = []
     for n in orders:
@@ -113,28 +109,26 @@ def _cmd_catalog(args) -> int:
         if args.kind in (DIMONOID, DOPPELSEMIGROUP):
             for name, d in catalog.named_structures(n, args.kind):
                 chunks.append(f"# {name}\n{format_distructure(d)}\n")
-    _emit(["\n".join(chunks)], args.out)
-    return 0
+    return ["\n".join(chunks)], 0
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args):
+    if args.file1 == args.file2 == "-":
+        raise ValueError("standard input can be given once")
     d1 = _as_pair(_read_structure(args.file1))
     d2 = _as_pair(_read_structure(args.file2))
     if d1.order != d2.order:
-        _emit(["not isomorphic (different orders)\n"], args.out)
-        return 1
+        return ["not isomorphic (different orders)\n"], 1
     start = time.perf_counter()
     perm = are_isomorphic(d1, d2)
     log_info("dimonoids", start, "order %d: matcher search found %s", d1.order,
              "no isomorphism" if perm is None else "an isomorphism")
     if perm is None:
-        _emit(["not isomorphic\n"], args.out)
-        return 1
-    _emit(["isomorphic via " + " ".join(map(str, perm.images)) + "\n"], args.out)
-    return 0
+        return ["not isomorphic\n"], 1
+    return ["isomorphic via " + " ".join(map(str, perm.images)) + "\n"], 0
 
 
-def _cmd_aut(args) -> int:
+def _cmd_aut(args):
     d = _as_pair(_read_structure(args.file))
     start = time.perf_counter()
     auts = automorphisms(d)
@@ -147,40 +141,33 @@ def _cmd_aut(args) -> int:
     lines = [" ".join(map(str, p.images)) for p in auts]
     lines.append(f"group: {group.name} (order {group.order})")
     lines.append(f"canonical key: {key}")
-    _emit(["\n".join(lines) + "\n"], args.out)
-    return 0
+    return ["\n".join(lines) + "\n"], 0
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args):
     obj = _read_structure(args.file)
     if isinstance(obj, OpTable):
-        _emit([format_table(obj.transpose()) + "\n"], args.out)
-    else:
-        _emit([format_distructure(obj.dual()) + "\n"], args.out)
-    return 0
+        return [format_table(obj.transpose()) + "\n"], 0
+    return [format_distructure(obj.dual()) + "\n"], 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     result = enumerate_structures(args.order, args.kind)
     lines = chain(class_lines(result), [json.dumps(result.summary(), sort_keys=True)])
-    _emit((line + "\n" for line in lines), args.out)
-    return 0
+    return (line + "\n" for line in lines), 0
 
 
-def _cmd_classify(args) -> int:
-    report = classify_order(args.order, args.kind)
-    _emit([render_report(report, args.format)], args.out)
-    return 0
+def _cmd_classify(args):
+    return [render_report(classify_order(args.order, args.kind), args.format)], 0
 
 
-def _cmd_problem1(args) -> int:
+def _cmd_problem1(args):
     report = solve_problem1()
     text = render_report(report, args.format)
     if args.format == "markdown":
         text = (f"Noncommutative nonabelian nontrivial dimonoid classes of order 3: "
                 f"{report.summary['total']}\n\n") + text
-    _emit([text], args.out)
-    return 0
+    return [text], 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="semigroup (default) or any: the named semigroups; dimonoid or "
                          "doppelsemigroup: that kind's named pair candidates")
     _add_out(pl)
-    pl.set_defaults(fn=_cmd_catalog)
+    pl.set_defaults(fn=_cmd_list)
     pb = csub.add_parser("build", help="build a named structure")
     pb.add_argument("name", help="catalog name, e.g. C3, M(3,1), LO3|RO3, (LO2|RO2)+0")
     pb.add_argument("--kind", choices=ENUM_KINDS + ("any",), default="any",
                     help="interpret pair names under these axioms")
     _add_out(pb)
-    pb.set_defaults(fn=_cmd_catalog)
+    pb.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("iso", help="decide isomorphism of two structure files")
     p.add_argument("file1")
@@ -279,7 +266,9 @@ def main(argv=None) -> int:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                             format="%(levelname)s %(message)s")
     try:
-        return args.fn(args)
+        chunks, code = args.fn(args)
+        _emit(chunks, args.out)
+        return code
     except BrokenPipeError:
         return 0
     except (ValueError, OSError) as exc:

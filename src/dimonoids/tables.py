@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 import time
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
 from operator import itemgetter
 
 
@@ -294,21 +294,11 @@ def _parse_block(lines, first_line_no: int, n: int) -> OpTable:
 
 
 def _blocks(text: str):
-    """Split text into blocks of consecutive nonblank lines, with line numbers."""
-    blocks = []
-    current: list = []
-    start = None
-    for i, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            if start is None:
-                start = i
-            current.append(line)
-        elif current:
-            blocks.append((current, start))
-            current, start = [], None
-    if current:
-        blocks.append((current, start))
-    return blocks
+    """Split text into blocks of consecutive nonblank lines, each as (lines, the 1-based
+    number of its first line)."""
+    runs = groupby(enumerate(text.splitlines(), 1), lambda item: bool(item[1].strip()))
+    numbered = (zip(*run) for nonblank, run in runs if nonblank)
+    return [(list(lines), numbers[0]) for numbers, lines in numbered]
 
 
 def parse_table(text: str) -> OpTable:

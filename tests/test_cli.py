@@ -79,12 +79,6 @@ def test_check_json_output(tmp_path, capsys):
     assert payload["verdicts"]["doppelsemigroup"]["witnesses"]["d4"] == [0, 0, 1]
 
 
-def test_check_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(C3))
-    assert main(["check", "-"]) == 0
-    assert "associative: yes" in capsys.readouterr().out
-
-
 def test_check_malformed_table(tmp_path, capsys):
     f = _write(tmp_path / "bad.txt", "0 2\n1 0\n")
     assert main(["check", f]) == 2
@@ -463,14 +457,72 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert len(lines) == 9
 
 
-def test_enumerate_out_writes_what_stdout_gets(tmp_path, capsys):
-    argv = ["enumerate", "--order", "3", "--kind", "doppelsemigroup"]
-    assert main(argv) == 0
+# one argv per write site of each command; the files are written by _files
+OUT_CASES = {
+    "check-table": (["check", "{c3}"], 0),
+    "check-json": (["check", "{pair}", "--json"], 0),
+    "check-doppelsemigroup": (["check", "{pair}", "--kind", "doppelsemigroup"], 1),
+    "aut": (["aut", "{pair}"], 0),
+    "iso-isomorphic": (["iso", "{a}", "{b}"], 0),
+    "iso-not-isomorphic": (["iso", "{a}", "{c3}"], 1),
+    "iso-different-orders": (["iso", "{a}", "{nor}"], 1),
+    "dual-table": (["dual", "{a}"], 0),
+    "dual-pair": (["dual", "{pair}"], 0),
+    "catalog-build-table": (["catalog", "build", "M(3,1)"], 0),
+    "catalog-build-pair": (["catalog", "build", "LO3|RO3"], 0),
+    "catalog-list": (["catalog", "list", "--order", "2"], 0),
+    "enumerate": (["enumerate", "--order", "3", "--kind", "doppelsemigroup"], 0),
+    "classify-json": (["classify", "--order", "3", "--format", "json"], 0),
+    "problem1": (["problem1"], 0),
+}
+
+
+def _files(tmp_path):
+    texts = {"c3": C3, "nor": NOR, "pair": LO3_RO3, "a": "0 0 0\n1 1 1\n0 0 0\n",
+             "b": "0 0 0\n0 0 0\n2 2 2\n"}  # b is a relabeled copy of a
+    return {name: _write(tmp_path / f"{name}.txt", text) for name, text in texts.items()}
+
+
+@pytest.mark.parametrize("argv, code", OUT_CASES.values(), ids=OUT_CASES.keys())
+def test_out_writes_what_stdout_gets(argv, code, tmp_path, capsys):
+    files = _files(tmp_path)
+    argv = [arg.format(**files) for arg in argv]
+    assert main(argv) == code
     printed = capsys.readouterr().out
-    target = tmp_path / "classes.jsonl"
-    assert main([*argv, "--out", str(target)]) == 0  # -W error: an unclosed file fails here
+    target = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(target)]) == code  # -W error: an unclosed file fails here
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == printed.encode("utf-8")
+
+
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    assert main(["dual", _files(tmp_path)["c3"], "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["check", "aut", "dual"])
+@pytest.mark.parametrize("text", [C3, LO3_RO3], ids=["table", "pair"])
+def test_stdin_prints_what_the_file_prints(command, text, tmp_path, monkeypatch, capsys):
+    assert main([command, _write(tmp_path / "in.txt", text)]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main([command, "-"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_iso_reads_stdin_once(tmp_path, monkeypatch, capsys):
+    f = _write(tmp_path / "c3.txt", C3)
+    for argv in (["iso", "-", f], ["iso", f, "-"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(C3))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "isomorphic via 0 1 2\n"
+    stdin = io.StringIO(C3)
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["iso", "-", "-"]) == 2
+    assert capsys.readouterr() == ("", "error: standard input can be given once\n")
+    assert stdin.tell() == 0  # refused before reading
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -16,7 +16,7 @@ from dimonoids import (DIMONOID, AxiomVerdict, CanonicalKey, ClassificationRepor
                        dimonoid_profile, enumerate_dimonoids, format_distructure,
                        format_table, identify_group, left_zero, parse_structure,
                        parse_table, right_zero, semigroup_profile)
-from dimonoids.tables import _inverse, _relabeling, _transposed
+from dimonoids.tables import _blocks, _inverse, _relabeling, _transposed
 from exhaustive import relabel_reference
 
 
@@ -245,6 +245,26 @@ def test_parse_errors_carry_position():
         parse_structure("0\n\n0\n\n0")  # three blocks
     with pytest.raises(TableFormatError):
         parse_structure("0 1\n1 0\n\n0 1 2\n1 2 0\n2 0 1")  # width mismatch
+
+
+@pytest.mark.parametrize("text, blocks", [
+    ("", []),
+    (" \n\t\n", []),
+    ("\n\n0 1\n1 0\n\n\n", [(["0 1", "1 0"], 3)]),  # leading and trailing blank lines
+    ("0\n \t \n1", [(["0"], 1), (["1"], 3)]),  # a whitespace-only separator
+    ("0\n\n\n\n1\n", [(["0"], 1), (["1"], 5)]),  # a run of blank lines
+    ("0 1\r\n1 0\r\n\r\n1 0\r\n0 1\r\n", [(["0 1", "1 0"], 1), (["1 0", "0 1"], 4)]),
+    ("0\t1\n\t1 0\n", [(["0\t1", "\t1 0"], 1)]),  # tabs stay in the lines
+])
+def test_blocks_group_nonblank_lines_with_their_first_line_number(text, blocks):
+    assert _blocks(text) == blocks
+
+
+def test_parse_error_rows_count_blank_and_whitespace_lines():
+    text = "\n \n0 1\r\n1 0\r\n\t\n\n\n0 1\n1 x\n"
+    with pytest.raises(TableFormatError) as exc:
+        parse_structure(text)
+    assert (exc.value.row, exc.value.column) == (9, 2)
 
 
 def test_parse_structure_detects_shape():
