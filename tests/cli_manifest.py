@@ -10,11 +10,11 @@ the repository root and names the lines that changed:
 
 The commands cover `classify`, `enumerate` and `catalog list` at orders 1-4
 for each kind and format, `problem1` in each format, `catalog build` on
-every name the catalog lists at orders 1-4, on wrapped, spaced and malformed
-names, and `check`, `check --json`, `aut`, `dual` and `iso` on the structure
-files that `write_inputs` makes from fixed seeds: built from catalog names,
-relabeled copies of those, random tables and pairs of orders 2-6, and
-malformed text.
+every name the catalog lists at orders 1-4, on four order-7 pair names, on
+wrapped, spaced and malformed names, and `check`, `check --json`, `aut`,
+`dual` and `iso` on the structure files that `write_inputs` makes from fixed
+seeds: built from catalog names, relabeled copies of those, random tables and
+pairs of orders 2-6, and malformed text.
 """
 from __future__ import annotations
 
@@ -112,6 +112,9 @@ def commands(files: dict) -> list:
               ["catalog", "build", "LO3|RO3", "--kind", "semigroup"],
               ["catalog", "build", "LO9|O9", "--kind", "dimonoid"],
               ["catalog", "build", "O2000+1"]]
+    # order 7 lies past the census, so these names resolve by trying relabelings alone
+    argvs += [["catalog", "build", "LO7|O7", "--kind", "dimonoid"],
+              *(["catalog", "build", name] for name in ("L7|O7", "C7|C7", "LO7|RO7"))]
     # well-formed wrapped names, then components of different orders and a pair no
     # relabeling makes valid, both refused with exit 2
     argvs += [["catalog", "build", name] for name in ("dual(LO3)", "triv(C3)", "plus0(LO2|RO2)",
