@@ -13,6 +13,8 @@ earlier run left.  On a clean tree both are HEAD, and the output reads the
 harness's own noise.  Each row runs one command line in fresh interpreters:
 - `-v classify --order n --kind k --format json` for n = 3, 4, 5 and each kind;
 - `-v problem1` and `-v enumerate --order 4`;
+- `-v catalog build L7|O7`, a name past the census that `catalog build`
+  resolves by trying relabelings of the right component;
 - `-v aut F` and `-v iso F F` for F the null semigroup O_n and the left-zero
   semigroup LO_n (Aut(LO_n) is S_n), n = 6, 7, 8, each written once by the
   change's `catalog build`.
@@ -21,7 +23,7 @@ one untimed warm-up per tree, which also fills that tree's bytecode cache,
 then REPEATS (10) pairs of runs, the fewest on which a gain may be claimed
 (9 wins of 10), the parent first in the first pair and the trees taking turns
 to go first after that, so that both see the same drift of the host's speed.
-A whole run took 199 s on a two-core host.  Each stderr line ending
+A whole run took 222 s on a two-core host.  Each stderr line ending
 `in <seconds> s` is one stage, named by the text before that tail, and each
 run is followed by a cold `import dimonoids.cli` on its tree, the start-up
 every command pays.  Per tree, a row holds the
@@ -112,6 +114,7 @@ def commands(tmp, tree):
             yield ["-v", "classify", "--order", str(n), "--kind", kind, "--format", "json", *out]
     yield ["-v", "problem1", *out]
     yield ["-v", "enumerate", "--order", "4", *out]
+    yield ["-v", "catalog", "build", "L7|O7", *out]
     for n in (6, 7, 8):
         for name in (f"O{n}", f"LO{n}"):
             table = f"{name}.txt"

@@ -31,10 +31,10 @@ print()
 
 # duality transposes both tables and swaps their roles; names dualize
 # syntactically in step with the construction
-from dimonoids import dual_dimonoid, structure_dual_name
+from dimonoids import structure_dual_name
 
 print("dual name:", structure_dual_name("LO3|O3"))
-print(format_distructure(dual_dimonoid(build_structure("LO3|O3"))))
+print(format_distructure(build_structure("LO3|O3").dual()))
 print()
 
 # the named canonical classes of each order and kind are enumerable

@@ -23,8 +23,7 @@ from .axioms import (AxiomVerdict, DIMONOID, DOPPELSEMIGROUP, DimonoidProfile,
                      dimonoid_profile, is_associative, semigroup_profile)
 from .catalog import (ParameterError, adjoin_identity, adjoin_tilde1,
                       adjoin_zero, adjoin_zero_dimonoid, build_semigroup,
-                      build_structure, cyclic, derive_semigroup, dual_dimonoid,
-                      dual_table, idempotent_diagonal, left_zero,
+                      build_structure, cyclic, idempotent_diagonal, left_zero,
                       left_zero_band, left_zero_collapse, linear_semilattice,
                       masked_left_zero, monogenic, named_class_map,
                       named_semigroups, named_structures, null_semigroup,

@@ -28,21 +28,22 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import permutations
 
-from .axioms import (NotAssociativeError, assoc_witness, check_structure, DIMONOID,
-                     DOPPELSEMIGROUP)
+from .axioms import (DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS, NotAssociativeError,
+                     assoc_witness, identity_witness)
 from .enumeration import ENUM_KINDS, MAX_ORDER, SEMIGROUP, _check_order, _reps, _right_tables
 from .iso import _coset_reach, _left_coset, _perm_data
-from .tables import (DiStructure, OpTable, Permutation, _inverse, _relabeling, _table,
-                     apply_permutation)
+from .tables import DiStructure, OpTable, _inverse, _relabeling, _table
 
 
 class ParameterError(ValueError):
     """A family parameter or catalog name is out of range or unknown."""
 
 
-# Caps every catalog walk over orders: an alias `left|right` name tries all n!
-# relabelings (order 7 takes about 2 s), and order 7 has 2,254 named semigroups
+# Caps every catalog walk over orders: an alias `left|right` name tries up to n!
+# relabelings (order 7 takes about 0.1 s on a 2-core host), and order 7 has 2,254
+# named semigroups
 MAX_RELABEL_ORDER = 7
 # Caps on names, checked before anything is built: the length bounds the nesting,
 # and the order the size of the n² tables built
@@ -190,23 +191,6 @@ def adjoin_tilde1(t: OpTable) -> OpTable:
     return _adjoin(t, False, e)
 
 
-def dual_table(t: OpTable) -> OpTable:
-    return t.transpose()
-
-
-_DERIVATIONS = {"+0": adjoin_zero, "+1": adjoin_identity, "~1": adjoin_tilde1,
-                "dual": dual_table}
-
-
-def derive_semigroup(t: OpTable, construction: str) -> OpTable:
-    try:
-        fn = _DERIVATIONS[construction]
-    except KeyError:
-        raise ParameterError(f"unknown construction {construction!r}; "
-                             f"expected one of {sorted(_DERIVATIONS)}")
-    return fn(t)
-
-
 # ---------------------------------------------------------------------------
 # pair constructions
 
@@ -216,10 +200,6 @@ def trivial_dimonoid(t: OpTable) -> DiStructure:
     if w is not None:
         raise NotAssociativeError(w)
     return DiStructure(t, t)
-
-
-def dual_dimonoid(d: DiStructure) -> DiStructure:
-    return d.dual()
 
 
 def adjoin_zero_dimonoid(d: DiStructure) -> DiStructure:
@@ -245,7 +225,7 @@ _BASE_PATTERNS = (
     (re.compile(r"^LOt0\((\d+)<-(\d+)\)$"), masked_left_zero, lambda m, s: s + 1),
 )
 
-_SUFFIXES = ("+0", "+1", "~1")
+_SUFFIXES = {"+0": adjoin_zero, "+1": adjoin_identity, "~1": adjoin_tilde1}
 
 
 def _inner(name: str, prefix: str, suffix: str):
@@ -290,11 +270,11 @@ def build_semigroup(name: str) -> OpTable:
 
 def _build_semigroup(name: str, extra: int = 0) -> OpTable:
     """build_semigroup of a checked name, to be grown by extra adjoined elements."""
-    for suffix in _SUFFIXES:
+    for suffix, adjoin in _SUFFIXES.items():
         if (inner := _inner(name, "", suffix)) is not None:
-            return derive_semigroup(_build_semigroup(inner, extra + 1), suffix)
+            return adjoin(_build_semigroup(inner, extra + 1))
     if (inner := _inner(name, "dual(", ")")) is not None:
-        return dual_table(_build_semigroup(inner, extra))
+        return _build_semigroup(inner, extra).transpose()
     twin = name.startswith("RO")  # each RO family is the transpose of its LO twin
     for pattern, builder, order in _BASE_PATTERNS:
         m = pattern.match("L" + name[1:] if twin else name)
@@ -374,7 +354,7 @@ def build_structure(name: str, kind: str | None = None) -> DiStructure:
     classifier reports under that name (dimonoid first when kind is None,
     then doppelsemigroup).  Alias names outside the map fall back to
     relabeling the right component until the pair satisfies the kind's
-    axioms, preferring an abelian pair, then relabeling order; above
+    axioms, taking the first such relabeling in lexicographic order; above
     MAX_RELABEL_ORDER they raise ParameterError instead.  Names are capped
     as in `build_semigroup`, counting the zeros that (…)+0 and plus0 adjoin.
     """
@@ -390,7 +370,7 @@ def _build_structure(name: str, kind: str | None, extra: int) -> DiStructure:
         return trivial_dimonoid(_build_semigroup(inner, extra))
     if (inner := _inner(name, "dual(", ")")) is not None:
         # for a bare semigroup name this equals the trivial pair of its dual
-        return dual_dimonoid(_build_structure(inner, kind, extra))
+        return _build_structure(inner, kind, extra).dual()
     special = _special_pair(name, extra)
     if special is not None:
         return _checked_named_pair(special, name, kind)
@@ -400,27 +380,24 @@ def _build_structure(name: str, kind: str | None, extra: int) -> DiStructure:
     kinds = _pair_kinds(name, kind)
     left = _build_semigroup(split[0], extra)
     right = _build_semigroup(split[1], extra)
-    if left.order != right.order:
+    n = left.order
+    if n != right.order:
         raise ParameterError(f"components of {name!r} have different orders")
-    if left.order <= MAX_ORDER:  # above it there is no catalog to resolve through
+    if n <= MAX_ORDER:  # above it there is no catalog to resolve through
         for k in kinds:
-            resolved = named_class_map(left.order, k)[0].get(name)
+            resolved = named_class_map(n, k)[0].get(name)
             if resolved is not None:
                 return resolved
-    if left.order > MAX_RELABEL_ORDER:
-        raise ParameterError(f"{name!r} has order {left.order}; left|right names outside "
+    if n > MAX_RELABEL_ORDER:
+        raise ParameterError(f"{name!r} has order {n}; left|right names outside "
                              f"the catalog are resolved by trying every relabeling, which "
                              f"is capped at order {MAX_RELABEL_ORDER}")
+    le, e = left.entries, right.entries
     for k in kinds:
-        first = None
-        for p in Permutation.all_of_degree(left.order):
-            d = DiStructure(left, apply_permutation(right, p))
-            if d.left != d.right and check_structure(d, k).ok:
-                if d.right == d.left.transpose():
-                    return d
-                first = first or d
-        if first:
-            return first
+        for p, gather in map(_relabeling, permutations(range(n))):
+            rt = tuple([p[e[j]] for j in gather])
+            if rt != le and _pair_holds(le, rt, n, k):
+                return DiStructure(left, _table(n, rt))
     raise ParameterError(f"no relabeling makes {name!r} a valid nontrivial pair")
 
 
@@ -434,10 +411,15 @@ def _pair_kinds(name: str, kind: str | None):
     return (kind,)
 
 
+def _pair_holds(le, re, n: int, kind: str) -> bool:
+    """Whether the flat tables le and re, both associative, satisfy kind's pair identities."""
+    return all(identity_witness(IDENTITIES[a], le, re, n) is None for a in KIND_AXIOMS[kind])
+
+
 def _checked_named_pair(d: DiStructure, name: str, kind: str | None) -> DiStructure:
     kinds = _pair_kinds(name, kind)
     for k in kinds:
-        if check_structure(d, k).ok:
+        if _pair_holds(d.left.entries, d.right.entries, d.order, k):
             return d
     raise ParameterError(f"{name!r} does not satisfy the {' or '.join(kinds)} axioms")
 
@@ -466,9 +448,9 @@ def named_semigroups(n: int):
              *(f"{side}Ot0({m}<-{n - 1})" for m in range(1, n - 1) for side in "LR")]
     out = [(name, _build_semigroup(name)) for name in names]
     for base_name, t in named_semigroups(n - 1):
-        for suffix in _SUFFIXES:
+        for suffix, adjoin in _SUFFIXES.items():
             try:
-                out.append((base_name + suffix, derive_semigroup(t, suffix)))
+                out.append((base_name + suffix, adjoin(t)))
             except ParameterError:
                 pass  # ~1 of a non-monoid
     return tuple(out)
@@ -539,7 +521,7 @@ def _named_candidates(n: int, kind: str):
                 keyless.append((f"({name})+0", adjoin_zero_dimonoid(d)))
         for name in [f"C{n}|C{n}^-1"] + (["O(3,1)a|O(3,1)b"] if n == 3 else []):
             d = _special_pair(name)
-            if check_structure(d, kind).ok:
+            if _pair_holds(d.left.entries, d.right.entries, n, kind):
                 keyless.append((name, d))
         out += ((name, d, bytes(_coset_reach(d.left.entries, d.right.entries, n)[0]))
                 for name, d in keyless)

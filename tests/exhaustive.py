@@ -21,14 +21,14 @@ from unittest import mock
 
 from dimonoids import classify, enumeration
 from dimonoids.axioms import (ASSOCIATIVITY, DIMONOID, DOPPELSEMIGROUP, IDENTITIES, KIND_AXIOMS,
-                              identity_witness)
+                              check_structure, identity_witness)
 from dimonoids.catalog import (adjoin_zero_dimonoid, build_semigroup, build_structure,
                                named_class_map, structure_dual_name)
 from dimonoids.doppel import commutant_masks, transpose_partners, transposed_right_tables
 from dimonoids.enumeration import _AXIOMS, _reps, _search, enumerate_structures
 from dimonoids.iso import (CanonicalKey, GroupId, _least, _matches, _perm_data, _perm_order,
                            automorphisms, canonical_form, distructure_from_key, identify_group)
-from dimonoids.tables import DiStructure, OpTable, Permutation
+from dimonoids.tables import DiStructure, OpTable, Permutation, apply_permutation
 
 
 def _pair_axioms_hold(le, re, n, kind) -> bool:
@@ -427,6 +427,26 @@ def check_burnside(result):
                              f"({labeled} labeled), the census {result.class_count} "
                              f"({result.labeled_count})")
     return classes, labeled
+
+
+def relabeling_reference(left, right, kinds):
+    """The pair a `left|right` name outside the name map gets by relabeling right, object by
+    object with the full axiom check: for each kind in turn, the first pair (left, right
+    relabeled) over `Permutation.all_of_degree` that is valid, nontrivial and abelian (its
+    right table is left's transpose), else the first valid nontrivial one; None if no kind
+    has one.  The reference for `catalog.build_structure`'s fallback, which takes the first
+    valid one: on every ordered pair of first-named tables at orders 2-5 the two agree."""
+    for k in kinds:
+        first = None
+        for p in Permutation.all_of_degree(left.order):
+            d = DiStructure(left, apply_permutation(right, p))
+            if d.left != d.right and check_structure(d, k).ok:
+                if d.right == d.left.transpose():
+                    return d
+                first = first or d
+        if first:
+            return first
+    return None
 
 
 def adjoin_zero_reference(t):

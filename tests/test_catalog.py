@@ -11,9 +11,7 @@ from dimonoids import (DIMONOID, DOPPELSEMIGROUP, DiStructure, NotAssociativeErr
                        OpTable, ParameterError, adjoin_identity, adjoin_tilde1,
                        adjoin_zero, adjoin_zero_dimonoid, build_semigroup,
                        build_structure, canonical_form, check_structure, classify_order,
-                       cyclic, dimonoid_profile,
-                       dual_dimonoid, dual_table, derive_semigroup,
-                       idempotent_diagonal, is_associative, left_zero,
+                       cyclic, dimonoid_profile, idempotent_diagonal, is_associative, left_zero,
                        left_zero_band, left_zero_collapse, linear_semilattice,
                        masked_left_zero, monogenic, named_class_map,
                        named_semigroups, named_structures, null_semigroup,
@@ -21,7 +19,7 @@ from dimonoids import (DIMONOID, DOPPELSEMIGROUP, DiStructure, NotAssociativeErr
                        structure_dual_name, trivial_dimonoid)
 from dimonoids.axioms import IDENTITIES, identity_witness
 from dimonoids.enumeration import ENUM_KINDS
-from exhaustive import adjoined_reference, check_names_spelled
+from exhaustive import adjoined_reference, check_names_spelled, relabeling_reference
 
 
 def test_base_family_tables():
@@ -41,14 +39,28 @@ def test_base_family_tables():
 
 
 def test_base_families_are_associative():
-    tables = [cyclic(4), shifted_cyclic(4, 3), linear_semilattice(4),
-              null_semigroup(4), left_zero(4), right_zero(4),
-              left_zero_band(4), left_zero_collapse(2, 4),
-              masked_left_zero(2, 3), monogenic(2, 3), monogenic(4, 1),
-              idempotent_diagonal(4, 2)]
-    for t in tables:
+    # the relabeling fallback and the curated pairs check the pair identities alone: every
+    # base table the grammar builds up to MAX_RELABEL_ORDER, with its transpose (an RO twin
+    # or a dual), each curated pair's tables and every named table must be associative
+    top = catalog.MAX_RELABEL_ORDER
+    tables = []
+    for pattern, builder, order in catalog._BASE_PATTERNS:
+        for args in product(range(top + 1), repeat=pattern.groups):
+            if order(*args) <= top:
+                try:
+                    t = builder(*args)
+                except ParameterError:
+                    continue
+                tables += [(pattern.pattern, args, t), (pattern.pattern, args, t.transpose())]
+    assert len(tables) == 2 * 145
+    for name in [f"C{n}|C{n}^-1" for n in range(1, top + 1)] + ["O(3,1)a|O(3,1)b"]:
+        d = catalog._special_pair(name)
+        tables += [(name, (), d.left), (name, (), d.right)]
+    tables += [(name, (), t) for n in range(1, top + 1) for name, t in named_semigroups(n)]
+    assert len(tables) == 2 * 145 + 16 + 3601
+    for name, args, t in tables:
         ok, witness = is_associative(t)
-        assert ok, witness
+        assert ok, (name, args, witness)
 
 
 def test_family_parameter_errors():
@@ -90,18 +102,6 @@ def test_adjoin_tilde1():
         adjoin_tilde1(null_semigroup(2))  # no identity
 
 
-def test_derive_semigroup_dispatch():
-    assert derive_semigroup(left_zero(2), "dual") == right_zero(2)
-    assert derive_semigroup(cyclic(2), "+0") == adjoin_zero(cyclic(2))
-    with pytest.raises(ParameterError):
-        derive_semigroup(cyclic(2), "+2")
-
-
-def test_dual_table_is_transpose():
-    assert dual_table(left_zero(3)) == right_zero(3)
-    assert dual_table(cyclic(3)) == cyclic(3)
-
-
 def test_trivial_dimonoid():
     d = trivial_dimonoid(cyclic(3))
     assert d.left == d.right == cyclic(3)
@@ -123,9 +123,10 @@ def test_constructions_keep_what_their_inputs_satisfy():
     for n in (1, 2, 3, 4):
         for name, t in named_semigroups(n):
             assert is_associative(t)[0], name
-            for suffix in ("+0", "+1", "~1"):
+            for suffix, adjoin in (("+0", adjoin_zero), ("+1", adjoin_identity),
+                                   ("~1", adjoin_tilde1)):
                 try:
-                    out = derive_semigroup(t, suffix)
+                    out = adjoin(t)
                 except ParameterError:
                     assert suffix == "~1"  # t is no monoid
                     continue
@@ -284,7 +285,7 @@ def test_named_semigroups_are_capped_at_order_7():
 def test_build_structure_dual_of_pair():
     d = build_structure("LO3|O3", kind="dimonoid")
     dd = build_structure("dual(LO3|O3)", kind="dimonoid")
-    assert dd == dual_dimonoid(d)
+    assert dd == d.dual()
 
 
 def test_build_structure_prefers_abelian_twin():
@@ -332,6 +333,25 @@ def test_build_structure_agrees_with_named_class_map():
             for spelling in {name, name.replace("|", " | ")}:
                 built = build_structure(spelling, kind=kind)
                 assert canonical_form(built).key == canonical_form(d).key, spelling
+
+
+@pytest.mark.parametrize("kind", [DIMONOID, DOPPELSEMIGROUP])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_names_build_the_reference_pair(n, kind):
+    # every ordered pair of the distinct named tables, each under its first name and each
+    # also with itself, so the names outside the map reach the relabeling fallback
+    first = {}
+    for name, t in named_semigroups(n):
+        first.setdefault(t.entries, (name, t))
+    by_name, _ = named_class_map(n, kind)
+    for (a, lt), (b, rt) in product(first.values(), repeat=2):
+        name = f"{a}|{b}"
+        want = by_name.get(name) or relabeling_reference(lt, rt, (kind,))
+        if want is None:
+            with pytest.raises(ParameterError, match="no relabeling"):
+                build_structure(name, kind)
+        else:
+            assert build_structure(name, kind) == want, name
 
 
 def test_semigroup_dual_name():

@@ -173,15 +173,14 @@ PUBLIC_NAMES = [
     "NotAssociativeError", "OpTable", "OrderMismatchError", "ParameterError", "Permutation",
     "SEMIGROUP", "SemigroupProfile", "TableFormatError", "adjoin_identity", "adjoin_tilde1",
     "adjoin_zero", "adjoin_zero_dimonoid", "apply_permutation", "are_isomorphic",
-    "automorphisms", "build_semigroup", "build_structure", "canonical_form",
-    "check_structure", "classify", "classify_order", "cyclic", "derive_semigroup",
-    "dimonoid_profile", "dual_dimonoid", "dual_table", "enumerate_associative_tables",
+    "automorphisms", "build_semigroup", "build_structure", "canonical_form", "check_structure",
+    "classify", "classify_order", "cyclic", "dimonoid_profile", "enumerate_associative_tables",
     "enumerate_dimonoids", "enumerate_doppelsemigroups", "enumerate_semigroups",
     "enumerate_structures", "format_distructure", "format_table", "idempotent_diagonal",
     "identify_group", "is_associative", "left_zero", "left_zero_band", "left_zero_collapse",
     "linear_semilattice", "masked_left_zero", "monogenic", "named_class_map",
-    "named_semigroups", "named_structures", "null_semigroup", "parse_structure",
-    "parse_table", "render_report", "right_zero", "semigroup_dual_name", "semigroup_profile",
+    "named_semigroups", "named_structures", "null_semigroup", "parse_structure", "parse_table",
+    "render_report", "right_zero", "semigroup_dual_name", "semigroup_profile",
     "shifted_cyclic", "solve_problem1", "structure_dual_name", "trivial_dimonoid"]
 
 
